@@ -28,6 +28,7 @@ from scipy.fft import fftn, ifftn, irfftn, next_fast_len, rfftn
 
 from ._runtime import get_workers
 from .errors import ConfigError, NumericsError
+from .spectral import _sq_norms
 
 _DENSE_OP_LIMIT = 4e7
 _FFT_ENTRY_LIMIT = 4e7
@@ -85,14 +86,6 @@ def _geometry(slots: list[Slot], d: int):
     return N, q_lo, q_hi
 
 
-def _sq_norm_grid(d: int, N: int) -> np.ndarray:
-    n = np.arange(-N, N + 1) ** 2
-    out = n
-    for _ in range(d - 1):
-        out = out[..., None] + n
-    return out
-
-
 def _oriented(slot: Slot) -> np.ndarray:
     """Values reindexed by the additive variable m = zeta * n."""
     return slot.values if slot.sign > 0 else np.flip(slot.values)
@@ -100,7 +93,7 @@ def _oriented(slot: Slot) -> np.ndarray:
 
 def fold_dense(slots: list[Slot], d: int) -> FoldResult:
     N, q_lo, q_hi = _geometry(slots, d)
-    sq = _sq_norm_grid(d, N)
+    sq = _sq_norms(d, N)
     all_real = all(not np.iscomplexobj(sl.values) for sl in slots)
     dtype = float if all_real else complex
     acc = np.zeros((1,) + (1,) * d, dtype=dtype)
@@ -143,7 +136,7 @@ def fold_fft(slots: list[Slot], d: int) -> FoldResult:
             f"fft fold array of {Q} x {P}^{d} entries exceeds the memory budget")
     all_real = all(not np.iscomplexobj(sl.values) for sl in slots)
     shape = (Q,) + (P,) * d
-    sq = _sq_norm_grid(d, N)
+    sq = _sq_norms(d, N)
     dn2 = d * N * N
     spec = None
     for sl in slots:
@@ -164,22 +157,15 @@ def fold_fft(slots: list[Slot], d: int) -> FoldResult:
     return FoldResult(np.ascontiguousarray(conv[sl_out]), q_lo, m * N, d)
 
 
-def fold(slots: list[Slot], d: int, method: str = "auto") -> FoldResult:
+def fold(slots: list[Slot], d: int) -> FoldResult:
     """Dispatch between the dense and fft backends.
 
-    "auto" predicts the dense cost from slot sparsity and falls back to
-    fft when it would blow the budget.
+    Predicts the dense cost from slot sparsity and falls back to fft
+    when it would blow the budget.
     """
-    if method not in ("auto", "dense", "fft"):
-        raise ConfigError(f"unknown fold method {method!r}")
     if len(slots) < 1:
         raise ConfigError("fold needs at least one slot")
-    if method == "dense":
-        return fold_dense(slots, d)
-    if method == "fft":
-        return fold_fft(slots, d)
-    N, q_lo, q_hi = _geometry(slots, d)
-    m = len(slots)
+    N = _geometry(slots, d)[0]
     est = 0.0
     for j, sl in enumerate(slots, start=1):
         nnz = int(np.count_nonzero(sl.values))

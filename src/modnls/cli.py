@@ -1,14 +1,16 @@
 """Command-line front end: path generation, solves, and estimate reports.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure (blow-up or non-convergence, with a diagnostic JSON on stderr),
-64 unknown subcommand.
+Exit codes: 0 success, 2 configuration/validation or argument failure,
+3 numerical failure (blow-up, non-convergence or a non-finite result,
+with a strict-JSON diagnostic on stderr), 64 missing or unknown
+subcommand.
 
 Thread handling: --threads (fallback: the YNLS_THREADS environment
-variable, then all cores) is resolved before any numerical module is
-imported, so the BLAS thread variables set here actually take effect;
-the same count drives the FFT worker pool. Library code imported
-directly, without the CLI, stays single-threaded by default.
+variable, read by _runtime, then all cores) is resolved before any
+numerical module is imported, so the BLAS thread variables set here
+actually take effect; the same count drives the FFT worker pool.
+Library code imported directly, without the CLI, stays single-threaded
+by default.
 
 This module deliberately imports only the standard library at the top
 level; numpy-heavy modules load inside the subcommand handlers.
@@ -22,7 +24,8 @@ import math
 import os
 import sys
 
-from .errors import BlowUpError, ConfigError, NonConvergenceError, NumericsError
+from . import _runtime
+from .errors import ConfigError, NumericsError
 
 _COMMANDS = ("gen-path", "irregularity", "solve", "converge",
              "verify-estimates", "xnorm")
@@ -37,36 +40,38 @@ def _resolve_threads(argv) -> int:
             val = argv[i + 1]
         elif tok.startswith("--threads="):
             val = tok.split("=", 1)[1]
-    if val is None:
-        val = os.environ.get("YNLS_THREADS")
-    if val is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(val))
-    except ValueError:
-        raise ConfigError(f"--threads expects an integer, got {val!r}")
+    return _runtime.resolve_threads(val, os.cpu_count() or 1)
 
 
 def _setup_threads(n: int) -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, str(n))
-    from . import _runtime
     _runtime.set_workers(n)
 
 
 def _write_json(obj, filename) -> None:
+    """Write strict JSON; a non-finite float is a NumericsError, not a file."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericsError(f"refusing to write {filename}: {e}") from e
     with open(filename, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _finite_or_none(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _diag(exc) -> dict:
+    """JSON-safe diagnostic fields of an error; non-finite floats become null."""
     out = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("step", "norm", "limit", "iterations", "residuals", "tol"):
         if hasattr(exc, attr):
             v = getattr(exc, attr)
-            out[attr] = list(v) if isinstance(v, (list, tuple)) else v
+            out[attr] = ([_finite_or_none(x) for x in v]
+                         if isinstance(v, (list, tuple)) else _finite_or_none(v))
     return out
 
 
@@ -90,24 +95,10 @@ def _cmd_gen_path(rest) -> int:
     p.add_argument("--profile", default=None)
     p.add_argument("--out", required=True)
     args = p.parse_args(rest)
-    import numpy as np
-
     from . import paths
-    if args.kind == "linear":
-        path = paths.make_linear_path(args.T, args.M)
-    elif args.kind == "constant":
-        if args.c is None:
-            raise ConfigError("--kind constant needs --c")
-        path = paths.make_constant_path(args.c, args.T, args.M)
-    elif args.kind == "fbm":
-        if args.H is None or args.seed is None:
-            raise ConfigError("--kind fbm needs --H and --seed")
-        path = paths.make_fbm_path(args.H, args.T, args.M, args.seed)
-    else:
-        if args.eps is None or args.profile is None:
-            raise ConfigError("--kind modulated needs --eps and --profile")
-        prof = np.loadtxt(args.profile, delimiter=",").ravel()
-        path = paths.make_modulated_path(prof, args.eps, args.T, args.M)
+    spec = {key: val for key, val in vars(args).items()
+            if key not in ("threads", "out") and val is not None}
+    path = _path_from_spec(spec)
     paths.save_path_csv(path, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -128,13 +119,16 @@ def _cmd_irregularity(rest) -> int:
     per_scale = max(1, round(args.pairs / n_scales))
     pairs = phi.default_pairs(path, per_scale=per_scale)
     a_grid = phi.default_a_grid(args.amax)
-    rep = phi.irregularity_norm(path, args.rho, args.gamma, a_grid, pairs)
+    rep = phi.estimate_irregularity(path, args.gamma, args.amax,
+                                    rho_grid=[args.rho], a_grid=a_grid,
+                                    pairs=pairs)[0]
     _write_json(rep.to_json_dict(), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _path_from_spec(spec):
+    """Clock from a spec dict; gen-path builds the same dict from its flags."""
     from . import paths
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("path spec must be an object with a 'kind'")
@@ -147,10 +141,17 @@ def _path_from_spec(spec):
         if kind == "fbm":
             return paths.make_fbm_path(spec["H"], spec["T"], spec["M"],
                                        spec["seed"])
+        if kind == "modulated":
+            import numpy as np
+            prof = np.loadtxt(spec["profile"], delimiter=",").ravel()
+            return paths.make_modulated_path(prof, spec["eps"], spec["T"],
+                                             spec["M"])
         if kind == "file":
             return paths.load_path_csv(spec["file"])
     except KeyError as e:
-        raise ConfigError(f"path spec is missing {e}")
+        key = e.args[0]
+        raise ConfigError(f"path kind {kind!r} needs {key!r} "
+                          f"(gen-path flag --{key})")
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
@@ -180,6 +181,8 @@ def _load_experiment(args):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {args.config}: {e}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {args.config} must be a JSON object")
     if getattr(args, "path", None):
         path = paths.load_path_csv(args.path)
     elif "path" in raw:
@@ -404,21 +407,15 @@ def run_command(argv) -> int:
     try:
         _setup_threads(_resolve_threads(argv))
         return _HANDLERS[argv[0]](argv[1:])
-    except ConfigError as e:
+    except ValueError as e:
+        # a ConfigError, or bad numeric input surfaced below the config layer
         sys.stderr.write(json.dumps(_diag(e)) + "\n")
         return 2
-    except (BlowUpError, NonConvergenceError, NumericsError) as e:
+    except NumericsError as e:
         sys.stderr.write(json.dumps(_diag(e)) + "\n")
         return 3
     except SystemExit as e:
-        code = e.code
-        if code in (0, None):
-            return 0
-        return 2
-    except ValueError as e:
-        # bad numeric input surfaced below the config layer
-        sys.stderr.write(json.dumps(_diag(e)) + "\n")
-        return 2
+        return 0 if e.code in (0, None) else 2
 
 
 def main() -> None:

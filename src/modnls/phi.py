@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import ConfigError
 from .paths import SamplePath
@@ -36,7 +35,6 @@ __all__ = [
     "save_table",
     "load_table",
     "export_table_csv",
-    "irregularity_norm",
     "estimate_irregularity",
     "default_a_grid",
     "default_pairs",
@@ -275,33 +273,6 @@ def _trend_from_profile(a, r_star, rho: float, levels) -> list[float]:
     return out
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (0.0 < gamma <= 1.0):
-        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
-
-
-def irregularity_norm(path: SamplePath, rho: float, gamma: float,
-                      a_grid, pairs, n_levels: int = 5) -> IrregularityReport:
-    """Lower estimate of the (rho, gamma)-irregularity norm on finite grids.
-
-    The returned trend lists the estimate under successive doublings of the
-    frequency cutoff, ending at the full grid; a flat trend is consistent
-    with (rho, gamma)-irregularity, a growing one witnesses its failure.
-    """
-    if rho < 0:
-        raise ConfigError(f"rho must be nonnegative, got {rho}")
-    _check_gamma(gamma)
-    a, r_star = _ratio_profile(path, a_grid, pairs, gamma)
-    a_max = float(a.max())
-    levels = [a_max / 2 ** j for j in range(n_levels - 1, -1, -1)]
-    trend = _trend_from_profile(a, r_star, rho, levels)
-    return IrregularityReport(
-        rho=float(rho), gamma=float(gamma), norm_estimate=trend[-1],
-        a_max=a_max, pair_count=int(np.asarray(pairs).shape[0]),
-        trend=trend, trend_a_max=levels,
-    )
-
-
 def estimate_irregularity(path: SamplePath, gamma: float, a_max: float,
                           n_levels: int = 5, rho_grid=None, a_grid=None,
                           pairs=None) -> list[IrregularityReport]:
@@ -309,12 +280,16 @@ def estimate_irregularity(path: SamplePath, gamma: float, a_max: float,
 
     Returns one report per rho; feed them to largest_bounded_rho to read
     off the biggest exponent whose trend stays flat across cutoff
-    doublings.
+    doublings. A one-entry rho_grid gives the single-rho report.
     """
-    _check_gamma(gamma)
+    if not (0.0 < gamma <= 1.0):
+        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
     if rho_grid is None:
         # step 0.1 keeps the 0.05 slope threshold decisive at both ends
         rho_grid = np.arange(0.0, 1.501, 0.1)
+    rho_grid = np.asarray(rho_grid, dtype=float)
+    if np.any(rho_grid < 0):
+        raise ConfigError(f"rho must be nonnegative, got {rho_grid.min()}")
     if a_grid is None:
         a_grid = default_a_grid(a_max)
     if pairs is None:
@@ -323,7 +298,7 @@ def estimate_irregularity(path: SamplePath, gamma: float, a_max: float,
     a_top = float(a.max())
     levels = [a_top / 2 ** j for j in range(n_levels - 1, -1, -1)]
     reports = []
-    for rho in np.asarray(rho_grid, dtype=float):
+    for rho in rho_grid:
         trend = _trend_from_profile(a, r_star, rho, levels)
         reports.append(IrregularityReport(
             rho=float(rho), gamma=float(gamma), norm_estimate=trend[-1],
@@ -340,8 +315,9 @@ def trend_slope(report: IrregularityReport) -> float:
     keep = y > 0
     if keep.sum() < 2:
         return 0.0
-    fit = linregress(np.log(x[keep]), np.log(y[keep]))
-    return float(fit.slope)
+    lx, ly = np.log(x[keep]), np.log(y[keep])
+    lx = lx - lx.mean()
+    return float(lx @ (ly - ly.mean()) / (lx @ lx))
 
 
 def largest_bounded_rho(reports: list[IrregularityReport],

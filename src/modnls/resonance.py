@@ -12,14 +12,14 @@ nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import isqrt
+from dataclasses import dataclass
+from math import isqrt, prod
 
 import numpy as np
 
 from ._fold import Slot, fold
 from .errors import ConfigError, NumericsError
-from .spectral import _sq_norms, mode_grid
+from .spectral import _check_box, _sq_norms, mode_grid
 
 __all__ = [
     "ResonanceTuple",
@@ -118,11 +118,24 @@ def _check_cap(bounds, d: int, k: int, allow_large: bool) -> None:
             f"(d, k) = ({d}, {k}); pass allow_large=True to override")
 
 
-def _free_geometry(frees: list[np.ndarray], d: int):
-    """Broadcast machinery over free slots 2..2k+1 (slot 1 stays a loop).
+def _check_budget(lists, allow_large: bool = False) -> float:
+    """Size of the product of the slot mode lists; NumericsError above budget."""
+    total = prod(float(f.shape[0]) for f in lists)
+    budget = _LARGE_CANDIDATE_LIMIT if allow_large else _CANDIDATE_LIMIT
+    if total > budget:
+        raise NumericsError(
+            f"{total:.3g} candidate tuples exceed the enumeration budget "
+            f"{budget:.0e}; shrink the box")
+    return total
 
-    Returns (sum_rest, sq_rest) with the alternating-sign contributions
-    of slots 2 onward: slot index i carries sign (-1)^i.
+
+def _zero_sum_scan(frees: list[np.ndarray], d: int):
+    """Walk the zero-sum tuples over mode lists for slots 1..2k+1.
+
+    Slot 1 is a loop over its modes a; slots 2..2k+1 broadcast, slot i
+    carrying sign (-1)^i. Yields (a, n0, n0sq, mu): the forced mode
+    n_0 = n_1 - n_2 + ... + n_{2k+1}, its |n_0|^2 and the alternating
+    square sum mu, each on the broadcast shape of slots 2..2k+1.
     """
     rest = frees[1:]
     shape = tuple(f.shape[0] for f in rest)
@@ -133,7 +146,19 @@ def _free_geometry(frees: list[np.ndarray], d: int):
         view = (1,) * j + (f.shape[0],) + (1,) * (len(rest) - 1 - j)
         sum_rest = sum_rest + sgn * f.reshape(view + (d,))
         sq_rest = sq_rest + sgn * (f ** 2).sum(axis=1).reshape(view)
-    return sum_rest, sq_rest
+    f1 = frees[0]
+    sq1 = (f1 ** 2).sum(axis=1)
+    for a in range(f1.shape[0]):
+        n0 = f1[a] - sum_rest
+        n0sq = (n0 ** 2).sum(axis=-1)
+        yield a, n0, n0sq, n0sq - sq1[a] + sq_rest
+
+
+def _scanned_modes(n0, frees, a: int, row) -> np.ndarray:
+    """Modes (n_0, ..., n_{2k+1}) of the scanned tuple at broadcast index row."""
+    row = tuple(row)
+    return np.array([n0[row], frees[0][a]]
+                    + [f[r] for f, r in zip(frees[1:], row)])
 
 
 def enumerate_A(mu: int, box, d: int, k: int, allow_large: bool = False):
@@ -144,36 +169,13 @@ def enumerate_A(mu: int, box, d: int, k: int, allow_large: bool = False):
     bounds = _normalize_box(box, k)
     _check_cap(bounds, d, k, allow_large)
     frees = [_range_modes(lo, hi, d) for lo, hi in bounds[1:]]
-    total = 1.0
-    for f in frees:
-        total *= f.shape[0]
-    budget = _LARGE_CANDIDATE_LIMIT if allow_large else _CANDIDATE_LIMIT
-    if total > budget:
-        raise NumericsError(
-            f"{total:.3g} candidate tuples exceed the enumeration budget "
-            f"{budget:.0e}; shrink the box")
-    if total == 0:
-        return []
+    _check_budget(frees, allow_large)
     lo0, hi0 = bounds[0]
-    sum_rest, sq_rest = _free_geometry(frees, d)
-    f1 = frees[0]
-    sq1 = (f1 ** 2).sum(axis=1)
     out = []
-    for a in range(f1.shape[0]):
-        # zero sum fixes n_0 = n_1 - n_2 + ... + n_{2k+1}
-        n0 = f1[a] - sum_rest
-        inbox = np.all((n0 >= lo0) & (n0 <= hi0), axis=-1)
-        muv = (n0 ** 2).sum(axis=-1) - sq1[a] + sq_rest
-        hit = inbox & (muv == mu)
-        if not hit.any():
-            continue
+    for a, n0, _, muv in _zero_sum_scan(frees, d):
+        hit = np.all((n0 >= lo0) & (n0 <= hi0), axis=-1) & (muv == mu)
         for row in np.argwhere(hit):
-            modes = np.empty((2 * k + 2, d), dtype=int)
-            modes[0] = n0[tuple(row)]
-            modes[1] = f1[a]
-            for j, f in enumerate(frees[1:]):
-                modes[j + 2] = f[row[j]]
-            out.append(ResonanceTuple(modes, mu))
+            out.append(ResonanceTuple(_scanned_modes(n0, frees, a, row), mu))
     return out
 
 
@@ -226,41 +228,22 @@ def verify_counting_partition(box, d: int, k: int,
     bounds = _normalize_box(box, k)
     _check_cap(bounds, d, k, allow_large)
     slots_modes = [_range_modes(lo, hi, d) for lo, hi in bounds]
-    total = 1.0
-    for f in slots_modes:
-        total *= f.shape[0]
-    budget = _LARGE_CANDIDATE_LIMIT if allow_large else _CANDIDATE_LIMIT
-    if total > budget:
-        raise NumericsError(
-            f"{total:.3g} candidate tuples exceed the enumeration budget "
-            f"{budget:.0e}; shrink the box")
-    empty = total == 0
-    # attainable-mu scan window from per-slot square ranges
-    if not empty:
-        mins, maxs = [], []
-        for f in slots_modes:
-            sq = (f ** 2).sum(axis=1)
-            mins.append(int(sq.min()))
-            maxs.append(int(sq.max()))
-        scan_lo = sum(mins[0::2]) - sum(maxs[1::2])
-        scan_hi = sum(maxs[0::2]) - sum(mins[1::2])
+    total = _check_budget(slots_modes, allow_large)
     counts: dict[int, int] = {}
     zero_sum_count = 0
     violations = 0
     max_membership = 0
-    if not empty:
-        frees = slots_modes[1:]
-        sum_rest, sq_rest = _free_geometry(frees, d)
-        f1 = frees[0]
-        sq1 = (f1 ** 2).sum(axis=1)
-        for f0, sq0 in zip(slots_modes[0], (slots_modes[0] ** 2).sum(axis=1)):
-            for a in range(f1.shape[0]):
-                # slot signs: +n_0, -n_1, then _free_geometry's alternation
-                zs = f0 - f1[a] + sum_rest
-                zero = ~np.any(zs, axis=-1)
+    if total:
+        # attainable-mu scan window from per-slot square ranges
+        sq = [(f ** 2).sum(axis=1) for f in slots_modes]
+        scan_lo = sum(int(v.min()) for v in sq[0::2]) - sum(int(v.max()) for v in sq[1::2])
+        scan_hi = sum(int(v.max()) for v in sq[0::2]) - sum(int(v.min()) for v in sq[1::2])
+        for _, n0, _, muv in _zero_sum_scan(slots_modes[1:], d):
+            # slot 0 stays a loop: the tuple is zero-sum iff f0 is the forced n_0
+            for f0 in slots_modes[0]:
+                zero = np.all(n0 == f0, axis=-1)
                 if not zero.any():
                     continue
-                muv = int(sq0) - sq1[a] + sq_rest
                 mu_hit = muv[zero]
                 within = (mu_hit >= scan_lo) & (mu_hit <= scan_hi)
                 violations += int((~within).sum())
@@ -420,9 +403,9 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
                         q: int, N: int, trials: int, seed,
                         allow_exploratory: bool = False) -> EstimateReport:
     """Max LHS/RHS ratio of the eq21 bound over random nonnegative sequences."""
-    for name, v in (("d", d), ("k", k), ("N", N), ("trials", trials)):
-        if int(v) != v or v < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {v}")
+    _check_box(d, N, k)
+    if int(trials) != trials or trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials}")
     if (d, k) == (1, 1) and not allow_exploratory:
         raise ConfigError(
             "(d, k) = (1, 1) is outside the proven range; pass "
@@ -472,6 +455,29 @@ def _dyadic_setup(blocks, d: int, k: int):
     return blocks, Bmax, nsq, masks
 
 
+def _eq26_lhs(res, psi0: np.ndarray, nsq: np.ndarray, mus) -> list[float]:
+    """sum_n psi0(n) T[|n|^2 - mu, n] for each mu: the eq26 lhs on A(mu)."""
+    Q = res.table.shape[0]
+    tab = res.table.reshape(Q, -1)
+    flat = psi0.ravel()
+    out = []
+    for mu in mus:
+        qidx = nsq.ravel() - mu - res.q_min
+        cols = np.flatnonzero((qidx >= 0) & (qidx < Q))
+        out.append(float((flat[cols] * tab[qidx[cols], cols]).sum()))
+    return out
+
+
+def _block_rhs(blocks, s: float, psis=()) -> float:
+    """N_max^(-2s) prod_j N_j^s prod_j |psi_j|_2: the eq26/eq27 right-hand side."""
+    rhs = float(max(blocks)) ** (-2.0 * s)
+    for b in blocks:
+        rhs *= float(b) ** s
+    for p in psis:
+        rhs *= float(np.sqrt((p ** 2).sum()))
+    return rhs
+
+
 def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
                      mu: int | None, d: int, k: int, s: float):
     """(lhs, rhs, ratio) for one tuple of block-supported nonnegative profiles."""
@@ -494,69 +500,37 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
     elif estimate == "eq26":
         if mu is None or int(mu) != mu:
             raise ConfigError("eq26 needs an integer mu")
-        Q = res.table.shape[0]
-        tab = res.table.reshape(Q, -1)
-        qidx = nsq.ravel() - int(mu) - res.q_min
-        cols = np.flatnonzero((qidx >= 0) & (qidx < Q))
-        gath = np.zeros(nsq.size)
-        gath[cols] = tab[qidx[cols], cols]
-        lhs = float((psis[0].ravel() * gath).sum())
+        lhs = _eq26_lhs(res, psis[0], nsq, [int(mu)])[0]
     else:
         raise ConfigError(f"unknown estimate id {estimate!r}")
-    rhs = float(max(blocks)) ** (-2.0 * s)
-    for b in blocks:
-        rhs *= float(b) ** s
-    for p in psis:
-        rhs *= float(np.sqrt((p ** 2).sum()))
+    rhs = _block_rhs(blocks, s, psis)
     return lhs, rhs, lhs / rhs
 
 
-def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int,
-                     want_all_mu: bool = False):
-    """First A(mu) member with every slot on its shell; dict mu -> modes.
+def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> dict:
+    """First A(mu) member with every slot on its shell, for each attainable mu.
 
-    With want_all_mu=False, stops at the first zero-sum tuple of any mu
-    and returns {None: modes}. Returns {} when the candidate count
-    exceeds the enumeration budget.
+    Returns {mu: modes}, or {} when the candidate count exceeds the
+    enumeration budget.
     """
     modes_cube = mode_grid(d, Bmax).reshape(-1, d)
-    lists = [modes_cube[m.ravel()] for m in masks]
-    total = 1.0
-    for f in lists[1:]:
-        total *= f.shape[0]
-    if total > _CANDIDATE_LIMIT or total == 0:
+    frees = [modes_cube[m.ravel()] for m in masks[1:]]
+    try:
+        _check_budget(frees)
+    except NumericsError:
         return {}
-    lo0 = min(nsq.ravel()[masks[0].ravel()])
-    hi0 = max(nsq.ravel()[masks[0].ravel()])
-    frees = lists[1:]
-    sum_rest, sq_rest = _free_geometry(frees, d)
-    f1 = frees[0]
-    sq1 = (f1 ** 2).sum(axis=1)
+    # the |n_0|^2 window alone puts n_0 on its shell: each coordinate is
+    # at most isqrt(4 N_0^2 - 2) <= Bmax, so n_0 lies inside the cube
+    shell0 = nsq[masks[0]]
+    lo0, hi0 = shell0.min(), shell0.max()
     found: dict = {}
-    shell0 = {tuple(m) for m in lists[0]}
-    for a in range(f1.shape[0]):
-        n0 = f1[a] - sum_rest
-        n0sq = (n0 ** 2).sum(axis=-1)
-        ok = (n0sq >= lo0) & (n0sq <= hi0)
-        if not ok.any():
-            continue
-        muv = n0sq - sq1[a] + sq_rest
-        for row in np.argwhere(ok):
-            cand0 = n0[tuple(row)]
-            if tuple(cand0) not in shell0:
-                continue
-            mu = int(muv[tuple(row)])
-            key = mu if want_all_mu else None
-            if key in found:
-                continue
-            modes = np.empty((2 * k + 2, d), dtype=int)
-            modes[0] = cand0
-            modes[1] = f1[a]
-            for j, f in enumerate(frees[1:]):
-                modes[j + 2] = f[row[j]]
-            found[key] = modes
-            if not want_all_mu:
-                return found
+    for a, n0, n0sq, muv in _zero_sum_scan(frees, d):
+        rows = np.flatnonzero((n0sq >= lo0) & (n0sq <= hi0))
+        mus, first = np.unique(muv.ravel()[rows], return_index=True)
+        for mu, r in zip(mus.tolist(), rows[first]):
+            if mu not in found:
+                row = np.unravel_index(r, muv.shape)
+                found[mu] = _scanned_modes(n0, frees, a, row)
     return found
 
 
@@ -594,7 +568,7 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
     rng = np.random.default_rng(seed)
     witness = None
     if estimate == "eq26":
-        wit = _shell_witnesses(masks, nsq, Bmax, d, k, want_all_mu=True)
+        wit = _shell_witnesses(masks, nsq, Bmax, d, k)
         witness = wit.get(int(mu))
     best = (-1.0, 0.0, 0.0)
     for t in range(trials):
@@ -620,29 +594,19 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     their max/min spread.
     """
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
-    wit = _shell_witnesses(masks, nsq, Bmax, d, k, want_all_mu=True)
+    wit = _shell_witnesses(masks, nsq, Bmax, d, k)
     if not wit:
         raise ConfigError("no resonant tuples on these blocks")
     attained = sorted(wit)
-    rhs_shape = float(max(blocks)) ** (-2.0 * s)
-    for b in blocks:
-        rhs_shape *= float(b) ** s
     # four point masses pin exactly one tuple: lhs = 1, norms = 1
-    floor = 1.0 / rhs_shape
+    floor = 1.0 / _block_rhs(blocks, s)
     best = {mu: floor for mu in attained}
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         psis = [_shell_profile(rng, m) for m in masks]
         res = fold(_fold_slots(psis[1:]), d).crop_spatial(Bmax)
-        Q = res.table.shape[0]
-        tab = res.table.reshape(Q, -1)
-        rhs = rhs_shape
-        for p in psis:
-            rhs *= float(np.sqrt((p ** 2).sum()))
-        for mu in attained:
-            qidx = nsq.ravel() - mu - res.q_min
-            cols = np.flatnonzero((qidx >= 0) & (qidx < Q))
-            lhs = float((psis[0].ravel()[cols] * tab[qidx[cols], cols]).sum())
+        rhs = _block_rhs(blocks, s, psis)
+        for mu, lhs in zip(attained, _eq26_lhs(res, psis[0], nsq, attained)):
             best[mu] = max(best[mu], lhs / rhs)
     ratios = np.array([best[mu] for mu in attained])
     return {

@@ -24,7 +24,8 @@ from scipy.fft import next_fast_len
 
 from .errors import BlowUpError, ConfigError, NonConvergenceError
 from .phi import OscillatoryTable
-from .spectral import SpectralState, _sq_norms, hs_norm, unit_mode, zero_state
+from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm, unit_mode,
+                       zero_state)
 from .young import YoungKernelConfig, x_increment
 
 __all__ = [
@@ -70,9 +71,7 @@ class SolverConfig:
     allow_large: bool = False
 
     def __post_init__(self):
-        for name, v in (("d", self.d), ("k", self.k), ("N", self.N)):
-            if int(v) != v or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v}")
+        _check_box(self.d, self.N, self.k)
         if not (0.0 < self.lam < self.gamma <= 1.0) or not self.gamma + self.lam > 1.0:
             raise ConfigError(
                 "Holder exponents must satisfy 0 < lambda < gamma <= 1 and "
@@ -127,10 +126,6 @@ class Trajectory:
         return self.states[i]
 
 
-def _tuple_args(cfg: SolverConfig, state: SpectralState) -> list:
-    return [state] * (2 * cfg.k + 1)
-
-
 def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
                    table: OscillatoryTable) -> SpectralState:
     """Left-point Riemann sum sum_j X_{t_j;t_{j+1}}(g(t_j)) over the partition."""
@@ -141,41 +136,53 @@ def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
     acc = zero_state(cfg.d, cfg.N)
     for j in range(s_idx, t_idx):
         inc = x_increment(kc, float(p[j]), float(p[j + 1]),
-                          _tuple_args(cfg, g.states[j]))
+                          [g.states[j]] * (2 * cfg.k + 1))
         acc.coeffs += inc.coeffs
     return acc
 
 
-def _guard(step: int, state: SpectralState, s: float, limit: float) -> None:
-    norm = hs_norm(state, s) if np.all(np.isfinite(state.coeffs.view(float))) else np.inf
-    if not np.isfinite(norm) or norm > limit:
+def _guard(step: int, coeffs: np.ndarray, weight: np.ndarray, limit: float) -> None:
+    """BlowUpError unless the H^s norm (weights <n>^{2s}) stays within limit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
+    if not norm <= limit:  # NaN fails too
         raise BlowUpError(step, norm, limit)
+
+
+def _march(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable,
+           feed=None) -> list:
+    """Guarded left-point march phi0 + sum_{j<i} X_{t_j;t_{j+1}}(.) on the partition.
+
+    The kernel at step j acts on the new state at t_j (Euler-Young) or,
+    when a trajectory `feed` is given, on feed[j] (one Picard sweep).
+    The guard sees the raw coefficients, before any state is built.
+    """
+    kc = cfg.kernel(table)
+    p = cfg.partition
+    weight = (1.0 + _sq_norms(cfg.d, cfg.N)) ** cfg.s
+    norm0 = hs_norm(phi0, cfg.s)
+    limit = _BLOWUP_FACTOR * norm0 if norm0 > 0 else 1.0
+    states = [phi0.copy()]
+    for j in range(p.size - 1):
+        src = states[j] if feed is None else feed[j]
+        inc = x_increment(kc, float(p[j]), float(p[j + 1]), [src] * (2 * cfg.k + 1))
+        coeffs = states[j].coeffs + inc.coeffs
+        _guard(j + 1, coeffs, weight, limit)
+        states.append(SpectralState(cfg.d, cfg.N, coeffs))
+    return states
 
 
 def solve_euler_young(cfg: SolverConfig, phi0: SpectralState,
                       table: OscillatoryTable) -> Trajectory:
     """One-step scheme phi_{j+1} = phi_j + X_{t_j;t_{j+1}}(phi_j)."""
-    kc = cfg.kernel(table)
-    p = cfg.partition
-    norm0 = hs_norm(phi0, cfg.s)
-    limit = _BLOWUP_FACTOR * norm0 if norm0 > 0 else 1.0
-    states = [phi0.copy()]
-    cur = phi0.copy()
-    for j in range(p.size - 1):
-        inc = x_increment(kc, float(p[j]), float(p[j + 1]), _tuple_args(cfg, cur))
-        cur = SpectralState(cfg.d, cfg.N, cur.coeffs + inc.coeffs)
-        _guard(j + 1, cur, cfg.s, limit)
-        states.append(cur)
-    return Trajectory(p.copy(), states, {"scheme": "euler_young"})
+    return Trajectory(cfg.partition.copy(), _march(cfg, phi0, table),
+                      {"scheme": "euler_young"})
 
 
 def solve_picard(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable,
                  initial: Trajectory | None = None) -> Trajectory:
     """Iterate whole trajectories until the C^{0,lambda} residual drops below tol."""
-    kc = cfg.kernel(table)
     p = cfg.partition
-    norm0 = hs_norm(phi0, cfg.s)
-    limit = _BLOWUP_FACTOR * norm0 if norm0 > 0 else 1.0
     if initial is None:
         old = [phi0.copy() for _ in range(p.size)]
     else:
@@ -184,14 +191,7 @@ def solve_picard(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable
         old = [st.copy() for st in initial.states]
     residuals: list[float] = []
     for m in range(cfg.max_iter):
-        new = [phi0.copy()]
-        acc = phi0.copy()
-        for j in range(p.size - 1):
-            inc = x_increment(kc, float(p[j]), float(p[j + 1]),
-                              _tuple_args(cfg, old[j]))
-            acc = SpectralState(cfg.d, cfg.N, acc.coeffs + inc.coeffs)
-            _guard(j + 1, acc, cfg.s, limit)
-            new.append(acc)
+        new = _march(cfg, phi0, table, feed=old)
         res = _distance(new, old, p, cfg.lam, cfg.s)
         residuals.append(res)
         old = new

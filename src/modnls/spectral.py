@@ -10,20 +10,17 @@ The nonlinearity of degree 2k+1 is the signed convolution
     c(n) = sum_{n = sum_j zeta_j n_j} prod_j (J_j psi_j)(n_j)
 
 with zeta_j = +1 for odd j, -1 for even j, and J_j conjugating even
-slots. The direct scipy convolution is the reference implementation; the
-zero-padded FFT path must match it to near machine precision and is the
-default for larger grids.
+slots, evaluated by zero-padded FFT.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.signal import convolve
 
 from .errors import ConfigError
 
@@ -42,14 +39,25 @@ __all__ = [
     "load_state_csv",
 ]
 
-_DIRECT_CUTOFF = 9  # direct convolution up to (2N+1)^d grids of this side length
 
-
-def _check_dN(d: int, N: int) -> None:
+def _check_box(d: int, N: int, k: int | None = None) -> None:
+    """Validate the dimension d, the mode cutoff N and, if given, the index k."""
     if d not in (1, 2, 3):
         raise ConfigError(f"dimension d must be 1, 2 or 3, got {d}")
+    if k is not None and (int(k) != k or k < 1):
+        raise ConfigError(f"nonlinearity index k must be a positive integer, got {k}")
     if int(N) != N or N < 1:
         raise ConfigError(f"mode cutoff N must be a positive integer, got {N}")
+
+
+def _mode_index(n, d: int, N: int, error=ConfigError) -> tuple[int, ...]:
+    """Array index of mode n on the (2N+1)^d cube; `error` when it is off the cube."""
+    mode = tuple(int(c) for c in np.atleast_1d(n))
+    if len(mode) != d:
+        raise error(f"mode index needs {d} components")
+    if any(abs(c) > N for c in mode):
+        raise error(f"mode {mode} outside |n_i| <= {N}")
+    return tuple(c + N for c in mode)
 
 
 @dataclass
@@ -61,7 +69,7 @@ class SpectralState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        _check_dN(self.d, self.N)
+        _check_box(self.d, self.N)
         expect = (2 * self.N + 1,) * self.d
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != expect:
@@ -70,42 +78,28 @@ class SpectralState:
         if not np.all(np.isfinite(self.coeffs)):
             raise ConfigError("coefficients must be finite")
 
-    @property
-    def side(self) -> int:
-        return 2 * self.N + 1
-
     def copy(self) -> "SpectralState":
         return SpectralState(self.d, self.N, self.coeffs.copy())
 
     def __getitem__(self, n) -> complex:
-        idx = tuple(int(c) + self.N for c in np.atleast_1d(n))
-        if len(idx) != self.d:
-            raise KeyError(f"mode index needs {self.d} components")
-        if any(not 0 <= c < self.side for c in idx):
-            raise KeyError(f"mode {tuple(np.atleast_1d(n))} outside |n_i| <= {self.N}")
-        return complex(self.coeffs[idx])
+        return complex(self.coeffs[_mode_index(n, self.d, self.N, KeyError)])
 
 
 def zero_state(d: int, N: int) -> SpectralState:
-    _check_dN(d, N)
+    _check_box(d, N)
     return SpectralState(d, N, np.zeros((2 * N + 1,) * d, dtype=complex))
 
 
 def unit_mode(d: int, N: int, n, amplitude: complex = 1.0) -> SpectralState:
     """The single-mode state amplitude * delta_n."""
     st = zero_state(d, N)
-    idx = tuple(int(c) + N for c in np.atleast_1d(n))
-    if len(idx) != d:
-        raise ConfigError(f"mode index needs {d} components")
-    if any(not 0 <= c < st.side for c in idx):
-        raise ConfigError(f"mode {tuple(np.atleast_1d(n))} outside |n_i| <= {N}")
-    st.coeffs[idx] = amplitude
+    st.coeffs[_mode_index(n, d, N)] = amplitude
     return st
 
 
 def mode_grid(d: int, N: int) -> np.ndarray:
     """Array of shape (2N+1,)*d + (d,) with the integer mode at each entry."""
-    _check_dN(d, N)
+    _check_box(d, N)
     axes = np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij")
     return np.stack(axes, axis=-1)
 
@@ -153,7 +147,7 @@ def random_state(d: int, N: int, s: float, seed, scale: float = 1.0,
     larger `decay` exponent explicitly for smoother samples. `seed` is an
     integer or an existing numpy Generator.
     """
-    _check_dN(d, N)
+    _check_box(d, N)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if decay is None:
         decay = s + d / 2 + 0.01
@@ -161,14 +155,6 @@ def random_state(d: int, N: int, s: float, seed, scale: float = 1.0,
     g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     jap = np.sqrt(1.0 + _sq_norms(d, N))
     return SpectralState(d, N, scale * g / jap ** decay)
-
-
-def _slot_arrays(factors: list[SpectralState]) -> list[np.ndarray]:
-    """Slot j carries factor j, conjugated via conj_state on even slots."""
-    out = []
-    for j, st in enumerate(factors, start=1):
-        out.append(st.coeffs if j % 2 == 1 else np.flip(np.conj(st.coeffs)))
-    return out
 
 
 def _check_factors(factors, k: int | None):
@@ -185,53 +171,30 @@ def _check_factors(factors, k: int | None):
     return k, d, N
 
 
-def _convolve_direct(slots: list[np.ndarray], N: int) -> np.ndarray:
-    acc = slots[0]
-    for arr in slots[1:]:
-        acc = convolve(acc, arr, mode="full", method="direct")
-    return acc
-
-
-def _convolve_fft(slots: list[np.ndarray], d: int, N: int) -> np.ndarray:
-    # alias-free length: mode sums reach (2k+1)N, so 2(2k+1)N + 1 entries
-    m = len(slots)
-    full = 2 * m * N + 1
-    P = next_fast_len(full)
-    shape = (P,) * d
-    axes = tuple(range(d))
-    spec = np.ones(shape, dtype=complex)
-    for arr in slots:
-        spec = spec * np.fft.fftn(arr, s=shape, axes=axes)
-    conv = np.fft.ifftn(spec)
-    # circular equals linear since P >= full support; mode n sits at n + mN
-    return conv[tuple(slice(0, full) for _ in range(d))]
-
-
 def nonlinearity(factors: list[SpectralState], k: int | None = None,
-                 method: str = "auto", truncate: bool = True) -> SpectralState | np.ndarray:
-    """Signed multilinear convolution of 2k+1 factors.
+                 truncate: bool = True) -> SpectralState | np.ndarray:
+    """Signed multilinear convolution of 2k+1 factors by zero-padded FFT.
 
     With truncate=True (default) the result is cropped back to |n_i| <= N
     and returned as a state; otherwise the full product array over
     |n_i| <= (2k+1)N is returned.
-
-    method: "direct" (scipy reference), "fft" (zero-padded), or "auto".
     """
     k, d, N = _check_factors(factors, k)
-    if method not in ("auto", "direct", "fft"):
-        raise ConfigError(f"unknown method {method!r}")
-    slots = _slot_arrays(factors)
-    if method == "auto":
-        method = "direct" if 2 * N + 1 <= _DIRECT_CUTOFF and d <= 2 else "fft"
-    if method == "direct":
-        full = _convolve_direct(slots, N)
-    else:
-        full = _convolve_fft(slots, d, N)
+    # alias-free length: mode sums reach (2k+1)N, so 2(2k+1)N + 1 entries
+    full = 2 * (2 * k + 1) * N + 1
+    shape = (next_fast_len(full),) * d
+    spec = np.ones(shape, dtype=complex)
+    for j, st in enumerate(factors, start=1):
+        # slot j carries factor j, conjugated via conj_state on even slots
+        arr = st.coeffs if j % 2 == 1 else np.flip(np.conj(st.coeffs))
+        spec = spec * np.fft.fftn(arr, s=shape, axes=tuple(range(d)))
+    # circular equals linear since P >= full support; mode n sits at n + (2k+1)N
+    conv = np.fft.ifftn(spec)[(slice(0, full),) * d]
     if not truncate:
-        return full
+        return conv
     centre = k * 2 * N  # full array spans |n_i| <= (2k+1)N
     sl = tuple(slice(centre, centre + 2 * N + 1) for _ in range(d))
-    return SpectralState(d, N, full[sl].copy())
+    return SpectralState(d, N, conv[sl].copy())
 
 
 def resonance_offset(n, tuple_modes, k: int | None = None) -> int:
@@ -265,7 +228,7 @@ def load_state_csv(filename) -> SpectralState:
         raise ConfigError(f"missing sidecar {sidecar}")
     meta = json.loads(sidecar.read_text())
     d, N = int(meta["d"]), int(meta["N"])
-    _check_dN(d, N)
+    _check_box(d, N)
     st = zero_state(d, N)
     body = [ln for ln in Path(str(filename)).read_text().splitlines()[1:] if ln.strip()]
     if not body:

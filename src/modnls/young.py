@@ -8,8 +8,7 @@ For factors psi_1..psi_{2k+1} the output coefficient at n is
 with zeta_j = +/-1 alternating (odd slots +), J conjugating even slots,
 and Omega = |n|^2 - sum_j zeta_j |n_j|^2. Phi increments come from a
 precomputed OscillatoryTable, so each call costs one bucketed
-convolution; x_increment_direct enumerates every interaction tuple and
-is the reference the convolution path is validated against.
+convolution.
 
 With w identically zero every Phi increment equals t - s and X_{s;t}
 collapses to -i (t - s) times the plain nonlinearity.
@@ -24,15 +23,14 @@ import numpy as np
 from ._fold import Slot, fold
 from .errors import ConfigError
 from .phi import OscillatoryTable
-from .spectral import SpectralState, _sq_norms, hs_norm, random_state
+from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm,
+                       random_state, zero_state)
 
-__all__ = ["YoungKernelConfig", "x_increment", "x_increment_direct",
-           "x_norm_estimate"]
+__all__ = ["YoungKernelConfig", "x_increment", "x_norm_estimate"]
 
-# direct-enumeration cost is (2N+1)^{d(2k+1)}; anything above needs allow_large
+# desk-scale caps on N per (d, k); anything above needs allow_large
 _N_CAPS = {(1, 1): 32, (1, 2): 10, (2, 1): 8}
 _DEFAULT_CAP = 4
-_DIRECT_TUPLE_LIMIT = 5_000_000
 
 
 @dataclass
@@ -47,12 +45,7 @@ class YoungKernelConfig:
     _sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ConfigError(f"dimension d must be 1, 2 or 3, got {self.d}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ConfigError(f"nonlinearity index k must be a positive integer, got {self.k}")
-        if int(self.N) != self.N or self.N < 1:
-            raise ConfigError(f"mode cutoff N must be a positive integer, got {self.N}")
+        _check_box(self.d, self.N, self.k)
         cap = _N_CAPS.get((self.d, self.k), _DEFAULT_CAP)
         if self.N > cap and not self.allow_large:
             raise ConfigError(
@@ -70,25 +63,6 @@ class YoungKernelConfig:
         return 2 * self.k + 1
 
 
-def _check_states(cfg: YoungKernelConfig, states) -> None:
-    if len(states) != cfg.n_factors:
-        raise ConfigError(f"need 2k+1 = {cfg.n_factors} factors, got {len(states)}")
-    for st in states:
-        if (st.d, st.N) != (cfg.d, cfg.N):
-            raise ConfigError("factor state does not match the kernel box")
-
-
-def _grid_indices(cfg: YoungKernelConfig, s: float, t: float) -> tuple[int, int]:
-    try:
-        i_s = cfg.table.index_of_time(s)
-        i_t = cfg.table.index_of_time(t)
-    except KeyError as exc:
-        raise ConfigError(f"kernel times must lie on the table grid: {exc}") from exc
-    if i_t < i_s:
-        raise ConfigError(f"need s <= t, got s={s}, t={t}")
-    return i_s, i_t
-
-
 def _slots(states) -> list[Slot]:
     out = []
     for j, st in enumerate(states, start=1):
@@ -99,62 +73,30 @@ def _slots(states) -> list[Slot]:
     return out
 
 
-def x_increment(cfg: YoungKernelConfig, s: float, t: float, states,
-                method: str = "auto") -> SpectralState:
+def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralState:
     """X_{s;t}(psi_1, ..., psi_{2k+1}) for table grid times s <= t."""
-    _check_states(cfg, states)
-    i_s, i_t = _grid_indices(cfg, s, t)
+    if len(states) != cfg.n_factors:
+        raise ConfigError(f"need 2k+1 = {cfg.n_factors} factors, got {len(states)}")
+    if any((st.d, st.N) != (cfg.d, cfg.N) for st in states):
+        raise ConfigError("factor state does not match the kernel box")
+    try:
+        i_s = cfg.table.index_of_time(s)
+        i_t = cfg.table.index_of_time(t)
+    except KeyError as exc:
+        raise ConfigError(f"kernel times must lie on the table grid: {exc}") from exc
+    if i_t < i_s:
+        raise ConfigError(f"need s <= t, got s={s}, t={t}")
+    out = zero_state(cfg.d, cfg.N)
     if i_s == i_t:
-        return SpectralState(cfg.d, cfg.N, np.zeros((2 * cfg.N + 1,) * cfg.d, complex))
+        return out
     dphi = cfg.table.increment(i_s, i_t)
-    res = fold(_slots(states), cfg.d, method=method).crop_spatial(cfg.N)
+    res = fold(_slots(states), cfg.d).crop_spatial(cfg.N)
     omega = cfg._sq[None, ...] - res.q_values.reshape((-1,) + (1,) * cfg.d)
     weights = dphi[omega + cfg.table.mu_max]
-    coeffs = -1j * (weights * res.table).sum(axis=0)
-    return SpectralState(cfg.d, cfg.N, coeffs)
-
-
-def x_increment_direct(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralState:
-    """Reference evaluation by explicit enumeration of all interaction tuples."""
-    _check_states(cfg, states)
-    i_s, i_t = _grid_indices(cfg, s, t)
-    d, N, m = cfg.d, cfg.N, cfg.n_factors
-    side_flat = (2 * N + 1) ** d
-    if side_flat ** m > _DIRECT_TUPLE_LIMIT:
-        raise ConfigError(
-            f"direct enumeration over {side_flat}^{m} tuples exceeds the budget")
-    dphi = cfg.table.increment(i_s, i_t)
-    axes = np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij")
-    modes = np.stack([a.ravel() for a in axes], axis=1)  # (S, d)
-    sq = (modes ** 2).sum(axis=1)
-    prod = np.ones((1,) * m, dtype=complex)
-    qsum = np.zeros((1,) * m, dtype=np.int64)
-    out_comp = [np.zeros((1,) * m, dtype=np.int64) for _ in range(d)]
-    for j in range(1, m + 1):
-        st = states[j - 1]
-        vals = st.coeffs.ravel() if j % 2 == 1 else np.conj(st.coeffs).ravel()
-        shape = [1] * m
-        shape[j - 1] = side_flat
-        zeta = 1 if j % 2 == 1 else -1
-        prod = prod * vals.reshape(shape)
-        qsum = qsum + zeta * sq.reshape(shape)
-        for c in range(d):
-            out_comp[c] = out_comp[c] + zeta * modes[:, c].reshape(shape)
-    inside = np.ones(prod.shape, dtype=bool)
-    for c in range(d):
-        inside &= np.abs(out_comp[c]) <= N
-    out_sq = sum(oc * oc for oc in out_comp)
-    omega = out_sq - qsum
-    flat = np.zeros(side_flat, dtype=complex)
-    idx = np.zeros(prod.shape, dtype=np.int64)
-    for c in range(d):
-        idx = idx * (2 * N + 1) + (out_comp[c] + N)
-    # gather phases only for in-box outputs; outside ones can carry
-    # offsets beyond the tabulated |mu| <= mu_max window
-    sel = inside.ravel()
-    contrib = (-1j) * prod.ravel()[sel] * dphi[omega.ravel()[sel] + cfg.table.mu_max]
-    np.add.at(flat, idx.ravel()[sel], contrib)
-    return SpectralState(d, N, flat.reshape((2 * N + 1,) * d))
+    # written in place, not re-validated: an overflow to inf or NaN is
+    # left for the solver's blow-up guard to report
+    out.coeffs[...] = -1j * (weights * res.table).sum(axis=0)
+    return out
 
 
 def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,

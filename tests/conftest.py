@@ -1,7 +1,10 @@
-"""Shared test helpers: quadrature oracles independent of the library closed forms."""
+"""Shared test helpers: oracles independent of the library's fast paths."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
+from scipy.signal import convolve
+
+from modnls.spectral import SpectralState
 
 settings.register_profile(
     "modnls",
@@ -73,3 +76,68 @@ def duhamel_x_oracle(path, s, t, states, nodes=20):
     out = np.zeros(2 * N + 1, dtype=complex)
     np.add.at(out, nout[keep] + N, prod[keep] * phi_vals[inv])
     return -1j * out
+
+
+def direct_nonlinearity(factors, k):
+    """Truncated signed convolution of 2k+1 states by direct scipy convolution.
+
+    Slot j carries factor j, conjugated and reflected on even slots;
+    the result is cropped back to |n_i| <= N.
+    """
+    assert len(factors) == 2 * k + 1
+    d, N = factors[0].d, factors[0].N
+    acc = None
+    for j, st in enumerate(factors, start=1):
+        arr = st.coeffs if j % 2 == 1 else np.flip(np.conj(st.coeffs))
+        acc = arr if acc is None else convolve(acc, arr, mode="full",
+                                               method="direct")
+    centre = 2 * k * N  # the full array spans |n_i| <= (2k+1)N
+    return SpectralState(d, N, acc[(slice(centre, centre + 2 * N + 1),) * d])
+
+
+_DIRECT_TUPLE_LIMIT = 5_000_000
+
+
+def x_increment_direct(cfg, s, t, states):
+    """Young kernel X_{s;t} by explicit enumeration of all interaction tuples.
+
+    Uses the Phi increments of cfg.table but no fold: every (2k+1)-tuple
+    of input modes is visited and its phase gathered by offset.
+    """
+    i_s = cfg.table.index_of_time(s)
+    i_t = cfg.table.index_of_time(t)
+    d, N, m = cfg.d, cfg.N, cfg.n_factors
+    side_flat = (2 * N + 1) ** d
+    assert side_flat ** m <= _DIRECT_TUPLE_LIMIT, "direct enumeration too large"
+    dphi = cfg.table.increment(i_s, i_t)
+    axes = np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij")
+    modes = np.stack([a.ravel() for a in axes], axis=1)  # (S, d)
+    sq = (modes ** 2).sum(axis=1)
+    prod = np.ones((1,) * m, dtype=complex)
+    qsum = np.zeros((1,) * m, dtype=np.int64)
+    out_comp = [np.zeros((1,) * m, dtype=np.int64) for _ in range(d)]
+    for j in range(1, m + 1):
+        st = states[j - 1]
+        vals = st.coeffs.ravel() if j % 2 == 1 else np.conj(st.coeffs).ravel()
+        shape = [1] * m
+        shape[j - 1] = side_flat
+        zeta = 1 if j % 2 == 1 else -1
+        prod = prod * vals.reshape(shape)
+        qsum = qsum + zeta * sq.reshape(shape)
+        for c in range(d):
+            out_comp[c] = out_comp[c] + zeta * modes[:, c].reshape(shape)
+    inside = np.ones(prod.shape, dtype=bool)
+    for c in range(d):
+        inside &= np.abs(out_comp[c]) <= N
+    out_sq = sum(oc * oc for oc in out_comp)
+    omega = out_sq - qsum
+    flat = np.zeros(side_flat, dtype=complex)
+    idx = np.zeros(prod.shape, dtype=np.int64)
+    for c in range(d):
+        idx = idx * (2 * N + 1) + (out_comp[c] + N)
+    # gather phases only for in-box outputs; outside ones can carry
+    # offsets beyond the tabulated |mu| <= mu_max window
+    sel = inside.ravel()
+    contrib = (-1j) * prod.ravel()[sel] * dphi[omega.ravel()[sel] + cfg.table.mu_max]
+    np.add.at(flat, idx.ravel()[sel], contrib)
+    return SpectralState(d, N, flat.reshape((2 * N + 1,) * d))

@@ -2,11 +2,15 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from modnls import _runtime, cli
 from modnls.cli import run_command
+from modnls.errors import ConfigError, NumericsError
+from modnls.paths import load_path_csv
 
 
 def read_json(path):
@@ -190,3 +194,73 @@ def test_threads_flag(tmp_path, capsys):
                       "--T", "1.0", "--M", "4", "--out", str(out)])
     assert rc == 2
     assert "threads" in json.loads(capsys.readouterr().err)["message"]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stderr carries the non-JSON constant {name}")
+
+
+def test_overflow_exits_3_with_strict_json(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, scheme="euler_young", N=4, M=8,
+        path={"kind": "fbm", "H": 0.5, "T": 0.1, "M": 8, "seed": 3},
+        init={"type": "random", "s": 1.0, "seed": 0, "scale": 1e120})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run_command(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 3
+    diag = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
+    assert diag["error"] == "BlowUpError"
+    assert diag["norm"] is None
+    assert diag["step"] >= 1
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    out = tmp_path / "bad.json"
+    with pytest.raises(NumericsError):
+        cli._write_json({"norm": float("inf")}, out)
+    assert not out.exists()
+
+
+def test_config_modulated_path(tmp_path):
+    prof = tmp_path / "profile.csv"
+    prof.write_text("1.0\n-0.5\n0.25\n-0.75\n")
+    spec = {"kind": "modulated", "eps": 0.5, "profile": str(prof),
+            "T": 0.1, "M": 16}
+    cfg = write_config(tmp_path, path=spec)
+    assert run_command(["solve", "--config", cfg,
+                        "--out", str(tmp_path / "run")]) == 0
+    out = tmp_path / "mod.csv"
+    assert run_command(["gen-path", "--kind", "modulated", "--eps", "0.5",
+                        "--profile", str(prof), "--T", "0.1", "--M", "16",
+                        "--out", str(out)]) == 0
+    np.testing.assert_allclose(load_path_csv(out).values,
+                               cli._path_from_spec(spec).values, atol=1e-15)
+
+
+def test_config_must_be_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    rc = run_command(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ConfigError"
+    assert "must be a JSON object" in diag["message"]
+
+
+def test_thread_variable_one_policy(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("YNLS_THREADS", "lots")
+    saved = _runtime._workers
+    _runtime.set_workers(None)
+    try:
+        with pytest.raises(ConfigError, match="YNLS_THREADS"):
+            _runtime.get_workers()
+    finally:
+        _runtime._workers = saved
+    rc = run_command(["gen-path", "--kind", "linear", "--T", "1.0", "--M", "4",
+                      "--out", str(tmp_path / "lin.csv")])
+    assert rc == 2
+    assert "YNLS_THREADS" in json.loads(capsys.readouterr().err)["message"]
+    monkeypatch.setenv("YNLS_THREADS", "3")
+    assert _runtime.resolve_threads() == 3
+    assert _runtime.resolve_threads("2") == 2

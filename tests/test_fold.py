@@ -35,7 +35,7 @@ def test_fold_matches_brute_force():
               for _ in range(3)]
     signs = (1, -1, 1)
     slots = [Slot(v, sg) for v, sg in zip(values, signs)]
-    res = fold(slots, d=1, method="dense")
+    res = fold_dense(slots, d=1)
     expected = brute_fold_1d(values, signs, N)
     q_vals = res.q_values
     for qi, q in enumerate(q_vals):

@@ -18,7 +18,6 @@ from modnls.phi import (
     default_pairs,
     estimate_irregularity,
     export_table_csv,
-    irregularity_norm,
     largest_bounded_rho,
     load_table,
     phi_increment,
@@ -153,9 +152,9 @@ def test_irregularity_linear_dichotomy_smoke():
 
 
 def test_irregularity_report_json_keys():
-    rep = irregularity_norm(FBM, rho=0.5, gamma=0.55,
-                            a_grid=default_a_grid(8.0),
-                            pairs=default_pairs(FBM))
+    rep = estimate_irregularity(FBM, gamma=0.55, a_max=8.0, rho_grid=[0.5],
+                                a_grid=default_a_grid(8.0),
+                                pairs=default_pairs(FBM))[0]
     payload = rep.to_json_dict()
     assert set(payload) == {"rho", "gamma", "norm_estimate", "a_max",
                             "pair_count", "trend"}
@@ -190,9 +189,11 @@ def test_irregularity_validation():
     pairs = default_pairs(FBM)
     grid = default_a_grid(4.0)
     with pytest.raises(ConfigError):
-        irregularity_norm(FBM, rho=-0.1, gamma=0.5, a_grid=grid, pairs=pairs)
+        estimate_irregularity(FBM, gamma=0.5, a_max=4.0, rho_grid=[-0.1],
+                              a_grid=grid, pairs=pairs)
     with pytest.raises(ConfigError):
-        irregularity_norm(FBM, rho=0.5, gamma=1.5, a_grid=grid, pairs=pairs)
+        estimate_irregularity(FBM, gamma=1.5, a_max=4.0, rho_grid=[0.5],
+                              a_grid=grid, pairs=pairs)
     with pytest.raises(ConfigError):
-        irregularity_norm(FBM, rho=0.5, gamma=0.5, a_grid=grid,
-                          pairs=np.array([[0.5, 0.25]]))
+        estimate_irregularity(FBM, gamma=0.5, a_max=4.0, rho_grid=[0.5],
+                              a_grid=grid, pairs=np.array([[0.5, 0.25]]))

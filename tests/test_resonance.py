@@ -12,7 +12,9 @@ from modnls.errors import ConfigError
 from modnls.resonance import (
     EstimateReport,
     ResonanceTuple,
+    _dyadic_setup,
     _fold_slots,
+    _shell_witnesses,
     block_ratio_once,
     dyadic_block_ratio,
     enumerate_A,
@@ -299,3 +301,34 @@ def test_eq26_mu_sweep_keys_and_floor():
     assert 0 in sweep["mu_values"]
     again = eq26_mu_sweep((2, 2, 1, 1), 2, 1, 0.1, trials=3, seed=1)
     np.testing.assert_array_equal(sweep["ratios"], again["ratios"])
+
+
+def brute_shell_mus(masks, nsq, Bmax, d):
+    """Attained mu over all zero-sum tuples with every slot on its shell.
+
+    Broadcasts the full four-slot product of the shell mode lists, with
+    no slot eliminated, so it shares no code with _zero_sum_scan.
+    """
+    cube = np.stack(np.meshgrid(*([np.arange(-Bmax, Bmax + 1)] * d),
+                                indexing="ij"), axis=-1).reshape(-1, d)
+    lists = [cube[m.ravel()] for m in masks]
+    lin = np.zeros((1,) * 4 + (d,), dtype=np.int64)
+    quad = np.zeros((1,) * 4, dtype=np.int64)
+    for i, f in enumerate(lists):
+        view = [1] * 4
+        view[i] = f.shape[0]
+        lin = lin + (-1) ** i * f.reshape(view + [d])
+        quad = quad + (-1) ** i * (f ** 2).sum(axis=1).reshape(view)
+    return set(np.unique(quad[~np.any(lin, axis=-1)]).tolist())
+
+
+@pytest.mark.parametrize("blocks,d", [((2, 2, 1, 1), 1), ((4, 4, 2, 2), 2)])
+def test_shell_witnesses_match_brute_force(blocks, d):
+    blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, 1)
+    wit = _shell_witnesses(masks, nsq, Bmax, d, 1)
+    assert set(wit) == brute_shell_mus(masks, nsq, Bmax, d)
+    for mu, modes in wit.items():
+        tup = ResonanceTuple(modes, mu)
+        for n, mask in zip(tup.modes, masks):
+            assert np.all(np.abs(n) <= Bmax)
+            assert mask[tuple(n + Bmax)]

@@ -216,3 +216,17 @@ def test_picard_mass_drift_shrinks_with_mesh():
         masses = np.array([hs_norm(st, 0.0) for st in traj.states])
         drifts.append(np.abs(masses - masses[0]).max() / masses[0])
     assert drifts[1] < drifts[0]
+
+
+def test_overflowing_state_hits_the_guard():
+    # the increment overflows to inf before any state could be built
+    path = make_linear_path(0.1, 8)
+    cfg = make_cfg(N=4, T=0.1, partition=uniform_partition(0.1, 8),
+                   scheme="euler_young")
+    phi0 = random_state(1, 4, 1.0, seed=0, scale=1e120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(BlowUpError) as exc:
+            solve_euler_young(cfg, phi0, table_for(cfg, path))
+    assert exc.value.step == 1
+    assert not np.isfinite(exc.value.norm)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import direct_nonlinearity
 from modnls.errors import ConfigError
 from modnls.spectral import (
     SpectralState,
@@ -120,8 +121,8 @@ def test_nonlinearity_against_physical_grid(d, N, k):
 
 def test_nonlinearity_methods_agree():
     factors = [random_state(1, 4, 0.5, seed=i) for i in range(3)]
-    direct = nonlinearity(factors, 1, method="direct")
-    fft = nonlinearity(factors, 1, method="fft")
+    direct = direct_nonlinearity(factors, 1)
+    fft = nonlinearity(factors, 1)
     np.testing.assert_allclose(direct.coeffs, fft.coeffs, atol=1e-13)
     full = nonlinearity(factors, 1, truncate=False)
     assert full.shape == (2 * 3 * 4 + 1,)
@@ -133,7 +134,7 @@ def test_nonlinearity_validation():
         nonlinearity(factors, k=2)
     with pytest.raises(ConfigError):
         nonlinearity(factors[:2])
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):  # the fft path is the only one
         nonlinearity(factors, 1, method="magic")
 
 
@@ -165,3 +166,12 @@ def test_state_csv_missing_sidecar(tmp_path):
     fn.write_text("n_1,re,im\n0,1,0\n")
     with pytest.raises(ConfigError):
         load_state_csv(fn)
+
+
+def test_mode_errors_print_plain_ints():
+    with pytest.raises(ConfigError) as exc:
+        unit_mode(1, 4, np.array([9]))
+    assert str(exc.value) == "mode (9,) outside |n_i| <= 4"
+    with pytest.raises(KeyError) as exc:
+        zero_state(2, 1)[np.array([0, -3])]
+    assert "mode (0, -3) outside |n_i| <= 1" in str(exc.value)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import duhamel_x_oracle
+from conftest import duhamel_x_oracle, x_increment_direct
 from modnls.errors import ConfigError
 from modnls.paths import make_constant_path, make_fbm_path, make_linear_path
 from modnls.phi import build_phi_table
@@ -11,7 +11,6 @@ from modnls.spectral import hs_norm, nonlinearity, random_state, unit_mode
 from modnls.young import (
     YoungKernelConfig,
     x_increment,
-    x_increment_direct,
     x_norm_estimate,
 )
 
