@@ -176,9 +176,13 @@ def _init_from_spec(spec, d: int, k: int, N: int):
 
 def _load_experiment(args):
     from . import paths, phi, solver, spectral
+
+    def non_finite(name):
+        raise ConfigError(f"config {args.config} holds the non-finite number {name}")
+
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=non_finite)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {args.config}: {e}")
     if not isinstance(raw, dict):

@@ -223,7 +223,8 @@ def verify_counting_partition(box, d: int, k: int,
 
     Enumerates the full box product (all 2k+2 slots free), so keep the
     box small; enumerate_A re-derives the per-mu counts independently
-    as a cross-check.
+    as a cross-check, and max_membership counts the checked classes its
+    tuples land in.
     """
     bounds = _normalize_box(box, k)
     _check_cap(bounds, d, k, allow_large)
@@ -232,7 +233,6 @@ def verify_counting_partition(box, d: int, k: int,
     counts: dict[int, int] = {}
     zero_sum_count = 0
     violations = 0
-    max_membership = 0
     if total:
         # attainable-mu scan window from per-slot square ranges
         sq = [(f ** 2).sum(axis=1) for f in slots_modes]
@@ -247,7 +247,6 @@ def verify_counting_partition(box, d: int, k: int,
                 mu_hit = muv[zero]
                 within = (mu_hit >= scan_lo) & (mu_hit <= scan_hi)
                 violations += int((~within).sum())
-                max_membership = max(max_membership, 1)
                 zero_sum_count += int(zero.sum())
                 vals, cnts = np.unique(mu_hit, return_counts=True)
                 for v, c in zip(vals, cnts):
@@ -260,10 +259,15 @@ def verify_counting_partition(box, d: int, k: int,
     else:
         pick = np.linspace(0, mu_values.size - 1, 25).astype(int)
         check_mus = list(mu_values[np.unique(pick)])
+    # membership: the most checked classes any one enumerated tuple lands in
     ok = True
+    classes_of: dict[bytes, int] = {}
     for mu in check_mus:
         found = enumerate_A(int(mu), bounds, d, k, allow_large=allow_large)
         ok = ok and len(found) == counts[int(mu)]
+        for key in {t.modes.tobytes() for t in found}:
+            classes_of[key] = classes_of.get(key, 0) + 1
+    max_membership = max(classes_of.values(), default=0)
     return CountingReport(
         d=d, k=k, bounds=bounds, total_tuples=int(total),
         zero_sum_count=zero_sum_count, mu_values=mu_values,

@@ -149,7 +149,7 @@ def _guard(step: int, coeffs: np.ndarray, weight: np.ndarray, limit: float) -> N
         raise BlowUpError(step, norm, limit)
 
 
-def _march(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable,
+def _march(cfg: SolverConfig, phi0: SpectralState, kc: YoungKernelConfig,
            feed=None) -> list:
     """Guarded left-point march phi0 + sum_{j<i} X_{t_j;t_{j+1}}(.) on the partition.
 
@@ -157,7 +157,6 @@ def _march(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable,
     when a trajectory `feed` is given, on feed[j] (one Picard sweep).
     The guard sees the raw coefficients, before any state is built.
     """
-    kc = cfg.kernel(table)
     p = cfg.partition
     weight = (1.0 + _sq_norms(cfg.d, cfg.N)) ** cfg.s
     norm0 = hs_norm(phi0, cfg.s)
@@ -175,7 +174,7 @@ def _march(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable,
 def solve_euler_young(cfg: SolverConfig, phi0: SpectralState,
                       table: OscillatoryTable) -> Trajectory:
     """One-step scheme phi_{j+1} = phi_j + X_{t_j;t_{j+1}}(phi_j)."""
-    return Trajectory(cfg.partition.copy(), _march(cfg, phi0, table),
+    return Trajectory(cfg.partition.copy(), _march(cfg, phi0, cfg.kernel(table)),
                       {"scheme": "euler_young"})
 
 
@@ -189,9 +188,10 @@ def solve_picard(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable
         if initial.times.size != p.size:
             raise ConfigError("initial trajectory does not match the partition")
         old = [st.copy() for st in initial.states]
+    kc = cfg.kernel(table)
     residuals: list[float] = []
     for m in range(cfg.max_iter):
-        new = _march(cfg, phi0, table, feed=old)
+        new = _march(cfg, phi0, kc, feed=old)
         res = _distance(new, old, p, cfg.lam, cfg.s)
         residuals.append(res)
         old = new

@@ -236,6 +236,8 @@ def load_state_csv(filename) -> SpectralState:
     data = np.loadtxt(body, delimiter=",", ndmin=2)
     if data.shape[1] != d + 2:
         raise ConfigError(f"state file has {data.shape[1]} columns, expected {d + 2}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"state file {filename} holds non-finite values")
     idx = tuple(data[:, i].astype(int) + N for i in range(d))
     if any(a.min() < 0 or a.max() >= 2 * N + 1 for a in idx):
         raise ConfigError("mode indices outside the declared cube")

@@ -7,8 +7,19 @@ For factors psi_1..psi_{2k+1} the output coefficient at n is
 
 with zeta_j = +/-1 alternating (odd slots +), J conjugating even slots,
 and Omega = |n|^2 - sum_j zeta_j |n_j|^2. Phi increments come from a
-precomputed OscillatoryTable, so each call costs one bucketed
-convolution.
+precomputed OscillatoryTable. Two exact paths evaluate the sum:
+
+  * tuples: the in-box interaction tuples (n; n_1..n_{2k+1}) are listed
+    once per kernel config as int32 rows (slot indices, output index,
+    Omega); each call gathers Phi increments and slot values and sums
+    them into the output modes with np.bincount.
+  * fold: one q-bucketed convolution (_fold.fold) per call, contracted
+    with the Phi increment of each bucket |n|^2 - q.
+
+The config takes the tuple path when its table needs no more bytes than
+the complex (q, n) fold table it replaces,
+count (2k+3) 4 <= ((2k+1) d N^2 + 1) (2(2k+1)N + 1)^d 16: every d=1,
+k=1 box, while k >= 2 or d >= 2 stays on the fold.
 
 With w identically zero every Phi increment equals t - s and X_{s;t}
 collapses to -i (t - s) times the plain nonlinearity.
@@ -23,6 +34,7 @@ import numpy as np
 from ._fold import Slot, fold
 from .errors import ConfigError
 from .phi import OscillatoryTable
+from .resonance import _range_modes, _zero_sum_scan
 from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm,
                        random_state, zero_state)
 
@@ -43,6 +55,7 @@ class YoungKernelConfig:
     table: OscillatoryTable
     allow_large: bool = False
     _sq: np.ndarray = field(init=False, repr=False)
+    _tuples: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_box(self.d, self.N, self.k)
@@ -57,10 +70,45 @@ class YoungKernelConfig:
                 f"table mu_max={self.table.mu_max} is too small for the mode box; "
                 f"need at least (2k+2) d N^2 = {required}")
         self._sq = _sq_norms(self.d, self.N)
+        d, m, N = self.d, self.n_factors, self.N
+        tuple_bytes = _tuple_count(d, self.k, N) * (m + 2) * 4
+        fold_bytes = (m * d * N * N + 1) * (2 * m * N + 1) ** d * 16
+        self._tuples = _tuple_table(d, self.k, N) if tuple_bytes <= fold_bytes else None
 
     @property
     def n_factors(self) -> int:
         return 2 * self.k + 1
+
+
+def _tuple_count(d: int, k: int, N: int) -> int:
+    """Number of in-box tuples: the per-dimension signed-sum count to the power d.
+
+    Per dimension, the count is the number of (n_1..n_{2k+1}) in
+    [-N, N]^{2k+1} whose signed sum lands in [-N, N]; the signs do not
+    matter on a symmetric range.
+    """
+    ones = np.ones(2 * N + 1, dtype=np.int64)
+    ways = ones
+    for _ in range(2 * k):
+        ways = np.convolve(ways, ones)
+    centre = (2 * k + 1) * N
+    return int(ways[centre - N:centre + N + 1].sum()) ** d
+
+
+def _tuple_table(d: int, k: int, N: int) -> np.ndarray:
+    """In-box interaction tuples as int32 rows (j_1..j_{2k+1}, output index, Omega).
+
+    The j are flat indices into the slot coefficient arrays. Slot 0 of
+    the zero-sum scan is the output mode n, so the mu it yields is Omega.
+    """
+    modes = _range_modes(-N, N, d)
+    place = (2 * N + 1) ** np.arange(d - 1, -1, -1)
+    blocks = []
+    for a, n0, _, omega in _zero_sum_scan([modes] * (2 * k + 1), d):
+        hit = np.nonzero(np.all(np.abs(n0) <= N, axis=-1))
+        blocks.append(np.stack([np.full(hit[0].size, a), *hit,
+                                (n0[hit] + N) @ place, omega[hit]]).astype(np.int32))
+    return np.concatenate(blocks, axis=1)
 
 
 def _slots(states) -> list[Slot]:
@@ -90,11 +138,22 @@ def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralS
     if i_s == i_t:
         return out
     dphi = cfg.table.increment(i_s, i_t)
+    # written in place, not re-validated: an overflow to inf or NaN is
+    # left for the solver's blow-up guard to report
+    if cfg._tuples is not None:
+        *slot_idx, out_idx, omega = cfg._tuples
+        # np.take: fancy indexing with int32 indices runs about 2x slower
+        terms = np.take(dphi, omega + cfg.table.mu_max)
+        for sl, idx in zip(_slots(states), slot_idx):
+            terms *= np.take(sl.values.ravel(), idx)
+        size = out.coeffs.size
+        flat = (np.bincount(out_idx, terms.real, size)
+                + 1j * np.bincount(out_idx, terms.imag, size))
+        out.coeffs[...] = -1j * flat.reshape(out.coeffs.shape)
+        return out
     res = fold(_slots(states), cfg.d).crop_spatial(cfg.N)
     omega = cfg._sq[None, ...] - res.q_values.reshape((-1,) + (1,) * cfg.d)
     weights = dphi[omega + cfg.table.mu_max]
-    # written in place, not re-validated: an overflow to inf or NaN is
-    # left for the solver's blow-up guard to report
     out.coeffs[...] = -1j * (weights * res.table).sum(axis=0)
     return out
 

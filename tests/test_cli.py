@@ -248,6 +248,32 @@ def test_config_must_be_object(tmp_path, capsys):
     assert "must be a JSON object" in diag["message"]
 
 
+def test_config_non_finite_number_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, tol=float("nan"))
+    assert '"tol": NaN' in open(cfg).read()
+    rc = run_command(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError"
+    assert "NaN" in diag["message"]
+
+
+def test_init_state_non_finite_rejected(tmp_path, capsys):
+    init = tmp_path / "init.csv"
+    init.write_text("n_1,re,im\n0,nan,0\n")
+    init.with_suffix(".json").write_text('{"d": 1, "N": 2}\n')
+    rc = run_command(["solve", "--config", write_config(tmp_path),
+                      "--init", str(init), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError"
+    assert "non-finite" in diag["message"]
+
+
 def test_thread_variable_one_policy(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("YNLS_THREADS", "lots")
     saved = _runtime._workers

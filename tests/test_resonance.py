@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modnls import resonance
 from modnls._fold import fold
 from modnls.errors import ConfigError
 from modnls.resonance import (
@@ -121,6 +122,24 @@ def test_counting_partition_small_box():
     assert report.max_membership == 1
     assert report.cross_check_ok
     assert report.identity_holds
+
+
+def test_counting_membership_fails_on_shared_tuple(monkeypatch):
+    # the second checked class returns the first class's first tuple in
+    # place of its own, so every per-class count still agrees
+    real = resonance.enumerate_A
+    seen = []
+
+    def shared(mu, *args, **kwargs):
+        found = real(mu, *args, **kwargs)
+        seen.append(found[0])
+        return [seen[0]] + found[1:] if len(seen) == 2 else found
+
+    monkeypatch.setattr(resonance, "enumerate_A", shared)
+    report = verify_counting_partition((-1, 1), d=1, k=1)
+    assert report.cross_check_ok
+    assert report.max_membership == 2
+    assert not report.identity_holds
 
 
 def test_counting_partition_d2_and_empty():

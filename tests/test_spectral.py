@@ -168,6 +168,15 @@ def test_state_csv_missing_sidecar(tmp_path):
         load_state_csv(fn)
 
 
+@pytest.mark.parametrize("row", ["0,nan,0", "1,0.5,inf"])
+def test_state_csv_rejects_non_finite(tmp_path, row):
+    fn = tmp_path / "bad.csv"
+    fn.write_text(f"n_1,re,im\n{row}\n")
+    fn.with_suffix(".json").write_text('{"d": 1, "N": 2}\n')
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_state_csv(fn)
+
+
 def test_mode_errors_print_plain_ints():
     with pytest.raises(ConfigError) as exc:
         unit_mode(1, 4, np.array([9]))

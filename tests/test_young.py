@@ -7,9 +7,11 @@ from conftest import duhamel_x_oracle, x_increment_direct
 from modnls.errors import ConfigError
 from modnls.paths import make_constant_path, make_fbm_path, make_linear_path
 from modnls.phi import build_phi_table
-from modnls.spectral import hs_norm, nonlinearity, random_state, unit_mode
+from modnls.spectral import (SpectralState, hs_norm, nonlinearity, random_state,
+                             unit_mode)
 from modnls.young import (
     YoungKernelConfig,
+    _tuple_count,
     x_increment,
     x_norm_estimate,
 )
@@ -48,6 +50,50 @@ def test_fold_and_direct_agree(d, k, N):
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("N", [2, 16, 32])
+def test_tuple_path_matches_oracles(N):
+    path = make_fbm_path(0.5, 1.0, 32, seed=6)
+    cfg = make_kernel(1, 1, N, path, allow_large=True)
+    assert cfg._tuples is not None
+    rng = np.random.default_rng(23)
+    states = [random_state(1, N, 0.5, seed=rng) for _ in range(3)]
+    s, t = path.t_grid[3], path.t_grid[29]
+    got = x_increment(cfg, s, t, states).coeffs
+    for want in (x_increment_direct(cfg, s, t, states).coeffs,
+                 duhamel_x_oracle(path, s, t, states)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _brute_tuple_count(d, k, N):
+    modes = np.stack(np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij"),
+                     axis=-1).reshape(-1, d)
+    m = 2 * k + 1
+    total = np.zeros((1,) * m + (d,), dtype=np.int64)
+    for j in range(m):
+        shape = [1] * m + [d]
+        shape[j] = modes.shape[0]
+        total = total + (-1) ** j * modes.reshape(shape)
+    return int(np.all(np.abs(total) <= N, axis=-1).sum())
+
+
+@pytest.mark.parametrize("d,k,N,path_name", [
+    (1, 1, 2, "tuples"), (1, 1, 16, "tuples"), (1, 1, 32, "tuples"),
+    (1, 2, 2, "fold"), (2, 1, 2, "fold"), (2, 1, 4, "fold"), (3, 1, 2, "fold"),
+])
+def test_kernel_path_selection(d, k, N, path_name):
+    path = make_linear_path(1.0, 2)
+    cfg = make_kernel(d, k, N, path)
+    count = _tuple_count(d, k, N)
+    if path_name == "tuples":
+        assert cfg._tuples is not None
+        assert cfg._tuples.dtype == np.int32
+        assert cfg._tuples.shape == (2 * k + 3, count)
+    else:
+        assert cfg._tuples is None
+    if (2 * N + 1) ** (d * (2 * k + 1)) <= 600_000:
+        assert count == _brute_tuple_count(d, k, N)
+
+
 def test_quadrature_oracle_agreement():
     path = make_fbm_path(0.5, 1.0, 32, seed=21)
     cfg = make_kernel(1, 1, 2, path)
@@ -72,11 +118,13 @@ def test_frozen_clock_reduces_to_nonlinearity():
     np.testing.assert_allclose(got.coeffs, expected, atol=1e-13)
 
 
-def test_increment_additivity_and_zero_width():
+# one box per kernel path: d=1, k=1 contracts tuples, d=2 folds
+@pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2)])
+def test_increment_additivity_and_zero_width(d, k, N):
     path = make_fbm_path(0.5, 1.0, 32, seed=2)
-    cfg = make_kernel(1, 1, 3, path)
+    cfg = make_kernel(d, k, N, path)
     rng = np.random.default_rng(12)
-    states = [random_state(1, 3, 0.5, seed=rng) for _ in range(3)]
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
     t0, t1, t2 = path.t_grid[0], path.t_grid[11], path.t_grid[32]
     whole = x_increment(cfg, t0, t2, states)
     split = x_increment(cfg, t0, t1, states).coeffs + x_increment(cfg, t1, t2, states).coeffs
@@ -85,21 +133,22 @@ def test_increment_additivity_and_zero_width():
     np.testing.assert_allclose(nothing.coeffs, 0.0, atol=0)
 
 
-def test_multilinearity_with_conjugate_slots():
+@pytest.mark.parametrize("d,k,N", [(1, 1, 2), (2, 1, 2)])
+def test_multilinearity_with_conjugate_slots(d, k, N):
     path = make_fbm_path(0.5, 1.0, 16, seed=8)
-    cfg = make_kernel(1, 1, 2, path)
+    cfg = make_kernel(d, k, N, path)
     rng = np.random.default_rng(9)
-    states = [random_state(1, 2, 0.5, seed=rng) for _ in range(3)]
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
     s, t = 0.0, path.T
     base = x_increment(cfg, s, t, states).coeffs
     alpha = 0.7 - 1.3j
 
     odd = list(states)
-    odd[0] = type(states[0])(1, 2, alpha * states[0].coeffs)
+    odd[0] = SpectralState(d, N, alpha * states[0].coeffs)
     np.testing.assert_allclose(x_increment(cfg, s, t, odd).coeffs,
                                alpha * base, atol=1e-13)
     even = list(states)
-    even[1] = type(states[1])(1, 2, alpha * states[1].coeffs)
+    even[1] = SpectralState(d, N, alpha * states[1].coeffs)
     np.testing.assert_allclose(x_increment(cfg, s, t, even).coeffs,
                                np.conj(alpha) * base, atol=1e-13)
 
