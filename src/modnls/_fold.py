@@ -8,7 +8,7 @@ zeta_j, the fold is
 
 i.e. an ordinary convolution refined by the signed square-sum q. The q
 bucket is what turns resonance-weighted sums (weights depending on
-|n|^2 - q) into a single table contraction.
+|n|^2 - q) into a single table contraction, FoldResult.contract.
 
 Two backends produce identical tables:
   * dense: explicit shift-accumulate over nonzero slot entries; cheap for
@@ -32,6 +32,9 @@ from .spectral import _sq_norms
 
 _DENSE_OP_LIMIT = 4e7
 _FFT_ENTRY_LIMIT = 4e7
+# table entries per row chunk of FoldResult.contract; every kernel box
+# under young's desk caps is a single chunk
+_CONTRACT_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -73,6 +76,26 @@ class FoldResult:
     def collapse_q(self) -> np.ndarray:
         """Plain convolution: sum the table over q."""
         return self.table.sum(axis=0)
+
+    def contract(self, weight: np.ndarray, offset: int) -> np.ndarray:
+        """sum_q weight[|n|^2 - q + offset] T[q, n] for every output mode n.
+
+        q runs in row chunks of at most _CONTRACT_CHUNK_ENTRIES entries,
+        so no (Q, n)-sized temporary is built.
+        """
+        sq = _sq_norms(self.d, self.N_out)
+        rows = max(1, _CONTRACT_CHUNK_ENTRIES // sq.size)
+        q = self.q_values.reshape((-1,) + (1,) * self.d)
+        parts = [(weight[sq - q[lo:lo + rows] + offset]
+                  * self.table[lo:lo + rows]).sum(axis=0)
+                 for lo in range(0, len(q), rows)]
+        return sum(parts[1:], parts[0])
+
+
+def alternating_slots(values) -> list[Slot]:
+    """Slots of signs +, -, +, ... with the even (1-based) slots conjugated."""
+    return [Slot(v, 1) if j % 2 == 0 else Slot(np.conj(v), -1)
+            for j, v in enumerate(values)]
 
 
 def _geometry(slots: list[Slot], d: int):

@@ -127,11 +127,23 @@ def _cmd_irregularity(rest) -> int:
     return 0
 
 
+def _check_numbers(spec: dict, where: str, ints=(), reals=()) -> None:
+    """ConfigError unless present keys hold integers (ints) or numbers (reals)."""
+    for key in (*ints, *reals):
+        val, kinds = spec.get(key, 0), int if key in ints else (int, float)
+        if isinstance(val, bool) or not isinstance(val, kinds):  # bool is an int
+            want = "an integer" if key in ints else "a number"
+            raise ConfigError(f"{where} key {key!r} must be {want}, "
+                              f"got {json.dumps(val)}")
+
+
 def _path_from_spec(spec):
     """Clock from a spec dict; gen-path builds the same dict from its flags."""
     from . import paths
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("path spec must be an object with a 'kind'")
+    _check_numbers(spec, "path spec", ints=("seed",),
+                   reals=("T", "M", "H", "c", "eps"))
     kind = spec["kind"]
     try:
         if kind == "linear":
@@ -159,6 +171,7 @@ def _init_from_spec(spec, d: int, k: int, N: int):
     from . import solver, spectral
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("init spec must be an object with a 'type'")
+    _check_numbers(spec, "init spec", ints=("seed",), reals=("s", "scale"))
     try:
         if spec["type"] == "file":
             return spectral.load_state_csv(spec["file"])
@@ -187,6 +200,8 @@ def _load_experiment(args):
         raise ConfigError(f"cannot read config {args.config}: {e}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {args.config} must be a JSON object")
+    _check_numbers(raw, "config", ints=("d", "k", "N", "max_iter"),
+                   reals=("s", "gamma", "lambda", "lam", "rho", "T", "M", "tol"))
     if getattr(args, "path", None):
         path = paths.load_path_csv(args.path)
     elif "path" in raw:

@@ -69,7 +69,7 @@ def phi_increment(path: SamplePath, a: float, s: float, t: float) -> complex:
     return complex(seg.sum())
 
 
-def _phi_at_times(path: SamplePath, a_values, times, chunk: int | None = None):
+def _phi_at_times(path: SamplePath, a_values, times):
     """Phi_{tau}(a) for every a in a_values and tau in times, shape (A, T).
 
     Exact: the requested times are merged into the node grid so every
@@ -90,8 +90,7 @@ def _phi_at_times(path: SamplePath, a_values, times, chunk: int | None = None):
     pos = np.searchsorted(merged, t_req)
     a = np.atleast_1d(np.asarray(a_values, dtype=float))
     out = np.empty((a.size, t_req.size), dtype=complex)
-    if chunk is None:
-        chunk = max(1, int(4_000_000 // max(1, dt.size)))
+    chunk = max(1, int(4_000_000 // max(1, dt.size)))
     for lo in range(0, a.size, chunk):
         ab = a[lo:lo + chunk, None]
         seg = np.exp(1j * ab * w0) * dt * _cis_ratio(ab * dw)

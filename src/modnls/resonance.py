@@ -12,12 +12,13 @@ nothing.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from math import isqrt, prod
 
 import numpy as np
 
-from ._fold import Slot, fold
+from ._fold import alternating_slots, fold
 from .errors import ConfigError, NumericsError
 from .spectral import _check_box, _sq_norms, mode_grid
 
@@ -300,29 +301,19 @@ class EstimateReport:
         }
 
 
-def _fold_slots(psis_free: list[np.ndarray]) -> list[Slot]:
-    # free slot j (1-based) carries sign (-1)^(j+1)
-    return [Slot(v, 1 if j % 2 == 1 else -1)
-            for j, v in enumerate(psis_free, start=1)]
-
-
 def _weighted_norm(vals: np.ndarray, nsq: np.ndarray, sigma: float) -> float:
     return float(np.sqrt(np.sum((1.0 + nsq) ** sigma * np.abs(vals) ** 2)))
 
 
 def _eq21_weight(d: int, k: int, N: int, rho: float):
-    """<Omega>^(-rho) on the (q, output-mode) lattice of the full fold."""
-    m = 2 * k + 1
-    q_lo = -k * d * N * N
-    q_hi = (k + 1) * d * N * N
-    nsq_out = _sq_norms(d, m * N)
-    qv = np.arange(q_lo, q_hi + 1)
-    omega = nsq_out[None, ...] - qv.reshape((-1,) + (1,) * d)
-    return (1.0 + omega.astype(float) ** 2) ** (-rho / 2.0), q_lo
+    """<Omega>^(-rho) over the Omega = |n|^2 - q of the full fold, and its offset."""
+    dn2 = d * N * N
+    omega = np.arange(-(k + 1) * dn2, ((2 * k + 1) ** 2 + k) * dn2 + 1)
+    return (1.0 + omega.astype(float) ** 2) ** (-rho / 2.0), (k + 1) * dn2
 
 
 def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
-               s_prime: float, q: int, weight: np.ndarray | None = None):
+               s_prime: float, q: int):
     """(lhs, rhs, ratio) of the eq21 bound for given nonnegative profiles.
 
     psis are 2k+1 arrays on the (2N+1)^d cube. The output mode is not
@@ -337,18 +328,8 @@ def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
     if any(p.min() < 0 for p in psis):
         raise ConfigError("test sequences must be nonnegative")
     N = (psis[0].shape[0] - 1) // 2
-    res = fold(_fold_slots(psis), d)
-    if weight is None and rho > 0:
-        weight, q_lo = _eq21_weight(d, k, N, rho)
-        if q_lo != res.q_min:
-            raise NumericsError("weight lattice does not match the fold")
-    if rho > 0:
-        Q = res.table.shape[0]
-        t_rho = np.einsum("qa,qa->a", weight.reshape(Q, -1),
-                          res.table.reshape(Q, -1))
-        t_rho = t_rho.reshape(res.table.shape[1:])
-    else:
-        t_rho = res.collapse_q()
+    res = fold(alternating_slots(psis), d)
+    t_rho = res.contract(*_eq21_weight(d, k, N, rho))
     nsq_out = _sq_norms(d, m * N)
     nsq = _sq_norms(d, N)
     lhs = _weighted_norm(t_rho, nsq_out, s_prime)
@@ -424,7 +405,6 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
     if not 1 <= q <= 2 * k + 1:
         raise ConfigError(f"need 1 <= q <= {2 * k + 1}, got q={q}")
     rng = np.random.default_rng(seed)
-    weight = _eq21_weight(d, k, N, rho)[0] if rho > 0 else None
     candidates = _eq21_candidates(d, N, s, 2 * k + 1)
     best = (-1.0, 0.0, 0.0)
     for t in range(trials):
@@ -432,8 +412,7 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
             psis = candidates[t]
         else:
             psis = [_eq21_profile(rng, d, N, s) for _ in range(2 * k + 1)]
-        lhs, rhs, ratio = eq21_ratio(psis, d, k, rho, s, s_prime, q,
-                                     weight=weight)
+        lhs, rhs, ratio = eq21_ratio(psis, d, k, rho, s, s_prime, q)
         if ratio > best[0]:
             best = (ratio, lhs, rhs)
     params = {"d": d, "k": k, "rho": rho, "s": s, "s_prime": s_prime,
@@ -498,7 +477,7 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
             raise ConfigError("profiles must vanish off their block shells")
         if not p.any():
             raise ConfigError("profiles must not vanish identically")
-    res = fold(_fold_slots(psis[1:]), d).crop_spatial(Bmax)
+    res = fold(alternating_slots(psis[1:]), d).crop_spatial(Bmax)
     if estimate == "eq27":
         lhs = float((psis[0] * res.collapse_q()).sum())
     elif estimate == "eq26":
@@ -514,15 +493,11 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
 def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> dict:
     """First A(mu) member with every slot on its shell, for each attainable mu.
 
-    Returns {mu: modes}, or {} when the candidate count exceeds the
-    enumeration budget.
+    Returns {mu: modes}; NumericsError when the scan exceeds the budget.
     """
     modes_cube = mode_grid(d, Bmax).reshape(-1, d)
     frees = [modes_cube[m.ravel()] for m in masks[1:]]
-    try:
-        _check_budget(frees)
-    except NumericsError:
-        return {}
+    _check_budget(frees)
     # the |n_0|^2 window alone puts n_0 on its shell: each coordinate is
     # at most isqrt(4 N_0^2 - 2) <= Bmax, so n_0 lies inside the cube
     shell0 = nsq[masks[0]]
@@ -545,22 +520,14 @@ def _shell_profile(rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _point_profiles(modes: np.ndarray, shape, d: int, Bmax: int):
-    out = []
-    for n in modes:
-        v = np.zeros(shape)
-        v[tuple(int(c) + Bmax for c in n)] = 1.0
-        out.append(v)
-    return out
-
-
 def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
                        s: float, trials: int, seed) -> EstimateReport:
     """Max LHS/RHS ratio of the eq26 or eq27 bound on dyadic block shells.
 
-    For eq26, trials alternate |Gaussian| shell profiles with point masses
-    on a witness tuple of the requested mu when one exists, so sweeps over
-    mu share a common floor.  eq27 trials use shell profiles only.
+    For eq26, odd trials take the closed-form ratio (lhs 1, no random draw)
+    of point masses on a witness tuple of the requested mu when the budgeted
+    witness scan finds one, so sweeps over mu share a common floor. Other
+    trials, and all eq27 trials, use |Gaussian| shell profiles.
     """
     if estimate not in ("eq26", "eq27"):
         raise ConfigError(f"unknown estimate id {estimate!r}")
@@ -570,17 +537,19 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
         raise ConfigError("eq26 needs an integer mu")
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     rng = np.random.default_rng(seed)
-    witness = None
+    witness = False
     if estimate == "eq26":
-        wit = _shell_witnesses(masks, nsq, Bmax, d, k)
-        witness = wit.get(int(mu))
+        with suppress(NumericsError):  # over budget: run on without a witness
+            witness = int(mu) in _shell_witnesses(masks, nsq, Bmax, d, k)
     best = (-1.0, 0.0, 0.0)
     for t in range(trials):
-        if witness is not None and t % 2 == 1:
-            psis = _point_profiles(witness, nsq.shape, d, Bmax)
+        if witness and t % 2 == 1:
+            rhs = _block_rhs(blocks, s)
+            lhs, ratio = 1.0, 1.0 / rhs
         else:
             psis = [_shell_profile(rng, m) for m in masks]
-        lhs, rhs, ratio = block_ratio_once(estimate, psis, blocks, mu, d, k, s)
+            lhs, rhs, ratio = block_ratio_once(estimate, psis, blocks, mu,
+                                               d, k, s)
         if ratio > best[0]:
             best = (ratio, lhs, rhs)
     params = {"blocks": list(blocks), "mu": None if mu is None else int(mu),
@@ -595,7 +564,8 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     Shares one fold per random trial across the whole mu range; every
     attainable mu also gets its exact point-mass witness ratio, so the
     per-mu maxima share a common floor. Returns mu values, ratios, and
-    their max/min spread.
+    their max/min spread. A witness scan above the enumeration budget
+    raises its NumericsError.
     """
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     wit = _shell_witnesses(masks, nsq, Bmax, d, k)
@@ -608,7 +578,7 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         psis = [_shell_profile(rng, m) for m in masks]
-        res = fold(_fold_slots(psis[1:]), d).crop_spatial(Bmax)
+        res = fold(alternating_slots(psis[1:]), d).crop_spatial(Bmax)
         rhs = _block_rhs(blocks, s, psis)
         for mu, lhs in zip(attained, _eq26_lhs(res, psis[0], nsq, attained)):
             best[mu] = max(best[mu], lhs / rhs)

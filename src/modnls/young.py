@@ -14,7 +14,8 @@ precomputed OscillatoryTable. Two exact paths evaluate the sum:
     Omega); each call gathers Phi increments and slot values and sums
     them into the output modes with np.bincount.
   * fold: one q-bucketed convolution (_fold.fold) per call, contracted
-    with the Phi increment of each bucket |n|^2 - q.
+    by FoldResult.contract with the Phi increment of each bucket
+    Omega = |n|^2 - q.
 
 The config takes the tuple path when its table needs no more bytes than
 the complex (q, n) fold table it replaces,
@@ -31,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fold import Slot, fold
+from ._fold import alternating_slots, fold
 from .errors import ConfigError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
-from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm,
-                       random_state, zero_state)
+from .spectral import (SpectralState, _check_box, hs_norm, random_state,
+                       zero_state)
 
 __all__ = ["YoungKernelConfig", "x_increment", "x_norm_estimate"]
 
@@ -54,7 +55,6 @@ class YoungKernelConfig:
     N: int
     table: OscillatoryTable
     allow_large: bool = False
-    _sq: np.ndarray = field(init=False, repr=False)
     _tuples: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -69,7 +69,6 @@ class YoungKernelConfig:
             raise ConfigError(
                 f"table mu_max={self.table.mu_max} is too small for the mode box; "
                 f"need at least (2k+2) d N^2 = {required}")
-        self._sq = _sq_norms(self.d, self.N)
         d, m, N = self.d, self.n_factors, self.N
         tuple_bytes = _tuple_count(d, self.k, N) * (m + 2) * 4
         fold_bytes = (m * d * N * N + 1) * (2 * m * N + 1) ** d * 16
@@ -111,16 +110,6 @@ def _tuple_table(d: int, k: int, N: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def _slots(states) -> list[Slot]:
-    out = []
-    for j, st in enumerate(states, start=1):
-        if j % 2 == 1:
-            out.append(Slot(st.coeffs, +1))
-        else:
-            out.append(Slot(np.conj(st.coeffs), -1))
-    return out
-
-
 def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralState:
     """X_{s;t}(psi_1, ..., psi_{2k+1}) for table grid times s <= t."""
     if len(states) != cfg.n_factors:
@@ -138,23 +127,22 @@ def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralS
     if i_s == i_t:
         return out
     dphi = cfg.table.increment(i_s, i_t)
+    slots = alternating_slots([st.coeffs for st in states])
     # written in place, not re-validated: an overflow to inf or NaN is
     # left for the solver's blow-up guard to report
     if cfg._tuples is not None:
         *slot_idx, out_idx, omega = cfg._tuples
         # np.take: fancy indexing with int32 indices runs about 2x slower
         terms = np.take(dphi, omega + cfg.table.mu_max)
-        for sl, idx in zip(_slots(states), slot_idx):
+        for sl, idx in zip(slots, slot_idx):
             terms *= np.take(sl.values.ravel(), idx)
         size = out.coeffs.size
         flat = (np.bincount(out_idx, terms.real, size)
                 + 1j * np.bincount(out_idx, terms.imag, size))
         out.coeffs[...] = -1j * flat.reshape(out.coeffs.shape)
         return out
-    res = fold(_slots(states), cfg.d).crop_spatial(cfg.N)
-    omega = cfg._sq[None, ...] - res.q_values.reshape((-1,) + (1,) * cfg.d)
-    weights = dphi[omega + cfg.table.mu_max]
-    out.coeffs[...] = -1j * (weights * res.table).sum(axis=0)
+    res = fold(slots, cfg.d).crop_spatial(cfg.N)
+    out.coeffs[...] = -1j * res.contract(dphi, cfg.table.mu_max)
     return out
 
 

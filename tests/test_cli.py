@@ -260,6 +260,34 @@ def test_config_non_finite_number_rejected(tmp_path, capsys):
     assert "NaN" in diag["message"]
 
 
+RANDOM_INIT = {"type": "random", "s": 1.0, "seed": 0, "scale": 0.01}
+
+
+@pytest.mark.parametrize("key,overrides", [
+    ("T", {"T": "0.1"}),
+    ("tol", {"tol": "x"}),
+    ("s", {"s": "1"}),
+    ("lambda", {"lambda": None}),
+    ("N", {"N": [4]}),
+    ("max_iter", {"max_iter": True}),
+    ("seed", {"init": {**RANDOM_INIT, "seed": "abc"}}),
+    ("s", {"init": {**RANDOM_INIT, "s": "1"}}),
+    ("H", {"path": {"kind": "fbm", "H": "0.5", "T": 0.1, "M": 16, "seed": 3}}),
+])
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_config_wrong_type_rejected(tmp_path, capsys, command, key, overrides):
+    argv = [command, "--config", write_config(tmp_path, **overrides),
+            "--out", str(tmp_path / "x")]
+    if command == "converge":
+        argv += ["--levels", "2"]
+    assert run_command(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError"
+    assert f"key {key!r} must be" in diag["message"]
+
+
 def test_init_state_non_finite_rejected(tmp_path, capsys):
     init = tmp_path / "init.csv"
     init.write_text("n_1,re,im\n0,nan,0\n")

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from modnls import _fold
 from modnls._fold import FoldResult, Slot, fold, fold_dense, fold_fft
 from modnls.errors import ConfigError, NumericsError
 
@@ -83,6 +84,60 @@ def test_collapse_q_is_plain_convolution():
     oriented = [vals[0], vals[1][::-1], vals[2]]
     conv = np.convolve(np.convolve(oriented[0], oriented[1]), oriented[2])
     np.testing.assert_allclose(res.collapse_q(), conv, atol=1e-12)
+
+
+def random_fold(rng, d, N, complex_values):
+    shape = (2 * N + 1,) * d
+    slots = []
+    for sg in (1, -1, 1):
+        v = rng.standard_normal(shape)
+        if complex_values:
+            v = v + 1j * rng.standard_normal(shape)
+        slots.append(Slot(v, sg))
+    return fold(slots, d)
+
+
+def omega_weight(rng, res, complex_values):
+    """Random weight covering Omega = |n|^2 - q on the table, and its offset."""
+    q_max = res.q_min + res.table.shape[0] - 1
+    size = res.d * res.N_out ** 2 + q_max - res.q_min + 1
+    w = rng.standard_normal(size)
+    if complex_values:
+        w = w + 1j * rng.standard_normal(size)
+    return w, q_max
+
+
+@pytest.mark.parametrize("d,complex_values", [(1, False), (1, True),
+                                              (2, False), (2, True)])
+def test_contract_matches_loop(d, complex_values):
+    rng = np.random.default_rng(12)
+    res = random_fold(rng, d, 2, complex_values)
+    weight, offset = omega_weight(rng, res, complex_values)
+    want = np.zeros(res.table.shape[1:], dtype=complex)
+    for qi, q in enumerate(res.q_values):
+        for idx in np.ndindex(*want.shape):
+            n = np.array(idx) - res.N_out
+            want[idx] += weight[int(n @ n) - q + offset] * res.table[(qi,) + idx]
+    got = res.contract(weight, offset)
+    assert np.iscomplexobj(got) == complex_values
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("d,N", [(1, 6), (2, 3)])
+def test_contract_chunks_agree(d, N, monkeypatch):
+    rng = np.random.default_rng(13)
+    res = random_fold(rng, d, N, True)
+    weight, offset = omega_weight(rng, res, True)
+    one = res.contract(weight, offset)
+    n_size = (2 * res.N_out + 1) ** d
+    assert res.table.size <= _fold._CONTRACT_CHUNK_ENTRIES
+    # two rows per chunk, with a ragged last chunk
+    assert res.table.shape[0] % 2 == 1
+    monkeypatch.setattr(_fold, "_CONTRACT_CHUNK_ENTRIES", 2 * n_size + 1)
+    many = res.contract(weight, offset)
+    np.testing.assert_allclose(many, one, rtol=1e-13,
+                               atol=1e-13 * np.abs(one).max())
 
 
 def test_single_slot_lattice_convention():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import gl_phase_integral
 from modnls.errors import ConfigError
 from modnls.paths import make_fbm_path, make_linear_path
 from modnls.phi import (
@@ -24,6 +23,7 @@ from modnls.phi import (
     save_table,
     trend_slope,
 )
+from tests.conftest import gl_phase_integral
 
 FBM = make_fbm_path(0.5, 1.0, 64, seed=3)
 

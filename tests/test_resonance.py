@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modnls import resonance
-from modnls._fold import fold
-from modnls.errors import ConfigError
+from modnls._fold import alternating_slots, fold
+from modnls.errors import ConfigError, NumericsError
 from modnls.resonance import (
     EstimateReport,
     ResonanceTuple,
     _dyadic_setup,
-    _fold_slots,
+    _eq21_weight,
     _shell_witnesses,
     block_ratio_once,
     dyadic_block_ratio,
@@ -33,6 +33,27 @@ def brute_tuples(bounds, d, k):
         rng = range(lo, hi + 1)
         slots.append([np.array(m) for m in itertools.product(rng, repeat=d)])
     return itertools.product(*slots)
+
+
+def four_slot_sums(lists, d):
+    """Alternating sum and square sum over the broadcast four-slot product.
+
+    No slot is eliminated, so this shares no code with _zero_sum_scan.
+    """
+    lin = np.zeros((1,) * 4 + (d,), dtype=np.int64)
+    quad = np.zeros((1,) * 4, dtype=np.int64)
+    for i, f in enumerate(lists):
+        view = [1] * 4
+        view[i] = f.shape[0]
+        lin = lin + (-1) ** i * f.reshape(view + [d])
+        quad = quad + (-1) ** i * (f ** 2).sum(axis=1).reshape(view)
+    return lin, quad
+
+
+def cube_modes(lo, hi, d):
+    """(S, d) array of the modes in [lo, hi]^d."""
+    axes = np.meshgrid(*([np.arange(lo, hi + 1)] * d), indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, d)
 
 
 def alt_sum_stats(tup):
@@ -85,17 +106,13 @@ def test_enumerate_A_sign_flip_bijection():
     d=st.sampled_from([1, 2]),
 )
 def test_enumerate_A_matches_brute_force(lo, hi, mu, d):
-    bounds = [(lo, hi)] * 4
     got = enumerate_A(mu, (lo, hi), d=d, k=1)
     for t in got:
         lin, quad = alt_sum_stats(list(t.modes))
         assert np.all(lin == 0) and quad == mu
         assert np.all(t.modes >= lo) and np.all(t.modes <= hi)
-    expected = 0
-    for tup in brute_tuples(bounds, d, 1):
-        lin, quad = alt_sum_stats(tup)
-        if np.all(lin == 0) and quad == mu:
-            expected += 1
+    lin, quad = four_slot_sums([cube_modes(lo, hi, d)] * 4, d)
+    expected = int(np.count_nonzero(~np.any(lin, axis=-1) & (quad == mu)))
     assert len(got) == expected
 
 
@@ -176,6 +193,29 @@ def test_eq21_ratio_delta_example():
     assert (lhs, rhs, ratio) == (1.0, 1.0, 1.0)
 
 
+def test_eq21_ratio_matches_weight_lattice():
+    # the (q, n) weight lattice and einsum that the contraction replaced
+    rng = np.random.default_rng(4)
+    d, k, N, rho = 2, 1, 4, 1.0
+    psis = [np.abs(rng.standard_normal((2 * N + 1,) * d)) for _ in range(3)]
+    lhs, rhs, ratio = eq21_ratio(psis, d, k, rho, s=0.3, s_prime=0.2, q=2)
+
+    res = fold(alternating_slots(psis), d)
+    nsq_out = np.add.outer(*([np.arange(-3 * N, 3 * N + 1) ** 2] * 2))
+    qv = np.arange(-k * d * N * N, (k + 1) * d * N * N + 1)
+    assert (qv[0], qv.size) == (res.q_min, res.table.shape[0])
+    omega = nsq_out[None, ...] - qv.reshape(-1, 1, 1)
+    lattice = (1.0 + omega.astype(float) ** 2) ** (-rho / 2.0)
+    Q = qv.size
+    t_rho = np.einsum("qa,qa->a", lattice.reshape(Q, -1),
+                      res.table.reshape(Q, -1)).reshape(nsq_out.shape)
+    np.testing.assert_allclose(res.contract(*_eq21_weight(d, k, N, rho)),
+                               t_rho, rtol=1e-13, atol=0)
+    lhs_old = float(np.sqrt(np.sum((1.0 + nsq_out) ** 0.2 * t_rho ** 2)))
+    assert lhs == pytest.approx(lhs_old, rel=1e-13)
+    assert ratio == pytest.approx(lhs_old / rhs, rel=1e-13)
+
+
 def test_eq21_ratio_validation():
     psis = [delta0(2, 2) for _ in range(3)]
     neg = [p.copy() for p in psis]
@@ -196,7 +236,7 @@ def test_eq21_large_rho_dominated_by_resonant_stratum():
     lhs_big, _, _ = eq21_ratio(psis, d=d, k=k, rho=200.0, s=0.3,
                                s_prime=0.0, q=1)
 
-    res = fold(_fold_slots(psis), d)
+    res = fold(alternating_slots(psis), d)
     mN = res.N_out
     grids = np.meshgrid(*([np.arange(-mN, mN + 1) ** 2] * d), indexing="ij")
     nsq = sum(grids)
@@ -302,6 +342,35 @@ def test_dyadic_block_ratio_witness_floor():
     assert rep.parameters["blocks"] == [2, 2, 1, 1]
 
 
+def test_dyadic_block_ratio_witness_trials(monkeypatch):
+    # odd trials take the closed-form witness floor and draw no random
+    # numbers; over budget the sweep has no witness and every trial draws
+    blocks, mu, s = (2, 2, 1, 1), 0, 0.1
+    masks = _dyadic_setup(blocks, 2, 1)[3]
+    rng = np.random.default_rng(3)
+    draws = [block_ratio_once("eq26", [resonance._shell_profile(rng, m)
+                                       for m in masks], blocks, mu, 2, 1, s)[2]
+             for _ in range(2)]
+    floor = 1.0 / resonance._block_rhs(blocks, s)
+    rep = dyadic_block_ratio("eq26", blocks, mu, 2, 1, s, trials=3, seed=3)
+    assert rep.max_ratio_over_trials == max(floor, *draws)
+
+    monkeypatch.setattr(resonance, "_CANDIDATE_LIMIT", 1.0)
+    rep = dyadic_block_ratio("eq26", blocks, mu, 2, 1, s, trials=2, seed=3)
+    assert rep.max_ratio_over_trials == max(draws)
+    with pytest.raises(NumericsError, match="enumeration budget"):
+        eq26_mu_sweep(blocks, 2, 1, s, trials=1, seed=3)
+
+
+def test_eq26_sweep_over_budget_is_a_numerics_error():
+    # A(0) holds (n, n, m, m) on these shells; the witness scan is what
+    # is too large, not the class that is empty
+    with pytest.raises(NumericsError,
+                       match=r"2\.16e\+08 candidate tuples exceed the "
+                             r"enumeration budget 2e\+07"):
+        eq26_mu_sweep((8, 8, 8, 8), 2, 1, 0.1, trials=1, seed=0)
+
+
 def test_eq27_ratio_nonincreasing_when_block_raised():
     ratios = []
     for B in (1, 2, 4):
@@ -328,16 +397,8 @@ def brute_shell_mus(masks, nsq, Bmax, d):
     Broadcasts the full four-slot product of the shell mode lists, with
     no slot eliminated, so it shares no code with _zero_sum_scan.
     """
-    cube = np.stack(np.meshgrid(*([np.arange(-Bmax, Bmax + 1)] * d),
-                                indexing="ij"), axis=-1).reshape(-1, d)
-    lists = [cube[m.ravel()] for m in masks]
-    lin = np.zeros((1,) * 4 + (d,), dtype=np.int64)
-    quad = np.zeros((1,) * 4, dtype=np.int64)
-    for i, f in enumerate(lists):
-        view = [1] * 4
-        view[i] = f.shape[0]
-        lin = lin + (-1) ** i * f.reshape(view + [d])
-        quad = quad + (-1) ** i * (f ** 2).sum(axis=1).reshape(view)
+    cube = cube_modes(-Bmax, Bmax, d)
+    lin, quad = four_slot_sums([cube[m.ravel()] for m in masks], d)
     return set(np.unique(quad[~np.any(lin, axis=-1)]).tolist())
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import direct_nonlinearity
 from modnls.errors import ConfigError
 from modnls.spectral import (
     SpectralState,
@@ -21,6 +20,7 @@ from modnls.spectral import (
     unit_mode,
     zero_state,
 )
+from tests.conftest import direct_nonlinearity
 
 
 def physical_nonlinearity(factors, k):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import duhamel_x_oracle, x_increment_direct
 from modnls.errors import ConfigError
 from modnls.paths import make_constant_path, make_fbm_path, make_linear_path
 from modnls.phi import build_phi_table
@@ -15,6 +14,7 @@ from modnls.young import (
     x_increment,
     x_norm_estimate,
 )
+from tests.conftest import duhamel_x_oracle, x_increment_direct
 
 
 def make_kernel(d, k, N, path, allow_large=False):
