@@ -127,14 +127,17 @@ def _cmd_irregularity(rest) -> int:
     return 0
 
 
-def _check_numbers(spec: dict, where: str, ints=(), reals=()) -> None:
-    """ConfigError unless present keys hold integers (ints) or numbers (reals)."""
+def _check_numbers(spec: dict, where: str, ints=(), reals=(), lists=()) -> None:
+    """ConfigError unless present keys hold integers (ints) or numbers (reals),
+    or for keys in `lists` non-empty lists of them; a bool is neither."""
     for key in (*ints, *reals):
         val, kinds = spec.get(key, 0), int if key in ints else (int, float)
-        if isinstance(val, bool) or not isinstance(val, kinds):  # bool is an int
+        items = val if key in lists and isinstance(val, list) and val else [val]
+        if any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
             want = "an integer" if key in ints else "a number"
-            raise ConfigError(f"{where} key {key!r} must be {want}, "
-                              f"got {json.dumps(val)}")
+            raise ConfigError(f"{where} key {key!r} must be {want}"
+                              + (" or a list of them" if key in lists else "")
+                              + f", got {json.dumps(val)}")
 
 
 def _path_from_spec(spec):
@@ -171,13 +174,17 @@ def _init_from_spec(spec, d: int, k: int, N: int):
     from . import solver, spectral
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("init spec must be an object with a 'type'")
-    _check_numbers(spec, "init spec", ints=("seed",), reals=("s", "scale"))
+    _check_numbers(spec, "init spec", ints=("seed", "m"),
+                   reals=("s", "scale", "c"), lists=("c", "m"))
     try:
         if spec["type"] == "file":
             return spectral.load_state_csv(spec["file"])
         if spec["type"] == "plane_wave":
             c = spec["c"]
-            c = complex(c[0], c[1]) if isinstance(c, list) else complex(c)
+            if isinstance(c, list) and len(c) != 2:
+                raise ConfigError("init spec key 'c' must be a number or an "
+                                  f"[re, im] pair, got {json.dumps(c)}")
+            c = complex(*c) if isinstance(c, list) else complex(c)
             return solver.plane_wave_exact(c, spec["m"], None, 0.0, k, N)
         if spec["type"] == "random":
             return spectral.random_state(d, N, spec["s"], spec["seed"],
@@ -202,6 +209,9 @@ def _load_experiment(args):
         raise ConfigError(f"config {args.config} must be a JSON object")
     _check_numbers(raw, "config", ints=("d", "k", "N", "max_iter"),
                    reals=("s", "gamma", "lambda", "lam", "rho", "T", "M", "tol"))
+    if not isinstance(raw.get("allow_large", False), bool):
+        raise ConfigError("config key 'allow_large' must be true or false, "
+                          f"got {json.dumps(raw['allow_large'])}")
     if getattr(args, "path", None):
         path = paths.load_path_csv(args.path)
     elif "path" in raw:

@@ -3,11 +3,12 @@
 Because paths are piecewise linear, each segment integrates in closed form:
 a segment from (t0, w0) with increment (dt, dw) contributes
 
-    e^{i a w0} * dt * (e^{i a dw} - 1)/(i a dw)
+    dt * e^{i a (w0 + dw/2)} * sinc(a dw / 2pi),
 
-and the ratio is evaluated in the cancellation-free half-angle form
-e^{ix/2} sinc(x/2pi), which is uniformly accurate including x -> 0.
-There is no quadrature error anywhere in this module, only splitting logic.
+a midpoint phase times a real amplitude, free of cancellation as a dw -> 0.
+Phi at a list of times sums the segments between consecutive requested
+times and accumulates only those block sums. There is no quadrature error
+anywhere in this module, only splitting logic.
 
 The (rho, gamma)-irregularity norm
 
@@ -43,10 +44,17 @@ __all__ = [
 ]
 
 
-def _cis_ratio(x):
-    """(e^{ix} - 1)/(ix) as e^{ix/2} sinc(x/2pi); exact value 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
+# (frequency, segment) entries per chunk of _phi_at_times: its float64
+# temporaries stay in cache whatever the number of segments or frequencies
+_PHI_BLOCK_ENTRIES = 2 ** 16
+
+
+def _segments(a, dt, w0, dw):
+    """(Re, Im) of dt e^{i a (w0 + dw/2)} sinc(a dw / 2pi), the integral of
+    e^{i a w} over linear segments (dt, w0 -> w0 + dw); `a` broadcasts."""
+    phase = a * (w0 + 0.5 * dw)
+    amp = np.sinc(a * dw / (2.0 * np.pi)) * dt
+    return amp * np.cos(phase), amp * np.sin(phase)
 
 
 def phi_increment(path: SamplePath, a: float, s: float, t: float) -> complex:
@@ -63,42 +71,40 @@ def phi_increment(path: SamplePath, a: float, s: float, t: float) -> complex:
     i1 = np.searchsorted(grid, t, side="left")
     ts = np.concatenate([[s], grid[i0:i1], [t]])
     ws = np.interp(ts, grid, path.values) + path.offset
-    dt = np.diff(ts)
-    dw = np.diff(ws)
-    seg = np.exp(1j * a * ws[:-1]) * dt * _cis_ratio(a * dw)
-    return complex(seg.sum())
+    re, im = _segments(a, np.diff(ts), ws[:-1], np.diff(ws))
+    return complex(re.sum(), im.sum())
 
 
 def _phi_at_times(path: SamplePath, a_values, times):
     """Phi_{tau}(a) for every a in a_values and tau in times, shape (A, T).
 
     Exact: the requested times are merged into the node grid so every
-    segment is integrated in closed form.
+    segment is integrated in closed form; only the block sums between
+    consecutive requested times are accumulated.
     """
     t_req = np.asarray(times, dtype=float)
     if t_req.size == 0:
         raise ConfigError("empty time list")
-    if np.any(t_req < 0) or np.any(t_req > path.T * (1 + 1e-12)):
+    if not np.all((t_req >= 0) & (t_req <= path.T * (1 + 1e-12))):  # NaN too
         raise ValueError("requested times outside the path domain")
     tmax = t_req.max()
     inner = path.t_grid[(path.t_grid > 0) & (path.t_grid < tmax)]
     merged = np.unique(np.concatenate([[0.0], inner, t_req]))
     w = np.interp(merged, path.t_grid, path.values) + path.offset
-    dt = np.diff(merged)
-    dw = np.diff(w)
-    w0 = w[:-1]
+    dt, dw = np.diff(merged), np.diff(w)
     pos = np.searchsorted(merged, t_req)
+    # block b holds segments bounds[b]..bounds[b+1]-1, none of them empty
+    bounds = np.unique(np.concatenate([[0], pos]))
+    at = np.searchsorted(bounds, pos)
     a = np.atleast_1d(np.asarray(a_values, dtype=float))
-    out = np.empty((a.size, t_req.size), dtype=complex)
-    chunk = max(1, int(4_000_000 // max(1, dt.size)))
-    for lo in range(0, a.size, chunk):
-        ab = a[lo:lo + chunk, None]
-        seg = np.exp(1j * ab * w0) * dt * _cis_ratio(ab * dw)
-        pref = np.concatenate(
-            [np.zeros((seg.shape[0], 1), dtype=complex), np.cumsum(seg, axis=1)],
-            axis=1,
-        )
-        out[lo:lo + chunk] = pref[:, pos]
+    out = np.zeros((a.size, t_req.size), dtype=complex)
+    rows = max(1, _PHI_BLOCK_ENTRIES // max(1, dt.size))
+    for lo in range(0, a.size, rows):
+        re, im = _segments(a[lo:lo + rows, None], dt, w[:-1], dw)
+        acc = np.zeros((re.shape[0], bounds.size), dtype=complex)
+        acc.real[:, 1:] = np.add.reduceat(re, bounds[:-1], axis=1)
+        acc.imag[:, 1:] = np.add.reduceat(im, bounds[:-1], axis=1)
+        out[lo:lo + rows] = np.cumsum(acc, axis=1)[:, at]
     return out
 
 
@@ -147,11 +153,8 @@ def build_phi_table(path: SamplePath, mu_max: int, t_grid=None) -> OscillatoryTa
         raise ConfigError("table grid must start at 0 and increase strictly")
     if t_grid[-1] > path.T * (1 + 1e-12):
         raise ConfigError("table grid extends beyond the path horizon")
-    pos = _phi_at_times(path, np.arange(mu_max + 1), t_grid)  # (mu_max+1, n_t)
-    n_t = t_grid.size
-    values = np.empty((n_t, 2 * mu_max + 1), dtype=complex)
-    values[:, mu_max:] = pos.T
-    values[:, :mu_max] = np.conj(pos[1:, :][::-1].T)
+    pos = _phi_at_times(path, np.arange(mu_max + 1), t_grid).T  # (n_t, mu_max+1)
+    values = np.concatenate([np.conj(pos[:, :0:-1]), pos], axis=1)
     return OscillatoryTable(t_grid=t_grid, mu_max=mu_max, values=values, path=path)
 
 
@@ -200,17 +203,8 @@ class IrregularityReport:
         }
 
 
-def _van_der_corput(i: int) -> float:
-    x, f = 0.0, 0.5
-    while i:
-        x += f * (i & 1)
-        i >>= 1
-        f *= 0.5
-    return x
-
-
 def default_a_grid(a_max: float) -> np.ndarray:
-    """Integers plus 16 low-discrepancy interior points per unit, up to a_max.
+    """Integers plus the points j/16 (j = 1..15) and 1/32 in each unit, up to a_max.
 
     Only a >= 0 appears: |Phi(-a)| = |Phi(a)|, so the negative half-axis
     adds nothing to the norm.
@@ -218,11 +212,10 @@ def default_a_grid(a_max: float) -> np.ndarray:
     if a_max <= 0:
         raise ConfigError(f"a_max must be positive, got {a_max}")
     ints = np.arange(0.0, np.floor(a_max) + 1)
-    frac = np.array([_van_der_corput(i) for i in range(1, 17)])
+    frac = np.append(np.arange(1.0, 16.0) / 16, 1 / 32)
     units = np.arange(0.0, np.ceil(a_max))
     interior = (units[:, None] + frac[None, :]).ravel()
-    grid = np.unique(np.concatenate([ints, interior[interior <= a_max]]))
-    return grid
+    return np.unique(np.concatenate([ints, interior[interior <= a_max]]))
 
 
 def default_pairs(path: SamplePath, per_scale: int = 8,
@@ -253,7 +246,7 @@ def _ratio_profile(path: SamplePath, a_grid, pairs, gamma: float):
         raise ConfigError("empty frequency grid or pair list")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ConfigError("pairs must be an (n, 2) array of (s, t)")
-    if np.any(pairs[:, 0] >= pairs[:, 1]):
+    if not np.all(pairs[:, 0] < pairs[:, 1]):  # NaN fails too
         raise ConfigError("every pair needs s < t")
     times, inv = np.unique(pairs.ravel(), return_inverse=True)
     inv = inv.reshape(pairs.shape)
@@ -261,15 +254,6 @@ def _ratio_profile(path: SamplePath, a_grid, pairs, gamma: float):
     dphi = np.abs(phi[:, inv[:, 1]] - phi[:, inv[:, 0]])  # (A, P)
     span = (pairs[:, 1] - pairs[:, 0]) ** gamma
     return a, (dphi / span).max(axis=1)
-
-
-def _trend_from_profile(a, r_star, rho: float, levels) -> list[float]:
-    weighted = (1.0 + a) ** rho * r_star
-    out = []
-    for lv in levels:
-        mask = a <= lv * (1 + 1e-12)
-        out.append(float(weighted[mask].max()) if mask.any() else 0.0)
-    return out
 
 
 def estimate_irregularity(path: SamplePath, gamma: float, a_max: float,
@@ -298,7 +282,9 @@ def estimate_irregularity(path: SamplePath, gamma: float, a_max: float,
     levels = [a_top / 2 ** j for j in range(n_levels - 1, -1, -1)]
     reports = []
     for rho in rho_grid:
-        trend = _trend_from_profile(a, r_star, rho, levels)
+        weighted = (1.0 + a) ** rho * r_star  # >= 0, so 0 is the empty max
+        trend = [float(weighted[a <= lv * (1 + 1e-12)].max(initial=0.0))
+                 for lv in levels]
         reports.append(IrregularityReport(
             rho=float(rho), gamma=float(gamma), norm_estimate=trend[-1],
             a_max=a_top, pair_count=int(np.asarray(pairs).shape[0]),

@@ -213,31 +213,35 @@ def _pair_norms(states, s: float):
     return np.maximum(dist2, 0.0), np.maximum(diag, 0.0)
 
 
-def holder_seminorm(traj: Trajectory, lam: float, s: float) -> float:
-    """sup over grid pairs of |psi(t) - psi(t')|_{H^s} / |t - t'|^lam."""
+def _holder_parts(traj: Trajectory, lam: float, s: float):
+    """(sup norm, Holder seminorm) of a trajectory from one Gram matrix."""
     if traj.times.size < 2:
         raise ConfigError("trajectory needs at least two times")
-    dist2, _ = _pair_norms(traj.states, s)
+    dist2, diag = _pair_norms(traj.states, s)
     dt = np.abs(traj.times[:, None] - traj.times[None, :])
     iu = np.triu_indices(traj.times.size, k=1)
-    return float(np.max(np.sqrt(dist2[iu]) / dt[iu] ** lam))
+    return (float(np.sqrt(diag.max())),
+            float(np.max(np.sqrt(dist2[iu]) / dt[iu] ** lam)))
+
+
+def holder_seminorm(traj: Trajectory, lam: float, s: float) -> float:
+    """sup over grid pairs of |psi(t) - psi(t')|_{H^s} / |t - t'|^lam."""
+    return _holder_parts(traj, lam, s)[1]
 
 
 def sup_norm(traj: Trajectory, s: float) -> float:
-    _, diag = _pair_norms(traj.states, s)
-    return float(np.sqrt(diag.max()))
+    return float(np.sqrt(_pair_norms(traj.states, s)[1].max()))
 
 
 def holder_norm(traj: Trajectory, lam: float, s: float) -> float:
     """Discrete C^{0,lambda} norm: sup norm plus the Holder seminorm."""
-    return sup_norm(traj, s) + holder_seminorm(traj, lam, s)
+    return sum(_holder_parts(traj, lam, s))
 
 
 def _distance(states_a, states_b, times, lam: float, s: float) -> float:
     diff = [SpectralState(a.d, a.N, a.coeffs - b.coeffs)
             for a, b in zip(states_a, states_b)]
-    traj = Trajectory(times, diff)
-    return holder_norm(traj, lam, s)
+    return holder_norm(Trajectory(times, diff), lam, s)
 
 
 def c0lambda_distance(a: Trajectory, b: Trajectory, lam: float, s: float) -> float:

@@ -261,6 +261,7 @@ def test_config_non_finite_number_rejected(tmp_path, capsys):
 
 
 RANDOM_INIT = {"type": "random", "s": 1.0, "seed": 0, "scale": 0.01}
+PLANE_WAVE = {"type": "plane_wave", "c": [0.02, 0.0], "m": 1}
 
 
 @pytest.mark.parametrize("key,overrides", [
@@ -273,6 +274,13 @@ RANDOM_INIT = {"type": "random", "s": 1.0, "seed": 0, "scale": 0.01}
     ("seed", {"init": {**RANDOM_INIT, "seed": "abc"}}),
     ("s", {"init": {**RANDOM_INIT, "s": "1"}}),
     ("H", {"path": {"kind": "fbm", "H": "0.5", "T": 0.1, "M": 16, "seed": 3}}),
+    ("allow_large", {"allow_large": "yes"}),
+    ("c", {"init": {**PLANE_WAVE, "c": True}}),
+    ("c", {"init": {**PLANE_WAVE, "c": "x"}}),
+    ("c", {"init": {**PLANE_WAVE, "c": [0.02, 0.0, 0.0]}}),
+    ("m", {"init": {**PLANE_WAVE, "m": 1.0}}),
+    ("m", {"init": {**PLANE_WAVE, "m": "x"}}),
+    ("m", {"init": {**PLANE_WAVE, "m": [1, None]}}),
 ])
 @pytest.mark.parametrize("command", ["solve", "converge"])
 def test_config_wrong_type_rejected(tmp_path, capsys, command, key, overrides):
@@ -286,6 +294,14 @@ def test_config_wrong_type_rejected(tmp_path, capsys, command, key, overrides):
     diag = json.loads(lines[0])
     assert diag["error"] == "ConfigError"
     assert f"key {key!r} must be" in diag["message"]
+
+
+@pytest.mark.parametrize("c,m", [(0.02, [1]), (-0.01, 1), ([0, 0.02], [-1])])
+def test_plane_wave_number_and_list_forms(tmp_path, c, m):
+    cfg = write_config(tmp_path, init={**PLANE_WAVE, "c": c, "m": m},
+                       allow_large=False)
+    assert run_command(["solve", "--config", cfg,
+                        "--out", str(tmp_path / "x")]) == 0
 
 
 def test_init_state_non_finite_rejected(tmp_path, capsys):

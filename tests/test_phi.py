@@ -1,17 +1,20 @@
 """Oscillatory integrals Phi_t(a), their tables, and irregularity estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modnls import phi as phi_module
 from modnls.errors import ConfigError
-from modnls.paths import make_fbm_path, make_linear_path
+from modnls.paths import SamplePath, make_fbm_path, make_linear_path
 from modnls.phi import (
     IrregularityReport,
-    _cis_ratio,
+    _phi_at_times,
+    _segments,
     build_phi_table,
     default_a_grid,
     default_pairs,
@@ -40,15 +43,21 @@ def test_linear_path_closed_form():
         assert phi_increment(path, a, s, t) == pytest.approx(expected, abs=1e-13)
 
 
+def _unit_segment(x):
+    """(e^{ix} - 1)/(ix): the segment primitive with dt = 1, w0 = 0, dw = x."""
+    re, im = _segments(1.0, 1.0, 0.0, np.array([x]))
+    return complex(re[0], im[0])
+
+
 def test_cis_ratio_against_taylor_and_direct():
     # (e^{ix} - 1) / (ix), both branches of the evaluation
     for x in (1e-9, -3e-6, 1e-4, 2e-3):
         terms = sum((1j * x) ** m / math.factorial(m + 1) for m in range(8))
-        assert _cis_ratio(np.array([x]))[0] == pytest.approx(terms, abs=1e-15)
+        assert _unit_segment(x) == pytest.approx(terms, abs=1e-15)
     for x in (0.5, -3.7, 120.0):
         direct = (np.exp(1j * x) - 1) / (1j * x)
-        assert _cis_ratio(np.array([x]))[0] == pytest.approx(direct, abs=1e-14)
-    assert _cis_ratio(np.array([0.0]))[0] == pytest.approx(1.0, abs=0)
+        assert _unit_segment(x) == pytest.approx(direct, abs=1e-14)
+    assert _unit_segment(0.0) == pytest.approx(1.0, abs=0)
 
 
 @given(
@@ -78,6 +87,80 @@ def test_phi_against_quadrature_oracle():
         for s, t in ((0.0, 1.0), (0.13, 0.77), (0.5, 0.515)):
             oracle = gl_phase_integral(FBM, a, s, t)
             assert phi_increment(FBM, a, s, t) == pytest.approx(oracle, abs=1e-12)
+
+
+ONE_SEGMENT = SamplePath(t_grid=np.array([0.0, 0.7]),
+                         values=np.array([0.0, -1.3]), kind="file", offset=0.2)
+STEP = FBM.T / FBM.M
+
+
+@pytest.mark.parametrize("path,times", [
+    (FBM, [0.0, 0.25, 1.0]),  # includes 0
+    (FBM, [0.5, 0.125, 0.5, 0.0, 0.125]),  # duplicates
+    (FBM, [0.9, 0.1, 0.6, 0.3]),  # unsorted
+    (FBM, [0.3 * STEP, 7.5 * STEP, 40.25 * STEP, 1.0]),  # between nodes
+    (FBM, [0.0, 0.0]),  # all zero
+    (ONE_SEGMENT, [0.0, 0.35, 0.7, 0.1]),  # a one-segment path
+])
+def test_phi_at_times_against_quadrature(path, times):
+    a = np.array([0.0, 3.7, -17.2, 41.5, -0.25])
+    got = _phi_at_times(path, a, times)
+    assert got.shape == (a.size, len(times))
+    for j, t in enumerate(times):
+        oracle = np.atleast_1d(gl_phase_integral(path, a, 0.0, t))
+        np.testing.assert_allclose(got[:, j], oracle, rtol=0, atol=1e-12)
+
+
+def _phi_two_exponentials(path, a, times):
+    """Phi at times: full-length cumsum of e^{i a w0} dt (e^{i a dw} - 1)/(i a dw)."""
+    t_req = np.asarray(times, dtype=float)
+    inner = path.t_grid[(path.t_grid > 0) & (path.t_grid < t_req.max())]
+    merged = np.unique(np.concatenate([[0.0], inner, t_req]))
+    w = np.interp(merged, path.t_grid, path.values) + path.offset
+    dt, dw, a = np.diff(merged), np.diff(w), np.asarray(a, dtype=float)[:, None]
+    x = a * dw
+    ratio = np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))  # (e^{ix} - 1)/(ix)
+    seg = np.exp(1j * a * w[:-1]) * dt * ratio
+    pref = np.concatenate([np.zeros((a.shape[0], 1)), np.cumsum(seg, axis=1)], axis=1)
+    return pref[:, np.searchsorted(merged, t_req)]
+
+
+def test_phi_at_times_against_two_exponential_cumsum():
+    path = make_fbm_path(0.3, 1.0, 1024, seed=11)
+    a = default_a_grid(48.0)
+    pairs = default_pairs(path)
+    times = np.concatenate([pairs.ravel(), [0.0, 0.3337, 0.71]])
+    old = _phi_two_exponentials(path, a, times)
+    np.testing.assert_allclose(_phi_at_times(path, a, times), old,
+                               rtol=0, atol=1e-13)
+    table = build_phi_table(path, mu_max=40)
+    old = _phi_two_exponentials(path, np.arange(41), path.t_grid)
+    np.testing.assert_allclose(table.values[:, 40:], old.T, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("entries", [3 * 64, 5 * 64 + 17, 1])
+def test_phi_at_times_chunks_agree(monkeypatch, entries):
+    # 23 frequencies over 64 segments: rows of 3, 5 and 1, ragged last chunk
+    a = np.linspace(-30.0, 30.0, 23)
+    times = [0.5, 0.0, 1.0, 0.25 + 0.5 * STEP]
+    whole = _phi_at_times(FBM, a, times)
+    monkeypatch.setattr(phi_module, "_PHI_BLOCK_ENTRIES", entries)
+    np.testing.assert_allclose(_phi_at_times(FBM, a, times), whole,
+                               rtol=0, atol=1e-14)
+
+
+def test_phi_at_times_working_set_is_bounded():
+    # the irregularity shape: 1089 frequencies, 16384 segments, 151 times
+    path = make_fbm_path(0.5, 1.0, 2 ** 14, seed=3)
+    a = default_a_grid(64.0)
+    times = np.unique(default_pairs(path).ravel())
+    tracemalloc.start()
+    try:
+        _phi_at_times(path, a, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_phi_domain_errors():
@@ -197,3 +280,9 @@ def test_irregularity_validation():
     with pytest.raises(ConfigError):
         estimate_irregularity(FBM, gamma=0.5, a_max=4.0, rho_grid=[0.5],
                               a_grid=grid, pairs=np.array([[0.5, 0.25]]))
+    with pytest.raises(ConfigError):
+        estimate_irregularity(FBM, gamma=0.5, a_max=4.0, rho_grid=[0.5],
+                              a_grid=grid, pairs=np.array([[0.25, np.nan]]))
+    for times in ([0.5, np.nan], [-0.1], [1.5]):
+        with pytest.raises(ValueError):
+            _phi_at_times(FBM, grid, times)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from modnls import solver
 from modnls.errors import BlowUpError, ConfigError, NonConvergenceError
 from modnls.paths import make_fbm_path, make_linear_path
 from modnls.phi import build_phi_table
@@ -113,6 +114,28 @@ def test_picard_fixed_point_is_euler_trajectory():
     residuals = picard.meta["residuals"]
     assert residuals == sorted(residuals, reverse=True)
     assert picard.meta["iterations"] == len(residuals)
+
+
+def test_picard_residual_builds_one_gram_matrix(monkeypatch):
+    calls = {"pairs": 0, "distance": 0}
+    pair_norms, distance = solver._pair_norms, solver._distance
+
+    def counted_pairs(*args):
+        calls["pairs"] += 1
+        return pair_norms(*args)
+
+    def counted_distance(*args):
+        calls["distance"] += 1
+        return distance(*args)
+
+    monkeypatch.setattr(solver, "_pair_norms", counted_pairs)
+    monkeypatch.setattr(solver, "_distance", counted_distance)
+    path = make_fbm_path(0.5, 0.5, 16, seed=12)
+    cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 16))
+    traj = solve_picard(cfg, random_state(1, 2, cfg.s, seed=4, scale=0.05),
+                        table_for(cfg, path))
+    assert calls["distance"] == traj.meta["iterations"] >= 2
+    assert calls["pairs"] == calls["distance"]
 
 
 def test_picard_non_convergence_reports_residuals():
