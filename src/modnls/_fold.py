@@ -32,8 +32,7 @@ from .spectral import _sq_norms
 
 _DENSE_OP_LIMIT = 4e7
 _FFT_ENTRY_LIMIT = 4e7
-# table entries per row chunk of FoldResult.contract; every kernel box
-# under young's desk caps is a single chunk
+# table entries per row chunk of FoldResult.contract
 _CONTRACT_CHUNK_ENTRIES = 1 << 18
 
 
@@ -147,16 +146,27 @@ def fold_dense(slots: list[Slot], d: int) -> FoldResult:
     return FoldResult(acc, acc_qlo, acc_R, d)
 
 
+def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
+    """Padded q and spatial FFT lengths (Q, P) of an m-slot fold on |n_i| <= N.
+
+    The size rule of every fold: NumericsError when the Q x P^d array
+    exceeds _FFT_ENTRY_LIMIT entries.
+    """
+    Q = next_fast_len(m * d * N * N + 1)
+    P = next_fast_len(2 * m * N + 1)
+    if Q * P ** d > _FFT_ENTRY_LIMIT:
+        raise NumericsError(
+            f"fft fold array of {Q} x {P}^{d} entries exceeds the memory budget "
+            f"of {_FFT_ENTRY_LIMIT:.0e}; shrink the box")
+    return Q, P
+
+
 def fold_fft(slots: list[Slot], d: int) -> FoldResult:
     N, q_lo, q_hi = _geometry(slots, d)
     m = len(slots)
     q_full = q_hi - q_lo + 1
     s_full = 2 * m * N + 1
-    Q = next_fast_len(q_full)
-    P = next_fast_len(s_full)
-    if Q * P ** d > _FFT_ENTRY_LIMIT:
-        raise NumericsError(
-            f"fft fold array of {Q} x {P}^{d} entries exceeds the memory budget")
+    Q, P = fft_grid(m, d, N)
     all_real = all(not np.iscomplexobj(sl.values) for sl in slots)
     shape = (Q,) + (P,) * d
     sq = _sq_norms(d, N)

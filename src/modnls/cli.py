@@ -1,9 +1,9 @@
 """Command-line front end: path generation, solves, and estimate reports.
 
 Exit codes: 0 success, 2 configuration/validation or argument failure,
-3 numerical failure (blow-up, non-convergence or a non-finite result,
-with a strict-JSON diagnostic on stderr), 64 missing or unknown
-subcommand.
+3 numerical failure (blow-up, non-convergence, a box over its size
+budget or a non-finite result, with a strict-JSON diagnostic on stderr),
+64 missing or unknown subcommand.
 
 Thread handling: --threads (fallback: the YNLS_THREADS environment
 variable, read by _runtime, then all cores) is resolved before any
@@ -209,9 +209,6 @@ def _load_experiment(args):
         raise ConfigError(f"config {args.config} must be a JSON object")
     _check_numbers(raw, "config", ints=("d", "k", "N", "max_iter"),
                    reals=("s", "gamma", "lambda", "lam", "rho", "T", "M", "tol"))
-    if not isinstance(raw.get("allow_large", False), bool):
-        raise ConfigError("config key 'allow_large' must be true or false, "
-                          f"got {json.dumps(raw['allow_large'])}")
     if getattr(args, "path", None):
         path = paths.load_path_csv(args.path)
     elif "path" in raw:
@@ -225,8 +222,7 @@ def _load_experiment(args):
             gamma=raw["gamma"], lam=lam, rho=raw["rho"], T=raw["T"],
             partition=solver.uniform_partition(raw["T"], raw["M"]),
             scheme=raw.get("scheme", "picard"), tol=raw.get("tol", 1e-10),
-            max_iter=raw.get("max_iter", 50),
-            allow_large=raw.get("allow_large", False))
+            max_iter=raw.get("max_iter", 50))
     except KeyError as e:
         raise ConfigError(f"config is missing key {e}")
     if abs(path.T - cfg.T) > 1e-12 * max(1.0, cfg.T):
@@ -400,6 +396,7 @@ def _cmd_xnorm(rest) -> int:
     p.add_argument("--out", required=True)
     args = p.parse_args(rest)
     from . import paths, phi, young
+    young.check_kernel_box(args.d, args.k, args.N)
     path = paths.load_path_csv(args.path)
     mu_max = (2 * args.k + 2) * args.d * args.N * args.N
     table = phi.build_phi_table(path, mu_max)

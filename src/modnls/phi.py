@@ -63,16 +63,8 @@ def phi_increment(path: SamplePath, a: float, s: float, t: float) -> complex:
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     if t > path.T * (1 + 1e-12) + 1e-300:
         raise ValueError(f"t={t} beyond the path horizon T={path.T}")
-    t = min(t, path.T)
-    if s == t:
-        return 0.0 + 0.0j
-    grid = path.t_grid
-    i0 = np.searchsorted(grid, s, side="right")
-    i1 = np.searchsorted(grid, t, side="left")
-    ts = np.concatenate([[s], grid[i0:i1], [t]])
-    ws = np.interp(ts, grid, path.values) + path.offset
-    re, im = _segments(a, np.diff(ts), ws[:-1], np.diff(ws))
-    return complex(re.sum(), im.sum())
+    phi_s, phi_t = _phi_at_times(path, [a], [s, min(t, path.T)])[0]
+    return complex(phi_t - phi_s)
 
 
 def _phi_at_times(path: SamplePath, a_values, times):

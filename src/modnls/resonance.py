@@ -8,6 +8,11 @@ sequences, evaluate both sides of the corresponding weighted
 convolution bound exactly through the fold backend, and report the
 worst observed LHS/RHS ratio. They probe boundedness; they prove
 nothing.
+
+Every enumeration (enumerate_A, verify_counting_partition, the eq26
+witness scan) has one size rule: the product of its slot mode lists,
+the number of candidate tuples it visits, must stay within
+_CANDIDATE_LIMIT, or the call raises NumericsError before scanning.
 """
 
 from __future__ import annotations
@@ -35,11 +40,7 @@ __all__ = [
     "eq26_mu_sweep",
 ]
 
-# enumeration cost is O((2N+1)^(d(2k+1))); these caps keep the default
-# desk-scale, allow_large=True lifts them
-_ENUM_CAPS = {(1, 2): 12, (2, 1): 10}
 _CANDIDATE_LIMIT = 2.0e7
-_LARGE_CANDIDATE_LIMIT = 2.0e8
 
 
 def _alt_signs(k: int) -> np.ndarray:
@@ -108,25 +109,13 @@ def _range_modes(lo: int, hi: int, d: int) -> np.ndarray:
     return np.stack([a.ravel() for a in axes], axis=-1)
 
 
-def _check_cap(bounds, d: int, k: int, allow_large: bool) -> None:
-    cap = _ENUM_CAPS.get((d, k))
-    if cap is None or allow_large:
-        return
-    width = max((max(abs(lo), abs(hi)) for lo, hi in bounds if lo <= hi), default=0)
-    if width > cap:
-        raise ConfigError(
-            f"box half-width {width} exceeds the enumeration cap {cap} for "
-            f"(d, k) = ({d}, {k}); pass allow_large=True to override")
-
-
-def _check_budget(lists, allow_large: bool = False) -> float:
+def _check_budget(lists) -> float:
     """Size of the product of the slot mode lists; NumericsError above budget."""
     total = prod(float(f.shape[0]) for f in lists)
-    budget = _LARGE_CANDIDATE_LIMIT if allow_large else _CANDIDATE_LIMIT
-    if total > budget:
+    if total > _CANDIDATE_LIMIT:
         raise NumericsError(
             f"{total:.3g} candidate tuples exceed the enumeration budget "
-            f"{budget:.0e}; shrink the box")
+            f"{_CANDIDATE_LIMIT:.0e}; shrink the box")
     return total
 
 
@@ -162,15 +151,14 @@ def _scanned_modes(n0, frees, a: int, row) -> np.ndarray:
                     + [f[r] for f, r in zip(frees[1:], row)])
 
 
-def enumerate_A(mu: int, box, d: int, k: int, allow_large: bool = False):
+def enumerate_A(mu: int, box, d: int, k: int):
     """All tuples of A(mu) inside the box, n_0 eliminated via the linear constraint."""
     if int(mu) != mu:
         raise ConfigError(f"mu must be an integer, got {mu}")
     mu = int(mu)
     bounds = _normalize_box(box, k)
-    _check_cap(bounds, d, k, allow_large)
     frees = [_range_modes(lo, hi, d) for lo, hi in bounds[1:]]
-    _check_budget(frees, allow_large)
+    _check_budget(frees)
     lo0, hi0 = bounds[0]
     out = []
     for a, n0, _, muv in _zero_sum_scan(frees, d):
@@ -218,19 +206,17 @@ class CountingReport:
         }
 
 
-def verify_counting_partition(box, d: int, k: int,
-                              allow_large: bool = False) -> CountingReport:
+def verify_counting_partition(box, d: int, k: int) -> CountingReport:
     """Check every zero-sum tuple lies in exactly one A(mu), non-zero-sum in none.
 
-    Enumerates the full box product (all 2k+2 slots free), so keep the
-    box small; enumerate_A re-derives the per-mu counts independently
+    Enumerates the full box product (all 2k+2 slots free) within the
+    candidate budget; enumerate_A re-derives the per-mu counts independently
     as a cross-check, and max_membership counts the checked classes its
     tuples land in.
     """
     bounds = _normalize_box(box, k)
-    _check_cap(bounds, d, k, allow_large)
     slots_modes = [_range_modes(lo, hi, d) for lo, hi in bounds]
-    total = _check_budget(slots_modes, allow_large)
+    total = _check_budget(slots_modes)
     counts: dict[int, int] = {}
     zero_sum_count = 0
     violations = 0
@@ -264,7 +250,7 @@ def verify_counting_partition(box, d: int, k: int,
     ok = True
     classes_of: dict[bytes, int] = {}
     for mu in check_mus:
-        found = enumerate_A(int(mu), bounds, d, k, allow_large=allow_large)
+        found = enumerate_A(int(mu), bounds, d, k)
         ok = ok and len(found) == counts[int(mu)]
         for key in {t.modes.tobytes() for t in found}:
             classes_of[key] = classes_of.get(key, 0) + 1

@@ -24,9 +24,8 @@ from scipy.fft import next_fast_len
 
 from .errors import BlowUpError, ConfigError, NonConvergenceError
 from .phi import OscillatoryTable
-from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm, unit_mode,
-                       zero_state)
-from .young import YoungKernelConfig, x_increment
+from .spectral import SpectralState, _sq_norms, hs_norm, unit_mode, zero_state
+from .young import YoungKernelConfig, check_kernel_box, x_increment
 
 __all__ = [
     "SolverConfig",
@@ -68,10 +67,8 @@ class SolverConfig:
     scheme: str = "picard"
     tol: float = 1e-10
     max_iter: int = 50
-    allow_large: bool = False
 
     def __post_init__(self):
-        _check_box(self.d, self.N, self.k)
         if not (0.0 < self.lam < self.gamma <= 1.0) or not self.gamma + self.lam > 1.0:
             raise ConfigError(
                 "Holder exponents must satisfy 0 < lambda < gamma <= 1 and "
@@ -90,6 +87,8 @@ class SolverConfig:
             raise ConfigError("partition must start at 0 and increase strictly")
         if abs(p[-1] - self.T) > 1e-12 * max(1.0, self.T):
             raise ConfigError(f"partition ends at {p[-1]}, config says T={self.T}")
+        # the kernel's size rule, before any Phi table is built for it
+        check_kernel_box(self.d, self.k, self.N)
         threshold = self.d / 2 - self.rho / self.k
         if self.s <= threshold:
             warnings.warn(
@@ -98,8 +97,7 @@ class SolverConfig:
                 "proven regime", stacklevel=2)
 
     def kernel(self, table: OscillatoryTable) -> YoungKernelConfig:
-        return YoungKernelConfig(self.d, self.k, self.N, table,
-                                 allow_large=self.allow_large)
+        return YoungKernelConfig(self.d, self.k, self.N, table)
 
 
 @dataclass

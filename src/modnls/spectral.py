@@ -171,30 +171,22 @@ def _check_factors(factors, k: int | None):
     return k, d, N
 
 
-def nonlinearity(factors: list[SpectralState], k: int | None = None,
-                 truncate: bool = True) -> SpectralState | np.ndarray:
-    """Signed multilinear convolution of 2k+1 factors by zero-padded FFT.
-
-    With truncate=True (default) the result is cropped back to |n_i| <= N
-    and returned as a state; otherwise the full product array over
-    |n_i| <= (2k+1)N is returned.
-    """
+def nonlinearity(factors: list[SpectralState], k: int | None = None) -> SpectralState:
+    """Signed multilinear convolution of 2k+1 factors by zero-padded FFT,
+    cropped back to |n_i| <= N."""
     k, d, N = _check_factors(factors, k)
-    # alias-free length: mode sums reach (2k+1)N, so 2(2k+1)N + 1 entries
-    full = 2 * (2 * k + 1) * N + 1
-    shape = (next_fast_len(full),) * d
+    # alias-free for the crop: mode sums reach (2k+1)N, so a period of
+    # (2k+2)N + 1 keeps their images off |n_i| <= N
+    shape = (next_fast_len((2 * k + 2) * N + 1),) * d
     spec = np.ones(shape, dtype=complex)
     for j, st in enumerate(factors, start=1):
         # slot j carries factor j, conjugated via conj_state on even slots
         arr = st.coeffs if j % 2 == 1 else np.flip(np.conj(st.coeffs))
         spec = spec * np.fft.fftn(arr, s=shape, axes=tuple(range(d)))
-    # circular equals linear since P >= full support; mode n sits at n + (2k+1)N
-    conv = np.fft.ifftn(spec)[(slice(0, full),) * d]
-    if not truncate:
-        return conv
-    centre = k * 2 * N  # full array spans |n_i| <= (2k+1)N
+    # mode n sits at index n + (2k+1)N, below the period for |n_i| <= N
+    centre = k * 2 * N
     sl = tuple(slice(centre, centre + 2 * N + 1) for _ in range(d))
-    return SpectralState(d, N, conv[sl].copy())
+    return SpectralState(d, N, np.fft.ifftn(spec)[sl].copy())
 
 
 def resonance_offset(n, tuple_modes, k: int | None = None) -> int:

@@ -17,8 +17,13 @@ precomputed OscillatoryTable. Two exact paths evaluate the sum:
     by FoldResult.contract with the Phi increment of each bucket
     Omega = |n|^2 - q.
 
-The config takes the tuple path when its table needs no more bytes than
-the complex (q, n) fold table it replaces,
+A box is admitted iff the fold can evaluate it: its padded FFT grid
+Q x P^d (_fold.fft_grid) fits the fold's entry budget. The rule depends
+on (d, k, N) alone, so the solver and the CLI apply it through
+check_kernel_box before any Phi table is built; the largest admitted N
+is 130, 92, 20 and 7 for (d, k) = (1, 1), (1, 2), (2, 1), (3, 1). An
+admitted box takes the tuple path when its table needs no more bytes
+than the complex (q, n) fold table it replaces,
 count (2k+3) 4 <= ((2k+1) d N^2 + 1) (2(2k+1)N + 1)^d 16: every d=1,
 k=1 box, while k >= 2 or d >= 2 stays on the fold.
 
@@ -32,18 +37,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fold import alternating_slots, fold
+from ._fold import alternating_slots, fft_grid, fold
 from .errors import ConfigError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
 from .spectral import (SpectralState, _check_box, hs_norm, random_state,
                        zero_state)
 
-__all__ = ["YoungKernelConfig", "x_increment", "x_norm_estimate"]
+__all__ = ["YoungKernelConfig", "check_kernel_box", "x_increment", "x_norm_estimate"]
 
-# desk-scale caps on N per (d, k); anything above needs allow_large
-_N_CAPS = {(1, 1): 32, (1, 2): 10, (2, 1): 8}
-_DEFAULT_CAP = 4
+
+def check_kernel_box(d: int, k: int, N: int) -> None:
+    """ConfigError for a malformed box, NumericsError when the fold cannot evaluate it."""
+    _check_box(d, N, k)
+    fft_grid(2 * k + 1, d, N)
 
 
 @dataclass
@@ -54,16 +61,10 @@ class YoungKernelConfig:
     k: int
     N: int
     table: OscillatoryTable
-    allow_large: bool = False
     _tuples: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_box(self.d, self.N, self.k)
-        cap = _N_CAPS.get((self.d, self.k), _DEFAULT_CAP)
-        if self.N > cap and not self.allow_large:
-            raise ConfigError(
-                f"N={self.N} exceeds the desk-scale cap {cap} for (d,k)=({self.d},{self.k}); "
-                "pass allow_large=True to override")
+        check_kernel_box(self.d, self.k, self.N)
         required = (2 * self.k + 2) * self.d * self.N * self.N
         if self.table.mu_max < required:
             raise ConfigError(

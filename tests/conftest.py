@@ -9,6 +9,7 @@ from modnls.spectral import SpectralState
 settings.register_profile(
     "modnls",
     deadline=None,
+    derandomize=True,
     max_examples=30,
     suppress_health_check=[HealthCheck.too_slow],
 )

@@ -1,11 +1,18 @@
 """In-process command-line interface tests."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modnls import _runtime, cli
 from modnls.cli import run_command
@@ -274,7 +281,7 @@ PLANE_WAVE = {"type": "plane_wave", "c": [0.02, 0.0], "m": 1}
     ("seed", {"init": {**RANDOM_INIT, "seed": "abc"}}),
     ("s", {"init": {**RANDOM_INIT, "s": "1"}}),
     ("H", {"path": {"kind": "fbm", "H": "0.5", "T": 0.1, "M": 16, "seed": 3}}),
-    ("allow_large", {"allow_large": "yes"}),
+    ("M", {"M": "16"}),
     ("c", {"init": {**PLANE_WAVE, "c": True}}),
     ("c", {"init": {**PLANE_WAVE, "c": "x"}}),
     ("c", {"init": {**PLANE_WAVE, "c": [0.02, 0.0, 0.0]}}),
@@ -298,8 +305,7 @@ def test_config_wrong_type_rejected(tmp_path, capsys, command, key, overrides):
 
 @pytest.mark.parametrize("c,m", [(0.02, [1]), (-0.01, 1), ([0, 0.02], [-1])])
 def test_plane_wave_number_and_list_forms(tmp_path, c, m):
-    cfg = write_config(tmp_path, init={**PLANE_WAVE, "c": c, "m": m},
-                       allow_large=False)
+    cfg = write_config(tmp_path, init={**PLANE_WAVE, "c": c, "m": m})
     assert run_command(["solve", "--config", cfg,
                         "--out", str(tmp_path / "x")]) == 0
 
@@ -334,3 +340,77 @@ def test_thread_variable_one_policy(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("YNLS_THREADS", "3")
     assert _runtime.resolve_threads() == 3
     assert _runtime.resolve_threads("2") == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "xnorm"])
+def test_oversized_box_refused_before_any_table(tmp_path, capsys, command):
+    # d=1, k=1, N=400 needs a 1.2e9-entry fold; the refusal comes from the
+    # box alone, so no Phi table (over 300 MB at this box) is allocated
+    if command == "solve":
+        argv = ["solve", "--config", write_config(tmp_path, N=400),
+                "--out", str(tmp_path / "x")]
+    else:
+        pcsv = tmp_path / "lin.csv"
+        assert run_command(["gen-path", "--kind", "linear", "--T", "0.5",
+                            "--M", "32", "--out", str(pcsv)]) == 0
+        capsys.readouterr()
+        argv = ["xnorm", "--path", str(pcsv), "--d", "1", "--k", "1",
+                "--N", "400", "--gamma", "0.55", "--s", "1.0",
+                "--out", str(tmp_path / "xn.json")]
+    tracemalloc.start()
+    try:
+        rc = run_command(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0], parse_constant=_reject_constant)
+    assert diag["error"] == "NumericsError"
+    assert "memory budget" in diag["message"]
+    assert peak < 20 * 2 ** 20
+
+
+_MISSING = object()
+_CONFIG_KEYS = ("d", "k", "N", "s", "gamma", "lambda", "rho", "T", "M",
+                "scheme", "path", "init", "tol", "max_iter")
+_NUMERIC_KEYS = tuple(k for k in _CONFIG_KEYS if k not in ("scheme", "path", "init"))
+_MUTATIONS = (
+    [(key, bad) for key in _CONFIG_KEYS for bad in ("1", [1], None, True)]
+    + [(key, v) for key in _NUMERIC_KEYS for v in (0, -1)]
+    + [(key, _MISSING) for key in _CONFIG_KEYS]
+    + [("scheme", "rk4"), ("N", 400), ("N", 10 ** 4)]
+)
+
+
+@settings(max_examples=27)
+@given(mutation=st.sampled_from(_MUTATIONS))
+@example(mutation=("N", 400))
+@example(mutation=("N", 10 ** 4))
+@example(mutation=("scheme", "rk4"))
+def test_cli_config_fuzz(mutation):
+    # one key of the base config mutated: the command either runs or fails
+    # with exit 2 or 3 and exactly one strict-JSON stderr line
+    key, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp))
+        cfg = read_json(path)
+        if value is _MISSING:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = run_command(["solve", "--config", path,
+                              "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 2, 3)
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert "Traceback" not in lines[0]
+        diag = json.loads(lines[0], parse_constant=_reject_constant)
+        assert set(diag) >= {"error", "message"}

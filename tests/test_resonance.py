@@ -117,9 +117,11 @@ def test_enumerate_A_matches_brute_force(lo, hi, mu, d):
 
 
 def test_enumeration_caps():
-    with pytest.raises(ConfigError, match="allow_large"):
-        enumerate_A(0, (-13, 13), d=1, k=2)
-    with pytest.raises(ConfigError, match="allow_large"):
+    # the candidate budget is the only guard: 29^5 > 2e7 free-slot
+    # candidates at (1, 2) and 23^8 at (2, 1) are refused before scanning
+    with pytest.raises(NumericsError, match="enumeration budget"):
+        enumerate_A(0, (-14, 14), d=1, k=2)
+    with pytest.raises(NumericsError, match="enumeration budget"):
         verify_counting_partition((-11, 11), d=2, k=1)
 
 

@@ -124,8 +124,6 @@ def test_nonlinearity_methods_agree():
     direct = direct_nonlinearity(factors, 1)
     fft = nonlinearity(factors, 1)
     np.testing.assert_allclose(direct.coeffs, fft.coeffs, atol=1e-13)
-    full = nonlinearity(factors, 1, truncate=False)
-    assert full.shape == (2 * 3 * 4 + 1,)
 
 
 def test_nonlinearity_validation():

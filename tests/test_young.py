@@ -3,24 +3,29 @@
 import numpy as np
 import pytest
 
-from modnls.errors import ConfigError
+from scipy.fft import next_fast_len
+
+from modnls import _fold, young
+from modnls.errors import ConfigError, NumericsError
 from modnls.paths import make_constant_path, make_fbm_path, make_linear_path
 from modnls.phi import build_phi_table
+from modnls.solver import SolverConfig, uniform_partition
 from modnls.spectral import (SpectralState, hs_norm, nonlinearity, random_state,
                              unit_mode)
 from modnls.young import (
     YoungKernelConfig,
     _tuple_count,
+    check_kernel_box,
     x_increment,
     x_norm_estimate,
 )
 from tests.conftest import duhamel_x_oracle, x_increment_direct
 
 
-def make_kernel(d, k, N, path, allow_large=False):
+def make_kernel(d, k, N, path):
     mu_max = (2 * k + 2) * d * N * N
     table = build_phi_table(path, mu_max)
-    return YoungKernelConfig(d=d, k=k, N=N, table=table, allow_large=allow_large)
+    return YoungKernelConfig(d=d, k=k, N=N, table=table)
 
 
 def test_worked_single_tuple_example():
@@ -53,7 +58,7 @@ def test_fold_and_direct_agree(d, k, N):
 @pytest.mark.parametrize("N", [2, 16, 32])
 def test_tuple_path_matches_oracles(N):
     path = make_fbm_path(0.5, 1.0, 32, seed=6)
-    cfg = make_kernel(1, 1, N, path, allow_large=True)
+    cfg = make_kernel(1, 1, N, path)
     assert cfg._tuples is not None
     rng = np.random.default_rng(23)
     states = [random_state(1, N, 0.5, seed=rng) for _ in range(3)]
@@ -174,12 +179,52 @@ def test_off_grid_times_rejected():
 
 
 def test_cap_guard_and_override():
+    # the fold budget is the only size rule: (1, 1, 33) is well inside it,
+    # (3, 3, 4) needs a 343 x 60^3 fft array and is refused up front
     path = make_linear_path(1.0, 2)
-    table = build_phi_table(path, mu_max=4 * 33 * 33)
-    with pytest.raises(ConfigError):
-        YoungKernelConfig(d=1, k=1, N=33, table=table)
-    cfg = YoungKernelConfig(d=1, k=1, N=33, table=table, allow_large=True)
-    assert cfg.N == 33
+    cfg = make_kernel(1, 1, 33, path)
+    assert cfg.N == 33 and cfg._tuples is not None
+    table = build_phi_table(path, mu_max=8 * 3 * 4 * 4)
+    with pytest.raises(NumericsError, match="memory budget"):
+        YoungKernelConfig(d=3, k=3, N=4, table=table)
+
+
+# largest N whose padded fold grid fits the fft entry budget
+_ADMITTED_MAX = {(1, 1): 130, (1, 2): 92, (1, 3): 73, (1, 4): 62,
+                 (2, 1): 20, (2, 2): 13, (2, 3): 10, (2, 4): 8,
+                 (3, 1): 7, (3, 2): 4, (3, 3): 3, (3, 4): 2}
+
+
+@pytest.mark.parametrize("d,k", sorted(_ADMITTED_MAX))
+def test_kernel_admission_is_the_fold_budget(monkeypatch, d, k):
+    # admitted iff the (2k+1)-slot fold's Q x P^d fft array fits the
+    # budget; the rule runs before any tuple or Phi table is built
+    def no_table(*args):
+        raise AssertionError("a table was built for the box")
+
+    monkeypatch.setattr(young, "_tuple_count", no_table)
+    monkeypatch.setattr(young, "_tuple_table", no_table)
+    empty = build_phi_table(make_linear_path(1.0, 1), 0)
+    m = 2 * k + 1
+    admitted = []
+    for N in range(1, _ADMITTED_MAX[d, k] + 2):
+        fits = (next_fast_len(m * d * N * N + 1) * next_fast_len(2 * m * N + 1) ** d
+                <= _fold._FFT_ENTRY_LIMIT)
+        solver_cfg = dict(d=d, k=k, N=N, s=2.0, gamma=0.6, lam=0.5, rho=1.0,
+                          T=1.0, partition=uniform_partition(1.0, 1))
+        if fits:
+            admitted.append(N)
+            check_kernel_box(d, k, N)
+            SolverConfig(**solver_cfg)
+            with pytest.raises(ConfigError, match="mu_max"):  # past the rule
+                YoungKernelConfig(d, k, N, empty)
+        else:
+            for refuse in (lambda: check_kernel_box(d, k, N),
+                           lambda: SolverConfig(**solver_cfg),
+                           lambda: YoungKernelConfig(d, k, N, empty)):
+                with pytest.raises(NumericsError, match="memory budget"):
+                    refuse()
+    assert admitted == list(range(1, _ADMITTED_MAX[d, k] + 1))
 
 
 def test_states_validation():
