@@ -5,12 +5,14 @@ Exit codes: 0 success, 2 configuration/validation or argument failure,
 budget or a non-finite result, with a strict-JSON diagnostic on stderr),
 64 missing or unknown subcommand.
 
-Thread handling: --threads (fallback: the YNLS_THREADS environment
-variable, read by _runtime, then all cores) is resolved before any
+Thread handling: --threads (default: all cores) is resolved before any
 numerical module is imported, so the BLAS thread variables set here
 actually take effect; the same count drives the FFT worker pool.
 Library code imported directly, without the CLI, stays single-threaded
 by default.
+
+solve and converge read the whole experiment from the JSON config; a
+key outside the README schema is a configuration error.
 
 This module deliberately imports only the standard library at the top
 level; numpy-heavy modules load inside the subcommand handlers.
@@ -34,13 +36,16 @@ _USAGE = ("usage: modnls {gen-path|irregularity|solve|converge|"
 
 
 def _resolve_threads(argv) -> int:
-    val = None
+    val = os.cpu_count() or 1
     for i, tok in enumerate(argv):
         if tok == "--threads" and i + 1 < len(argv):
             val = argv[i + 1]
         elif tok.startswith("--threads="):
             val = tok.split("=", 1)[1]
-    return _runtime.resolve_threads(val, os.cpu_count() or 1)
+    try:
+        return max(1, int(val))
+    except ValueError:
+        raise ConfigError(f"--threads expects an integer, got {val!r}") from None
 
 
 def _setup_threads(n: int) -> None:
@@ -115,8 +120,8 @@ def _cmd_irregularity(rest) -> int:
     args = p.parse_args(rest)
     from . import paths, phi
     path = paths.load_path_csv(args.path)
-    n_scales = max(1, int(math.floor(math.log2(max(2, path.M)))) - 1)
-    per_scale = max(1, round(args.pairs / n_scales))
+    scales = max(1, int(math.floor(math.log2(max(2, path.M)))) - 1)
+    per_scale = max(1, round(args.pairs / scales))
     pairs = phi.default_pairs(path, per_scale=per_scale)
     a_grid = phi.default_a_grid(args.amax)
     rep = phi.estimate_irregularity(path, args.gamma, args.amax,
@@ -127,9 +132,14 @@ def _cmd_irregularity(rest) -> int:
     return 0
 
 
-def _check_numbers(spec: dict, where: str, ints=(), reals=(), lists=()) -> None:
-    """ConfigError unless present keys hold integers (ints) or numbers (reals),
-    or for keys in `lists` non-empty lists of them; a bool is neither."""
+def _check_spec(spec: dict, where: str, ints=(), reals=(), lists=(),
+                other=()) -> None:
+    """ConfigError for a key outside ints, reals and other, or unless present
+    keys hold integers (ints) or numbers (reals), or for keys in `lists`
+    non-empty lists of them; a bool is neither."""
+    for key in spec:
+        if key not in (*ints, *reals, *other):
+            raise ConfigError(f"{where} has the unknown key {key!r}")
     for key in (*ints, *reals):
         val, kinds = spec.get(key, 0), int if key in ints else (int, float)
         items = val if key in lists and isinstance(val, list) and val else [val]
@@ -145,8 +155,8 @@ def _path_from_spec(spec):
     from . import paths
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("path spec must be an object with a 'kind'")
-    _check_numbers(spec, "path spec", ints=("seed",),
-                   reals=("T", "M", "H", "c", "eps"))
+    _check_spec(spec, "path spec", ints=("seed",),
+                reals=("T", "M", "H", "c", "eps"), other=("kind", "profile", "file"))
     kind = spec["kind"]
     try:
         if kind == "linear":
@@ -174,8 +184,8 @@ def _init_from_spec(spec, d: int, k: int, N: int):
     from . import solver, spectral
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("init spec must be an object with a 'type'")
-    _check_numbers(spec, "init spec", ints=("seed", "m"),
-                   reals=("s", "scale", "c"), lists=("c", "m"))
+    _check_spec(spec, "init spec", ints=("seed", "m"),
+                reals=("s", "scale", "c"), lists=("c", "m"), other=("type", "file"))
     try:
         if spec["type"] == "file":
             return spectral.load_state_csv(spec["file"])
@@ -195,7 +205,7 @@ def _init_from_spec(spec, d: int, k: int, N: int):
 
 
 def _load_experiment(args):
-    from . import paths, phi, solver, spectral
+    from . import phi, solver, young
 
     def non_finite(name):
         raise ConfigError(f"config {args.config} holds the non-finite number {name}")
@@ -207,19 +217,14 @@ def _load_experiment(args):
         raise ConfigError(f"cannot read config {args.config}: {e}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {args.config} must be a JSON object")
-    _check_numbers(raw, "config", ints=("d", "k", "N", "max_iter"),
-                   reals=("s", "gamma", "lambda", "lam", "rho", "T", "M", "tol"))
-    if getattr(args, "path", None):
-        path = paths.load_path_csv(args.path)
-    elif "path" in raw:
-        path = _path_from_spec(raw["path"])
-    else:
-        raise ConfigError("no modulation path: pass --path or a config path spec")
+    _check_spec(raw, "config", ints=("d", "k", "N", "max_iter"),
+                reals=("s", "gamma", "lambda", "rho", "T", "M", "tol"),
+                other=("scheme", "path", "init"))
+    path = _path_from_spec(raw.get("path"))
     try:
-        lam = raw["lambda"] if "lambda" in raw else raw["lam"]
         cfg = solver.SolverConfig(
             d=raw["d"], k=raw["k"], N=raw["N"], s=raw["s"],
-            gamma=raw["gamma"], lam=lam, rho=raw["rho"], T=raw["T"],
+            gamma=raw["gamma"], lam=raw["lambda"], rho=raw["rho"], T=raw["T"],
             partition=solver.uniform_partition(raw["T"], raw["M"]),
             scheme=raw.get("scheme", "picard"), tol=raw.get("tol", 1e-10),
             max_iter=raw.get("max_iter", 50))
@@ -227,19 +232,13 @@ def _load_experiment(args):
         raise ConfigError(f"config is missing key {e}")
     if abs(path.T - cfg.T) > 1e-12 * max(1.0, cfg.T):
         raise ConfigError(f"path horizon {path.T} differs from config T {cfg.T}")
-    if getattr(args, "init", None):
-        phi0 = spectral.load_state_csv(args.init)
-    elif "init" in raw:
-        phi0 = _init_from_spec(raw["init"], cfg.d, cfg.k, cfg.N)
-    else:
-        raise ConfigError("no initial data: pass --init or a config init spec")
+    phi0 = _init_from_spec(raw.get("init"), cfg.d, cfg.k, cfg.N)
     if (phi0.d, phi0.N) != (cfg.d, cfg.N):
         raise ConfigError(
             f"initial data box ({phi0.d}, {phi0.N}) does not match the "
             f"config ({cfg.d}, {cfg.N})")
-    mu_max = (2 * cfg.k + 2) * cfg.d * cfg.N * cfg.N
-    table = phi.build_phi_table(path, mu_max)
-    return cfg, path, phi0, table
+    table = phi.build_phi_table(path, young.table_mu_max(cfg.d, cfg.k, cfg.N))
+    return cfg, phi0, table
 
 
 def _run_scheme(cfg, phi0, table):
@@ -270,12 +269,10 @@ def _trajectory_report(cfg, traj) -> dict:
 def _cmd_solve(rest) -> int:
     p = _parser("solve")
     p.add_argument("--config", required=True)
-    p.add_argument("--path", default=None)
-    p.add_argument("--init", default=None)
     p.add_argument("--out", required=True)
     args = p.parse_args(rest)
     from . import spectral
-    cfg, path, phi0, table = _load_experiment(args)
+    cfg, phi0, table = _load_experiment(args)
     traj = _run_scheme(cfg, phi0, table)
     os.makedirs(args.out, exist_ok=True)
     width = max(4, len(str(len(traj.states) - 1)))
@@ -291,8 +288,6 @@ def _cmd_solve(rest) -> int:
 def _cmd_converge(rest) -> int:
     p = _parser("converge")
     p.add_argument("--config", required=True)
-    p.add_argument("--path", default=None)
-    p.add_argument("--init", default=None)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--out", required=True)
     args = p.parse_args(rest)
@@ -301,7 +296,7 @@ def _cmd_converge(rest) -> int:
     from . import solver, spectral
     if args.levels < 2:
         raise ConfigError("--levels must be at least 2")
-    cfg, path, phi0, table = _load_experiment(args)
+    cfg, phi0, table = _load_experiment(args)
     M = cfg.partition.size - 1
     if M % (1 << (args.levels - 1)):
         raise ConfigError(
@@ -398,8 +393,7 @@ def _cmd_xnorm(rest) -> int:
     from . import paths, phi, young
     young.check_kernel_box(args.d, args.k, args.N)
     path = paths.load_path_csv(args.path)
-    mu_max = (2 * args.k + 2) * args.d * args.N * args.N
-    table = phi.build_phi_table(path, mu_max)
+    table = phi.build_phi_table(path, young.table_mu_max(args.d, args.k, args.N))
     cfg = young.YoungKernelConfig(args.d, args.k, args.N, table)
     val = young.x_norm_estimate(cfg, args.gamma, args.s, args.trials,
                                 args.seed)

@@ -94,22 +94,24 @@ def make_fbm_path(H: float, T: float, M: int, seed: int) -> SamplePath:
     if M & (M - 1) != 0:
         raise ConfigError(f"fbm grid size M must be a power of two, got {M}")
     rng = np.random.default_rng(seed)
-    fgn, method = _fgn_unit_step(H, M, rng)
+    fgn = _fgn_unit_step(H, M, rng)
     values = np.concatenate([[0.0], np.cumsum(fgn)]) * (T / M) ** H
     values[0] = 0.0
     t = np.linspace(0.0, T, M + 1)
     return SamplePath(t_grid=t, values=values, kind="fbm",
-                      meta={"H": H, "seed": seed, "method": method})
+                      meta={"H": H, "seed": seed})
 
 
-def _fgn_unit_step(H: float, n: int, rng) -> tuple[np.ndarray, str]:
-    """n samples of unit-step fractional Gaussian noise."""
+def _fgn_unit_step(H: float, n: int, rng) -> np.ndarray:
+    """n samples of unit-step fractional Gaussian noise; NumericsError if the
+    circulant embedding is not nonnegative definite (never seen for H in (0, 1))."""
     k = np.arange(n + 1, dtype=float)
     gamma = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant embedding, length 2n
     lam = np.fft.fft(row).real
     if lam.min() < -1e-8 * lam.max():
-        return _fgn_covariance_sqrt(gamma[:n], n, rng), "covariance-sqrt"
+        raise NumericsError(
+            f"circulant embedding of fBm with H={H}, M={n} has a negative eigenvalue")
     lam = np.clip(lam, 0.0, None)
     u = rng.standard_normal(n + 1)
     v = rng.standard_normal(n - 1)
@@ -119,22 +121,7 @@ def _fgn_unit_step(H: float, n: int, rng) -> tuple[np.ndarray, str]:
     y[1:n] = np.sqrt(lam[1:n] / 2.0) * (u[1:n] + 1j * v)
     y[n + 1:] = np.conj(y[1:n][::-1])
     x = np.fft.fft(y).real / np.sqrt(2 * n)
-    return x[:n], "circulant"
-
-
-def _fgn_covariance_sqrt(gamma_head: np.ndarray, n: int, rng) -> np.ndarray:
-    """Fallback sampler through an explicit covariance square root."""
-    if n > 4096:
-        raise NumericsError(
-            f"circulant embedding failed and M={n} is too large for the dense fallback"
-        )
-    from scipy.linalg import toeplitz
-
-    cov = toeplitz(gamma_head)
-    eigval, eigvec = np.linalg.eigh(cov)
-    eigval = np.clip(eigval, 0.0, None)
-    root = eigvec * np.sqrt(eigval)
-    return root @ rng.standard_normal(n)
+    return x[:n]
 
 
 def make_modulated_path(profile, eps: float, T: float, M: int) -> SamplePath:

@@ -8,15 +8,18 @@ a segment from (t0, w0) with increment (dt, dw) contributes
 a midpoint phase times a real amplitude, free of cancellation as a dw -> 0.
 Phi at a list of times sums the segments between consecutive requested
 times and accumulates only those block sums. There is no quadrature error
-anywhere in this module, only splitting logic.
+anywhere in this module, only splitting logic. An OscillatoryTable holds
+Phi at the path's own nodes for the integer frequencies the kernel reads;
+it lives in memory only.
 
 The (rho, gamma)-irregularity norm
 
     sup_a sup_{s<t} (1+|a|)^rho |Phi_t(a) - Phi_s(a)| / (t-s)^gamma
 
 is estimated from below by maximizing over a finite frequency grid and a
-finite family of time pairs; reports carry the norm per frequency-cutoff
-doubling ("trend") so boundedness in a can be diagnosed from the slope.
+finite family of time pairs; reports carry the norm at five frequency
+cutoffs a_max / 2^j ("trend"), and a rho counts as bounded while the
+log-log slope of that trend stays below 0.05.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ __all__ = [
     "IrregularityReport",
     "phi_increment",
     "build_phi_table",
-    "save_table",
-    "load_table",
-    "export_table_csv",
     "estimate_irregularity",
     "default_a_grid",
     "default_pairs",
@@ -107,7 +107,6 @@ class OscillatoryTable:
     t_grid: np.ndarray
     mu_max: int
     values: np.ndarray  # shape (len(t_grid), 2*mu_max+1), column index mu + mu_max
-    path: SamplePath | None = None
 
     def phi(self, i_t: int, mu: int) -> complex:
         return complex(self.values[i_t, mu + self.mu_max])
@@ -129,8 +128,8 @@ class OscillatoryTable:
         raise KeyError(f"t={t} is not a table grid time")
 
 
-def build_phi_table(path: SamplePath, mu_max: int, t_grid=None) -> OscillatoryTable:
-    """Tabulate Phi on a grid (default: the path's own nodes).
+def build_phi_table(path: SamplePath, mu_max: int) -> OscillatoryTable:
+    """Tabulate Phi on the path's own nodes.
 
     Only mu >= 0 is computed; negative frequencies follow from
     Phi(-mu) = conj(Phi(mu)) since w is real.
@@ -138,38 +137,10 @@ def build_phi_table(path: SamplePath, mu_max: int, t_grid=None) -> OscillatoryTa
     if int(mu_max) != mu_max or mu_max < 0:
         raise ConfigError(f"mu_max must be a nonnegative integer, got {mu_max}")
     mu_max = int(mu_max)
-    if t_grid is None:
-        t_grid = path.t_grid.copy()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 1 or t_grid[0] != 0.0 or not np.all(np.diff(t_grid) > 0):
-        raise ConfigError("table grid must start at 0 and increase strictly")
-    if t_grid[-1] > path.T * (1 + 1e-12):
-        raise ConfigError("table grid extends beyond the path horizon")
+    t_grid = path.t_grid.copy()
     pos = _phi_at_times(path, np.arange(mu_max + 1), t_grid).T  # (n_t, mu_max+1)
     values = np.concatenate([np.conj(pos[:, :0:-1]), pos], axis=1)
-    return OscillatoryTable(t_grid=t_grid, mu_max=mu_max, values=values, path=path)
-
-
-def save_table(table: OscillatoryTable, filename) -> None:
-    np.savez(filename, t_grid=table.t_grid, mu_max=np.array(table.mu_max),
-             values=table.values)
-
-
-def load_table(filename) -> OscillatoryTable:
-    with np.load(filename) as data:
-        return OscillatoryTable(t_grid=data["t_grid"], mu_max=int(data["mu_max"]),
-                                values=data["values"])
-
-
-def export_table_csv(table: OscillatoryTable, filename) -> None:
-    """Interchange form: rows "t_index,mu,re,im"."""
-    n_t, n_mu = table.values.shape
-    ti, mu = np.meshgrid(np.arange(n_t), np.arange(n_mu) - table.mu_max,
-                         indexing="ij")
-    flat = table.values.ravel()
-    data = np.column_stack([ti.ravel(), mu.ravel(), flat.real, flat.imag])
-    np.savetxt(filename, data, fmt=["%d", "%d", "%.17g", "%.17g"],
-               delimiter=",", header="t_index,mu,re,im", comments="")
+    return OscillatoryTable(t_grid=t_grid, mu_max=mu_max, values=values)
 
 
 @dataclass
@@ -210,14 +181,12 @@ def default_a_grid(a_max: float) -> np.ndarray:
     return np.unique(np.concatenate([ints, interior[interior <= a_max]]))
 
 
-def default_pairs(path: SamplePath, per_scale: int = 8,
-                  n_scales: int | None = None) -> np.ndarray:
+def default_pairs(path: SamplePath, per_scale: int = 8) -> np.ndarray:
     """Dyadic family of (s, t) node pairs spanning T down to a few grid steps."""
     M = path.M
-    if n_scales is None:
-        n_scales = max(1, int(np.floor(np.log2(max(2, M)))) - 1)
+    scales = max(1, int(np.floor(np.log2(max(2, M)))) - 1)
     pairs = set()
-    for level in range(n_scales):
+    for level in range(scales):
         span = max(1, int(round(M / 2 ** level)))
         if span > M:
             span = M
@@ -248,14 +217,15 @@ def _ratio_profile(path: SamplePath, a_grid, pairs, gamma: float):
     return a, (dphi / span).max(axis=1)
 
 
-def estimate_irregularity(path: SamplePath, gamma: float, a_max: float,
-                          n_levels: int = 5, rho_grid=None, a_grid=None,
+def estimate_irregularity(path: SamplePath, gamma: float, a_max: float, *,
+                          rho_grid=None, a_grid=None,
                           pairs=None) -> list[IrregularityReport]:
     """Sweep rho at fixed gamma, sharing one frequency/pair profile.
 
-    Returns one report per rho; feed them to largest_bounded_rho to read
-    off the biggest exponent whose trend stays flat across cutoff
-    doublings. A one-entry rho_grid gives the single-rho report.
+    Returns one report per rho, its trend over five cutoffs a_max / 2^j;
+    feed them to largest_bounded_rho to read off the biggest exponent
+    whose trend stays flat across cutoff doublings. A one-entry rho_grid
+    gives the single-rho report.
     """
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
@@ -271,7 +241,7 @@ def estimate_irregularity(path: SamplePath, gamma: float, a_max: float,
         pairs = default_pairs(path)
     a, r_star = _ratio_profile(path, a_grid, pairs, gamma)
     a_top = float(a.max())
-    levels = [a_top / 2 ** j for j in range(n_levels - 1, -1, -1)]
+    levels = [a_top / 2 ** j for j in range(4, -1, -1)]
     reports = []
     for rho in rho_grid:
         weighted = (1.0 + a) ** rho * r_star  # >= 0, so 0 is the empty max
@@ -297,12 +267,7 @@ def trend_slope(report: IrregularityReport) -> float:
     return float(lx @ (ly - ly.mean()) / (lx @ lx))
 
 
-def largest_bounded_rho(reports: list[IrregularityReport],
-                        slope_threshold: float = 0.05) -> float | None:
-    """Largest swept rho whose trend slope stays below the threshold."""
-    best = None
-    for rep in reports:
-        if trend_slope(rep) < slope_threshold:
-            if best is None or rep.rho > best:
-                best = rep.rho
-    return best
+def largest_bounded_rho(reports: list[IrregularityReport]) -> float | None:
+    """Largest swept rho whose trend slope stays below 0.05."""
+    return max((rep.rho for rep in reports if trend_slope(rep) < 0.05),
+               default=None)

@@ -180,13 +180,12 @@ class CountingReport:
     mu_values: np.ndarray
     mu_counts: np.ndarray
     max_membership: int
-    violations: int
     cross_checked: int
     cross_check_ok: bool
 
     @property
     def identity_holds(self) -> bool:
-        return (self.violations == 0 and self.cross_check_ok
+        return (self.cross_check_ok
                 and int(self.mu_counts.sum()) == self.zero_sum_count
                 and (self.zero_sum_count == 0 or self.max_membership == 1))
 
@@ -199,7 +198,6 @@ class CountingReport:
             "mu_values": [int(v) for v in self.mu_values],
             "mu_counts": [int(v) for v in self.mu_counts],
             "max_membership": self.max_membership,
-            "violations": self.violations,
             "cross_checked": self.cross_checked,
             "cross_check_ok": self.cross_check_ok,
             "identity_holds": self.identity_holds,
@@ -219,12 +217,7 @@ def verify_counting_partition(box, d: int, k: int) -> CountingReport:
     total = _check_budget(slots_modes)
     counts: dict[int, int] = {}
     zero_sum_count = 0
-    violations = 0
     if total:
-        # attainable-mu scan window from per-slot square ranges
-        sq = [(f ** 2).sum(axis=1) for f in slots_modes]
-        scan_lo = sum(int(v.min()) for v in sq[0::2]) - sum(int(v.max()) for v in sq[1::2])
-        scan_hi = sum(int(v.max()) for v in sq[0::2]) - sum(int(v.min()) for v in sq[1::2])
         for _, n0, _, muv in _zero_sum_scan(slots_modes[1:], d):
             # slot 0 stays a loop: the tuple is zero-sum iff f0 is the forced n_0
             for f0 in slots_modes[0]:
@@ -232,8 +225,6 @@ def verify_counting_partition(box, d: int, k: int) -> CountingReport:
                 if not zero.any():
                     continue
                 mu_hit = muv[zero]
-                within = (mu_hit >= scan_lo) & (mu_hit <= scan_hi)
-                violations += int((~within).sum())
                 zero_sum_count += int(zero.sum())
                 vals, cnts = np.unique(mu_hit, return_counts=True)
                 for v, c in zip(vals, cnts):
@@ -259,8 +250,7 @@ def verify_counting_partition(box, d: int, k: int) -> CountingReport:
         d=d, k=k, bounds=bounds, total_tuples=int(total),
         zero_sum_count=zero_sum_count, mu_values=mu_values,
         mu_counts=mu_counts, max_membership=max_membership,
-        violations=violations, cross_checked=len(check_mus),
-        cross_check_ok=ok)
+        cross_checked=len(check_mus), cross_check_ok=ok)
 
 
 @dataclass
@@ -371,16 +361,13 @@ def _eq21_profile(rng: np.random.Generator, d: int, N: int, s: float) -> np.ndar
 
 
 def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
-                        q: int, N: int, trials: int, seed,
-                        allow_exploratory: bool = False) -> EstimateReport:
+                        q: int, N: int, trials: int, seed) -> EstimateReport:
     """Max LHS/RHS ratio of the eq21 bound over random nonnegative sequences."""
     _check_box(d, N, k)
     if int(trials) != trials or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials}")
-    if (d, k) == (1, 1) and not allow_exploratory:
-        raise ConfigError(
-            "(d, k) = (1, 1) is outside the proven range; pass "
-            "allow_exploratory=True to probe it anyway")
+    if (d, k) == (1, 1):
+        raise ConfigError("(d, k) = (1, 1) is outside the proven range")
     if not 0.0 <= rho <= 1.0:
         raise ConfigError(f"need 0 <= rho <= 1, got {rho}")
     if s <= d / 2 - rho / k:
@@ -476,10 +463,10 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
     return lhs, rhs, lhs / rhs
 
 
-def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> dict:
-    """First A(mu) member with every slot on its shell, for each attainable mu.
+def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> set:
+    """The mu whose class A(mu) has a member with every slot on its shell.
 
-    Returns {mu: modes}; NumericsError when the scan exceeds the budget.
+    NumericsError when the scan exceeds the budget.
     """
     modes_cube = mode_grid(d, Bmax).reshape(-1, d)
     frees = [modes_cube[m.ravel()] for m in masks[1:]]
@@ -488,14 +475,9 @@ def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> dict:
     # at most isqrt(4 N_0^2 - 2) <= Bmax, so n_0 lies inside the cube
     shell0 = nsq[masks[0]]
     lo0, hi0 = shell0.min(), shell0.max()
-    found: dict = {}
-    for a, n0, n0sq, muv in _zero_sum_scan(frees, d):
-        rows = np.flatnonzero((n0sq >= lo0) & (n0sq <= hi0))
-        mus, first = np.unique(muv.ravel()[rows], return_index=True)
-        for mu, r in zip(mus.tolist(), rows[first]):
-            if mu not in found:
-                row = np.unravel_index(r, muv.shape)
-                found[mu] = _scanned_modes(n0, frees, a, row)
+    found = set()
+    for _, _, n0sq, muv in _zero_sum_scan(frees, d):
+        found.update(np.unique(muv[(n0sq >= lo0) & (n0sq <= hi0)]).tolist())
     return found
 
 
@@ -554,10 +536,9 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     raises its NumericsError.
     """
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
-    wit = _shell_witnesses(masks, nsq, Bmax, d, k)
-    if not wit:
+    attained = sorted(_shell_witnesses(masks, nsq, Bmax, d, k))
+    if not attained:
         raise ConfigError("no resonant tuples on these blocks")
-    attained = sorted(wit)
     # four point masses pin exactly one tuple: lhs = 1, norms = 1
     floor = 1.0 / _block_rhs(blocks, s)
     best = {mu: floor for mu in attained}

@@ -176,16 +176,11 @@ def solve_euler_young(cfg: SolverConfig, phi0: SpectralState,
                       {"scheme": "euler_young"})
 
 
-def solve_picard(cfg: SolverConfig, phi0: SpectralState, table: OscillatoryTable,
-                 initial: Trajectory | None = None) -> Trajectory:
+def solve_picard(cfg: SolverConfig, phi0: SpectralState,
+                 table: OscillatoryTable) -> Trajectory:
     """Iterate whole trajectories until the C^{0,lambda} residual drops below tol."""
     p = cfg.partition
-    if initial is None:
-        old = [phi0.copy() for _ in range(p.size)]
-    else:
-        if initial.times.size != p.size:
-            raise ConfigError("initial trajectory does not match the partition")
-        old = [st.copy() for st in initial.states]
+    old = [phi0.copy() for _ in range(p.size)]
     kc = cfg.kernel(table)
     residuals: list[float] = []
     for m in range(cfg.max_iter):

@@ -16,6 +16,7 @@ slots, evaluated by zero-padded FFT.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,13 +41,21 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    try:
+        return not isinstance(v, (bool, np.bool_)) and operator.index(v) == v
+    except TypeError:
+        return False
+
+
 def _check_box(d: int, N: int, k: int | None = None) -> None:
     """Validate the dimension d, the mode cutoff N and, if given, the index k."""
-    if d not in (1, 2, 3):
+    if not _is_int(d) or d not in (1, 2, 3):
         raise ConfigError(f"dimension d must be 1, 2 or 3, got {d}")
-    if k is not None and (int(k) != k or k < 1):
+    if k is not None and (not _is_int(k) or k < 1):
         raise ConfigError(f"nonlinearity index k must be a positive integer, got {k}")
-    if int(N) != N or N < 1:
+    if not _is_int(N) or N < 1:
         raise ConfigError(f"mode cutoff N must be a positive integer, got {N}")
 
 

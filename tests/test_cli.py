@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modnls import _runtime, cli
+from modnls import cli
 from modnls.cli import run_command
-from modnls.errors import ConfigError, NumericsError
+from modnls.errors import NumericsError
 from modnls.paths import load_path_csv
 
 
@@ -143,7 +143,6 @@ def test_verify_estimates_counting(tmp_path):
     payload = read_json(out)
     assert payload["which"] == "counting"
     assert payload["identity_holds"] is True
-    assert payload["violations"] == 0
 
 
 def test_verify_estimates_eq21_smoke(tmp_path):
@@ -314,8 +313,8 @@ def test_init_state_non_finite_rejected(tmp_path, capsys):
     init = tmp_path / "init.csv"
     init.write_text("n_1,re,im\n0,nan,0\n")
     init.with_suffix(".json").write_text('{"d": 1, "N": 2}\n')
-    rc = run_command(["solve", "--config", write_config(tmp_path),
-                      "--init", str(init), "--out", str(tmp_path / "x")])
+    cfg = write_config(tmp_path, init={"type": "file", "file": str(init)})
+    rc = run_command(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -324,22 +323,31 @@ def test_init_state_non_finite_rejected(tmp_path, capsys):
     assert "non-finite" in diag["message"]
 
 
-def test_thread_variable_one_policy(tmp_path, capsys, monkeypatch):
+def test_thread_environment_variable_ignored(tmp_path, capsys, monkeypatch):
+    # --threads is the only thread setting; the environment cannot fail a run
     monkeypatch.setenv("YNLS_THREADS", "lots")
-    saved = _runtime._workers
-    _runtime.set_workers(None)
-    try:
-        with pytest.raises(ConfigError, match="YNLS_THREADS"):
-            _runtime.get_workers()
-    finally:
-        _runtime._workers = saved
     rc = run_command(["gen-path", "--kind", "linear", "--T", "1.0", "--M", "4",
                       "--out", str(tmp_path / "lin.csv")])
-    assert rc == 2
-    assert "YNLS_THREADS" in json.loads(capsys.readouterr().err)["message"]
-    monkeypatch.setenv("YNLS_THREADS", "3")
-    assert _runtime.resolve_threads() == 3
-    assert _runtime.resolve_threads("2") == 2
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("where,overrides,key", [
+    ("config", {"tolerance": 1e-3}, "tolerance"),
+    ("path spec", {"path": {"kind": "fbm", "hurst": 0.5, "T": 0.1, "M": 16,
+                            "seed": 3}}, "hurst"),
+    ("init spec", {"init": {**RANDOM_INIT, "sead": 1}}, "sead"),
+], ids=["config", "path", "init"])
+def test_unknown_config_key_rejected(tmp_path, capsys, where, overrides, key):
+    argv = ["solve", "--config", write_config(tmp_path, **overrides),
+            "--out", str(tmp_path / "x")]
+    assert run_command(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError"
+    assert diag["message"] == f"{where} has the unknown key {key!r}"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "xnorm"])
@@ -380,7 +388,7 @@ _MUTATIONS = (
     [(key, bad) for key in _CONFIG_KEYS for bad in ("1", [1], None, True)]
     + [(key, v) for key in _NUMERIC_KEYS for v in (0, -1)]
     + [(key, _MISSING) for key in _CONFIG_KEYS]
-    + [("scheme", "rk4"), ("N", 400), ("N", 10 ** 4)]
+    + [("scheme", "rk4"), ("N", 400), ("N", 10 ** 4), ("tolerance", 1e-3)]
 )
 
 

@@ -19,11 +19,8 @@ from modnls.phi import (
     default_a_grid,
     default_pairs,
     estimate_irregularity,
-    export_table_csv,
     largest_bounded_rho,
-    load_table,
     phi_increment,
-    save_table,
     trend_slope,
 )
 from tests.conftest import gl_phase_integral
@@ -190,21 +187,6 @@ def test_table_index_of_time():
     assert table.index_of_time(0.0) == 0
     with pytest.raises(KeyError):
         table.index_of_time(FBM.t_grid[17] + 0.3 * (FBM.t_grid[1] - FBM.t_grid[0]))
-
-
-def test_table_round_trip(tmp_path):
-    table = build_phi_table(FBM, mu_max=4)
-    fn = tmp_path / "table.npz"
-    save_table(table, fn)
-    back = load_table(fn)
-    assert back.mu_max == 4
-    np.testing.assert_allclose(back.values, table.values, atol=0)
-    np.testing.assert_allclose(back.t_grid, table.t_grid, atol=0)
-    csv = tmp_path / "table.csv"
-    export_table_csv(table, csv)
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "t_index,mu,re,im"
-    assert len(lines) == 1 + (FBM.M + 1) * 9  # header plus one row per (t, mu)
 
 
 def test_default_a_grid_shape():

@@ -137,7 +137,6 @@ def test_counting_partition_small_box():
     assert report.zero_sum_count == zero_sum
     assert report.total_tuples == 3 ** 4
     assert dict(zip(report.mu_values, report.mu_counts)) == per_mu
-    assert report.violations == 0
     assert report.max_membership == 1
     assert report.cross_check_ok
     assert report.identity_holds
@@ -177,7 +176,7 @@ def test_counting_report_json_keys():
     report = verify_counting_partition((0, 1), d=1, k=1)
     payload = report.to_json_dict()
     for key in ("d", "k", "bounds", "total_tuples", "zero_sum_count",
-                "mu_values", "mu_counts", "max_membership", "violations",
+                "mu_values", "mu_counts", "max_membership",
                 "cross_checked", "cross_check_ok", "identity_holds"):
         assert key in payload
 
@@ -255,9 +254,6 @@ def test_eq21_large_rho_dominated_by_resonant_stratum():
 def test_estimate_ratio_eq21_guards():
     with pytest.raises(ConfigError):
         estimate_ratio_eq21(1, 1, 1.0, 0.6, 0.0, 1, N=3, trials=2, seed=0)
-    rep = estimate_ratio_eq21(1, 1, 1.0, 0.6, 0.0, 1, N=3, trials=2, seed=0,
-                              allow_exploratory=True)
-    assert rep.ratio > 0
     with pytest.raises(ConfigError):
         estimate_ratio_eq21(2, 1, 1.5, 0.3, 0.0, 1, N=3, trials=2, seed=0)
     with pytest.raises(ConfigError):
@@ -407,10 +403,5 @@ def brute_shell_mus(masks, nsq, Bmax, d):
 @pytest.mark.parametrize("blocks,d", [((2, 2, 1, 1), 1), ((4, 4, 2, 2), 2)])
 def test_shell_witnesses_match_brute_force(blocks, d):
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, 1)
-    wit = _shell_witnesses(masks, nsq, Bmax, d, 1)
-    assert set(wit) == brute_shell_mus(masks, nsq, Bmax, d)
-    for mu, modes in wit.items():
-        tup = ResonanceTuple(modes, mu)
-        for n, mask in zip(tup.modes, masks):
-            assert np.all(np.abs(n) <= Bmax)
-            assert mask[tuple(n + Bmax)]
+    want = brute_shell_mus(masks, nsq, Bmax, d)
+    assert _shell_witnesses(masks, nsq, Bmax, d, 1) == want

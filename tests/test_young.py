@@ -11,7 +11,7 @@ from modnls.paths import make_constant_path, make_fbm_path, make_linear_path
 from modnls.phi import build_phi_table
 from modnls.solver import SolverConfig, uniform_partition
 from modnls.spectral import (SpectralState, hs_norm, nonlinearity, random_state,
-                             unit_mode)
+                             unit_mode, zero_state)
 from modnls.young import (
     YoungKernelConfig,
     _tuple_count,
@@ -228,6 +228,15 @@ def test_kernel_admission_is_the_fold_budget(monkeypatch, d, k):
 
 
 def test_states_validation():
+    # box sizes must be real integers: floats and bools are refused,
+    # numpy integers pass
+    for d, k, N in ((1, 1, 4.0), (1.0, 1, 4), (True, 1, 4), (1, True, 4),
+                    (1, 1, True)):
+        with pytest.raises(ConfigError):
+            check_kernel_box(d, k, N)
+    with pytest.raises(ConfigError):
+        zero_state(1, 4.0)
+    check_kernel_box(np.int64(1), np.int32(1), np.int64(4))
     path = make_linear_path(1.0, 8)
     cfg = make_kernel(1, 1, 2, path)
     good = [unit_mode(1, 2, 0) for _ in range(3)]
