@@ -16,7 +16,8 @@ Two backends produce identical tables:
   * fft: embeds each slot into a (d+1)-array with an integer q axis and
     convolves by zero-padded FFT; real input uses the real transform.
 
-Internal module: public callers go through young.py and resonance.py.
+Internal module: resonance.py folds through it, and young.py admits
+kernel boxes by its fft_grid size rule.
 """
 
 from __future__ import annotations
@@ -193,14 +194,15 @@ def fold_fft(slots: list[Slot], d: int) -> FoldResult:
 def fold(slots: list[Slot], d: int) -> FoldResult:
     """Dispatch between the dense and fft backends.
 
-    Predicts the dense cost from slot sparsity and falls back to fft
-    when it would blow the budget.
+    Predicts the dense cost as fold_dense pays it, slot j's nonzero count
+    times the accumulator built from the slots before it, and falls back
+    to fft when it would blow the budget.
     """
     if len(slots) < 1:
         raise ConfigError("fold needs at least one slot")
     N = _geometry(slots, d)[0]
     est = 0.0
-    for j, sl in enumerate(slots, start=1):
+    for j, sl in enumerate(slots):
         nnz = int(np.count_nonzero(sl.values))
         acc_size = (j * d * N * N + 1) * (2 * j * N + 1) ** d
         est += nnz * acc_size

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError
+from .spectral import _is_int
 
 __all__ = [
     "SamplePath",
@@ -205,5 +206,5 @@ def load_path_csv(filename) -> SamplePath:
 def _check_T_M(T: float, M: int) -> None:
     if not (T > 0 and np.isfinite(T)):
         raise ConfigError(f"horizon T must be positive and finite, got {T}")
-    if int(M) != M or M < 1:
+    if not _is_int(M) or M < 1:
         raise ConfigError(f"grid size M must be a positive integer, got {M}")

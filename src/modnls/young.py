@@ -13,19 +13,23 @@ precomputed OscillatoryTable. Two exact paths evaluate the sum:
     once per kernel config as int32 rows (slot indices, output index,
     Omega); each call gathers Phi increments and slot values and sums
     them into the output modes with np.bincount.
-  * fold: one q-bucketed convolution (_fold.fold) per call, contracted
-    by FoldResult.contract with the Phi increment of each bucket
-    Omega = |n|^2 - q.
+  * phases: for an output mode in the box the integer Omega lies in
+    [-R, R], R = (k+1) d N^2, so on that range the Phi increment is
+    exactly a sum of L >= 2R + 1 equispaced phases e^{i theta_l Omega},
+    theta_l = 2 pi l / L, with the DFT of the increments as weights.
+    Each phase is one free-Schroedinger conjugation
+    U^{-theta} N(U^{theta} psi_1, ..., U^{theta} psi_{2k+1}): the slot
+    product is taken in physical space on a padded P^d grid,
+    P >= (2k+2) N + 1, and cropped to |n_i| <= N.
 
-A box is admitted iff the fold can evaluate it: its padded FFT grid
-Q x P^d (_fold.fft_grid) fits the fold's entry budget. The rule depends
-on (d, k, N) alone, so the solver and the CLI apply it through
+A box is admitted iff the q-bucketed fold could evaluate it: its padded
+FFT grid Q x P^d (_fold.fft_grid) fits the fold's entry budget. The rule
+depends on (d, k, N) alone, so the solver and the CLI apply it through
 check_kernel_box before any Phi table is built; the largest admitted N
 is 130, 92, 20 and 7 for (d, k) = (1, 1), (1, 2), (2, 1), (3, 1). An
 admitted box takes the tuple path when its table needs no more bytes
-than the complex (q, n) fold table it replaces,
-count (2k+3) 4 <= ((2k+1) d N^2 + 1) (2(2k+1)N + 1)^d 16: every d=1,
-k=1 box, while k >= 2 or d >= 2 stays on the fold.
+than one complex phase-product array, count (2k+3) 4 <= L P^d 16: every
+d=1, k=1 box, while k >= 2 or d >= 2 takes the phases.
 
 With w identically zero every Phi increment equals t - s and X_{s;t}
 collapses to -i (t - s) times the plain nonlinearity.
@@ -36,20 +40,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import fft, fftn, ifftn, next_fast_len
 
-from ._fold import alternating_slots, fft_grid, fold
+from ._fold import fft_grid
+from ._runtime import get_workers
 from .errors import ConfigError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
-from .spectral import (SpectralState, _check_box, hs_norm, random_state,
-                       zero_state)
+from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm,
+                       random_state, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
            "x_norm_estimate"]
 
+# phase-product entries per theta chunk of the phase path: 2^14 complex
+# entries are 256 KB, so a chunk's few arrays stay in a 2 MB L2 cache
+_PHASE_CHUNK_ENTRIES = 1 << 14
+
 
 def check_kernel_box(d: int, k: int, N: int) -> None:
-    """ConfigError for a malformed box, NumericsError when the fold cannot evaluate it."""
+    """ConfigError for a malformed box, NumericsError when its fold grid exceeds the budget."""
     _check_box(d, N, k)
     fft_grid(2 * k + 1, d, N)
 
@@ -57,6 +67,12 @@ def check_kernel_box(d: int, k: int, N: int) -> None:
 def table_mu_max(d: int, k: int, N: int) -> int:
     """The Phi-table size rule: a kernel table on the box holds |mu| <= (2k+2) d N^2."""
     return (2 * k + 2) * d * N * N
+
+
+def _phase_grid(d: int, k: int, N: int) -> tuple[int, int, int]:
+    """(R, L, P): the in-box |Omega| bound, the phase count and the padded side."""
+    R = (k + 1) * d * N * N
+    return R, next_fast_len(2 * R + 1), next_fast_len((2 * k + 2) * N + 1)
 
 
 @dataclass
@@ -68,6 +84,7 @@ class YoungKernelConfig:
     N: int
     table: OscillatoryTable
     _tuples: np.ndarray | None = field(init=False, repr=False)
+    _phases: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         check_kernel_box(self.d, self.k, self.N)
@@ -76,10 +93,14 @@ class YoungKernelConfig:
             raise ConfigError(
                 f"table mu_max={self.table.mu_max} is too small for the mode box; "
                 f"need at least (2k+2) d N^2 = {required}")
-        d, m, N = self.d, self.n_factors, self.N
-        tuple_bytes = _tuple_count(d, self.k, N) * (m + 2) * 4
-        fold_bytes = (m * d * N * N + 1) * (2 * m * N + 1) ** d * 16
-        self._tuples = _tuple_table(d, self.k, N) if tuple_bytes <= fold_bytes else None
+        d, k, N = self.d, self.k, self.N
+        _, L, P = _phase_grid(d, k, N)
+        if _tuple_count(d, k, N) * (2 * k + 3) * 4 <= L * P ** d * 16:
+            self._tuples, self._phases = _tuple_table(d, k, N), None
+            return
+        # e^{-i theta_l |n|^2}; theta_l |n|^2 is reduced mod 2 pi in integers
+        turns = np.multiply.outer(np.arange(L), _sq_norms(d, N)) % L
+        self._tuples, self._phases = None, np.exp(-2j * np.pi / L * turns)
 
     @property
     def n_factors(self) -> int:
@@ -134,23 +155,61 @@ def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralS
     if i_s == i_t:
         return out
     dphi = cfg.table.increment(i_s, i_t)
-    slots = alternating_slots([st.coeffs for st in states])
     # written in place, not re-validated: an overflow to inf or NaN is
     # left for the solver's blow-up guard to report
-    if cfg._tuples is not None:
-        *slot_idx, out_idx, omega = cfg._tuples
-        # np.take: fancy indexing with int32 indices runs about 2x slower
-        terms = np.take(dphi, omega + cfg.table.mu_max)
-        for sl, idx in zip(slots, slot_idx):
-            terms *= np.take(sl.values.ravel(), idx)
-        size = out.coeffs.size
-        flat = (np.bincount(out_idx, terms.real, size)
-                + 1j * np.bincount(out_idx, terms.imag, size))
-        out.coeffs[...] = -1j * flat.reshape(out.coeffs.shape)
+    if cfg._tuples is None:
+        out.coeffs[...] = -1j * _phase_sum(cfg, dphi, states)
         return out
-    res = fold(slots, cfg.d).crop_spatial(cfg.N)
-    out.coeffs[...] = -1j * res.contract(dphi, cfg.table.mu_max)
+    *slot_idx, out_idx, omega = cfg._tuples
+    # np.take: fancy indexing with int32 indices runs about 2x slower
+    terms = np.take(dphi, omega + cfg.table.mu_max)
+    for j, (st, idx) in enumerate(zip(states, slot_idx)):
+        vals = st.coeffs.ravel() if j % 2 == 0 else np.conj(st.coeffs).ravel()
+        terms *= np.take(vals, idx)
+    size = out.coeffs.size
+    flat = (np.bincount(out_idx, terms.real, size)
+            + 1j * np.bincount(out_idx, terms.imag, size))
+    out.coeffs[...] = -1j * flat.reshape(out.coeffs.shape)
     return out
+
+
+def _phase_sum(cfg: YoungKernelConfig, dphi: np.ndarray, states) -> np.ndarray:
+    """sum_l c_l e^{i theta_l |n|^2} [prod_j slot_j(theta_l)]^(n) on |n_i| <= N.
+
+    w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L give
+    dPhi(Omega) = sum_l c_l e^{i theta_l Omega} on every in-box Omega.
+    Slot j at theta is the physical field of U^{theta} psi_j, conjugated
+    on even slots, so each distinct state costs one inverse transform per
+    phase and the product one forward transform. theta runs in chunks of
+    at most _PHASE_CHUNK_ENTRIES product entries.
+    """
+    d, N, mu = cfg.d, cfg.N, cfg.table.mu_max
+    R, L, P = _phase_grid(d, cfg.k, N)
+    w = np.zeros(L, dtype=complex)
+    w[:R + 1] = dphi[mu:mu + R + 1]
+    w[L - R:] = dphi[mu - R:mu]
+    c = fft(w) / L
+    # mode n sits at index n + N of the padded input and, because the
+    # product holds one more plain than conjugate field, of the output
+    axes = tuple(range(1, d + 1))
+    crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
+    rows = max(1, _PHASE_CHUNK_ENTRIES // P ** d)
+    acc = np.zeros((2 * N + 1,) * d, dtype=complex)
+    for lo in range(0, L, rows):
+        phases = cfg._phases[lo:lo + rows]
+        fields: dict[int, np.ndarray] = {}
+        prod = None
+        for j, st in enumerate(states):
+            f = fields.get(id(st))
+            if f is None:
+                f = fields[id(st)] = ifftn(phases * st.coeffs, s=(P,) * d, axes=axes,
+                                           norm="forward", workers=get_workers())
+            if j % 2:
+                f = np.conj(f)
+            prod = f if prod is None else prod * f
+        spec = fftn(prod, axes=axes, norm="forward", workers=get_workers())[crop]
+        acc += np.tensordot(c[lo:lo + rows], np.conj(phases) * spec, axes=1)
+    return acc
 
 
 def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,

@@ -350,6 +350,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys, where, overrides, key):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "fbm", "H": 0.5, "T": 0.1, "M": 16.0, "seed": 3},
+    {"kind": "linear", "T": 0.1, "M": 16.0},
+], ids=["fbm", "linear"])
+def test_integral_float_grid_size_rejected(tmp_path, capsys, spec):
+    # a grid size must be a real integer; 16.0 used to reach the path
+    # generators and end in a TypeError traceback
+    argv = ["solve", "--config", write_config(tmp_path, path=spec),
+            "--out", str(tmp_path / "x")]
+    assert run_command(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError"
+    assert "grid size M" in diag["message"]
+
+
 @pytest.mark.parametrize("command", ["solve", "xnorm"])
 def test_oversized_box_refused_before_any_table(tmp_path, capsys, command):
     # d=1, k=1, N=400 needs a 1.2e9-entry fold; the refusal comes from the

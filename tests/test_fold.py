@@ -190,3 +190,25 @@ def test_slot_validation():
         fold([Slot(np.ones((5, 5)), 1)], 1)
     with pytest.raises(ConfigError):
         fold([Slot(np.ones(4), 1)], 1)  # even side has no centre mode
+
+
+@pytest.mark.parametrize("N,nnz,pick", [
+    (16, (1089, 1, 1), "dense"),  # a full first slot costs one pass
+    (7, (148, 36, 36), "dense"),  # the eq26 shells of blocks (4, 4, 2, 2)
+    (16, (1089, 1089, 1089), "fft"),
+])
+def test_dispatch_prices_the_accumulator_before_each_slot(monkeypatch, N, nnz, pick):
+    # fold_dense pays nnz_j times the accumulator built from slots 1..j-1
+    d = 2
+    slots = []
+    for j, count in enumerate(nnz):
+        vals = np.zeros((2 * N + 1,) * d)
+        vals.ravel()[:count] = 1.0 + j
+        slots.append(Slot(vals, 1 if j % 2 == 0 else -1))
+    picked = []
+    monkeypatch.setattr(_fold, "fold_dense", lambda s, d: picked.append("dense"))
+    monkeypatch.setattr(_fold, "fold_fft", lambda s, d: picked.append("fft"))
+    fold(slots, d)
+    cost = sum(c * (j * d * N * N + 1) * (2 * j * N + 1) ** d for j, c in enumerate(nnz))
+    assert picked == [pick]
+    assert (cost <= _fold._DENSE_OP_LIMIT / 4) == (pick == "dense")

@@ -7,13 +7,15 @@ from scipy.fft import next_fast_len
 
 from modnls import _fold, young
 from modnls.errors import ConfigError, NumericsError
-from modnls.paths import make_constant_path, make_fbm_path, make_linear_path
+from modnls.paths import (SamplePath, make_constant_path, make_fbm_path,
+                          make_linear_path, make_modulated_path)
 from modnls.phi import build_phi_table
 from modnls.solver import SolverConfig, uniform_partition
-from modnls.spectral import (SpectralState, hs_norm, nonlinearity, random_state,
-                             unit_mode, zero_state)
+from modnls.spectral import (SpectralState, conj_state, hs_norm, nonlinearity,
+                             random_state, resonance_offset, unit_mode, zero_state)
 from modnls.young import (
     YoungKernelConfig,
+    _phase_grid,
     _tuple_count,
     check_kernel_box,
     x_increment,
@@ -43,7 +45,7 @@ def test_worked_single_tuple_example():
 
 
 @pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2), (1, 2, 2)])
-def test_fold_and_direct_agree(d, k, N):
+def test_phases_and_direct_agree(d, k, N):
     path = make_fbm_path(0.5, 1.0, 32, seed=6)
     cfg = make_kernel(d, k, N, path)
     rng = np.random.default_rng(17)
@@ -83,7 +85,8 @@ def _brute_tuple_count(d, k, N):
 
 @pytest.mark.parametrize("d,k,N,path_name", [
     (1, 1, 2, "tuples"), (1, 1, 16, "tuples"), (1, 1, 32, "tuples"),
-    (1, 2, 2, "fold"), (2, 1, 2, "fold"), (2, 1, 4, "fold"), (3, 1, 2, "fold"),
+    (1, 2, 2, "phases"), (2, 1, 2, "phases"), (2, 1, 4, "phases"),
+    (3, 1, 2, "phases"),
 ])
 def test_kernel_path_selection(d, k, N, path_name):
     path = make_linear_path(1.0, 2)
@@ -93,10 +96,129 @@ def test_kernel_path_selection(d, k, N, path_name):
         assert cfg._tuples is not None
         assert cfg._tuples.dtype == np.int32
         assert cfg._tuples.shape == (2 * k + 3, count)
+        assert cfg._phases is None
     else:
         assert cfg._tuples is None
+        assert cfg._phases.shape == (_phase_grid(d, k, N)[1],) + (2 * N + 1,) * d
     if (2 * N + 1) ** (d * (2 * k + 1)) <= 600_000:
         assert count == _brute_tuple_count(d, k, N)
+
+
+def test_every_admitted_d1_k1_box_takes_tuples():
+    # the byte rule against one L x P phase-product array keeps the whole
+    # admitted d=1, k=1 range on tuples
+    for N in range(1, _ADMITTED_MAX[1, 1] + 1):
+        _, L, P = _phase_grid(1, 1, N)
+        assert _tuple_count(1, 1, N) * 5 * 4 <= L * P * 16
+
+
+def _clock(kind):
+    T, M = 0.5, 64
+    if kind == "linear":
+        return make_linear_path(T, M)
+    if kind == "constant":
+        return make_constant_path(0.7, T, M)
+    if kind == "modulated":
+        return make_modulated_path([1.0, 3.0, -0.5, 2.0], 0.25, T, M)
+    return make_fbm_path(0.3, T, M, seed=11)
+
+
+def _corner_state(d, N):
+    """A state on 0 and the 2^d corners: for k = 1 its tuples reach Omega = -R and +R."""
+    st = unit_mode(d, N, [0] * d, 0.8 - 0.3j)
+    for c, signs in enumerate(np.ndindex(*(2,) * d)):
+        st.coeffs[tuple(0 if sg else 2 * N for sg in signs)] = 0.5 + 0.2j * c
+    return st
+
+
+def _fold_oracle(cfg, s, t, states):
+    """-i times the q-bucketed fold contracted with the Phi increments."""
+    dphi = cfg.table.increment(cfg.table.index_of_time(s), cfg.table.index_of_time(t))
+    slots = _fold.alternating_slots([st.coeffs for st in states])
+    res = _fold.fold(slots, cfg.d).crop_spatial(cfg.N)
+    return -1j * res.contract(dphi, cfg.table.mu_max)
+
+
+def _assert_rel(got, want, rel):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+# boxes the phase path takes; (2, 2, 2) has 25^5 tuples, beyond the
+# direct oracle's enumeration limit, so the fold checks it alone
+@pytest.mark.parametrize("clock", ["linear", "constant", "modulated", "fbm"])
+@pytest.mark.parametrize("d,k,N", [(1, 2, 2), (2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                   (3, 1, 2), (2, 2, 2)])
+def test_phase_path_matches_oracles(d, k, N, clock):
+    path = _clock(clock)
+    cfg = make_kernel(d, k, N, path)
+    assert cfg._phases is not None
+    rng = np.random.default_rng(100 * d + 10 * k + N)
+    psi = random_state(d, N, 0.5, seed=rng)
+    distinct = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
+    i, j = sorted(rng.choice(path.M + 1, size=2, replace=False))
+    s, t = path.t_grid[i], path.t_grid[j]
+    for states in ([psi] * (2 * k + 1), distinct):
+        got = x_increment(cfg, s, t, states).coeffs
+        _assert_rel(got, _fold_oracle(cfg, s, t, states), 1e-12)
+        if (d, k, N) != (2, 2, 2):
+            _assert_rel(got, x_increment_direct(cfg, s, t, states).coeffs, 1e-12)
+
+
+@pytest.mark.parametrize("d,k,N", [(2, 1, 2), (2, 1, 3), (1, 2, 2)])
+def test_phase_path_reaches_both_offset_ends(d, k, N, monkeypatch):
+    # L >= 2R + 1 phases keep Omega = +R and -R apart; the corner state
+    # attains both ends for k = 1. A 7-phase chunk does not divide L, so
+    # the last chunk is a partial one.
+    R, L, P = _phase_grid(d, k, N)
+    assert L % 7 != 0
+    monkeypatch.setattr(young, "_PHASE_CHUNK_ENTRIES", 7 * P ** d)
+    path = make_fbm_path(0.3, 0.5, 64, seed=12)
+    cfg = make_kernel(d, k, N, path)
+    psi = _corner_state(d, N)
+    if k == 1:
+        support = [np.array(m) - N for m in np.argwhere(psi.coeffs != 0)]
+        offsets = {resonance_offset(a - b + c, [a, b, c])
+                   for a in support for b in support for c in support
+                   if np.all(np.abs(a - b + c) <= N)}
+        assert min(offsets) == -R and max(offsets) == R
+    rng = np.random.default_rng(5)
+    for states in ([psi] * (2 * k + 1),
+                   [psi] + [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k)]):
+        s, t = path.t_grid[0], path.t_grid[64]
+        got = x_increment(cfg, s, t, states).coeffs
+        _assert_rel(got, x_increment_direct(cfg, s, t, states).coeffs, 1e-12)
+        _assert_rel(got, _fold_oracle(cfg, s, t, states), 1e-12)
+
+
+def _negated(path):
+    return SamplePath(path.t_grid, -path.values, path.kind, offset=-path.offset)
+
+
+# one box per kernel path: (1, 1, 3) takes tuples, (2, 1, 2) phases
+@pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2)])
+def test_gauge_reflection_conjugation_invariants(d, k, N):
+    path = make_fbm_path(0.4, 0.5, 32, seed=19)
+    cfg = make_kernel(d, k, N, path)
+    assert (cfg._tuples is not None) == (d == 1)
+    rng = np.random.default_rng(31)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
+    s, t = path.t_grid[4], path.t_grid[27]
+    base = x_increment(cfg, s, t, states).coeffs
+    scale = np.abs(base).max()
+    # gauge: k+1 plain and k conjugate slots leave one factor e^{ia}
+    a = 0.83
+    gauged = [SpectralState(d, N, np.exp(1j * a) * st.coeffs) for st in states]
+    np.testing.assert_allclose(x_increment(cfg, s, t, gauged).coeffs,
+                               np.exp(1j * a) * base, atol=1e-13 * scale)
+    # reflection n -> -n keeps every Omega
+    flipped = [SpectralState(d, N, np.flip(st.coeffs)) for st in states]
+    np.testing.assert_allclose(x_increment(cfg, s, t, flipped).coeffs,
+                               np.flip(base), atol=1e-13 * scale)
+    # conjugation: X^w(conj psi) = -conj(X^{-w}(psi)), as Phi_{-w}(mu) = Phi_w(-mu)
+    neg = make_kernel(d, k, N, _negated(path))
+    want = conj_state(SpectralState(d, N, x_increment(neg, s, t, states).coeffs))
+    got = x_increment(cfg, s, t, [conj_state(st) for st in states]).coeffs
+    np.testing.assert_allclose(got, -want.coeffs, atol=1e-13 * scale)
 
 
 def test_quadrature_oracle_agreement():
@@ -123,7 +245,7 @@ def test_frozen_clock_reduces_to_nonlinearity():
     np.testing.assert_allclose(got.coeffs, expected, atol=1e-13)
 
 
-# one box per kernel path: d=1, k=1 contracts tuples, d=2 folds
+# one box per kernel path: d=1, k=1 contracts tuples, d=2 sums phases
 @pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2)])
 def test_increment_additivity_and_zero_width(d, k, N):
     path = make_fbm_path(0.5, 1.0, 32, seed=2)
