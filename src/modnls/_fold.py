@@ -16,8 +16,8 @@ Two backends produce identical tables:
   * fft: embeds each slot into a (d+1)-array with an integer q axis and
     convolves by zero-padded FFT; real input uses the real transform.
 
-Internal module: resonance.py folds through it, and young.py admits
-kernel boxes by its fft_grid size rule.
+Internal module: resonance.py folds through it for the eq21, eq26 and
+eq27 probes.
 """
 
 from __future__ import annotations
@@ -147,27 +147,17 @@ def fold_dense(slots: list[Slot], d: int) -> FoldResult:
     return FoldResult(acc, acc_qlo, acc_R, d)
 
 
-def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
-    """Padded q and spatial FFT lengths (Q, P) of an m-slot fold on |n_i| <= N.
-
-    The size rule of every fold: NumericsError when the Q x P^d array
-    exceeds _FFT_ENTRY_LIMIT entries.
-    """
-    Q = next_fast_len(m * d * N * N + 1)
-    P = next_fast_len(2 * m * N + 1)
-    if Q * P ** d > _FFT_ENTRY_LIMIT:
-        raise NumericsError(
-            f"fft fold array of {Q} x {P}^{d} entries exceeds the memory budget "
-            f"of {_FFT_ENTRY_LIMIT:.0e}; shrink the box")
-    return Q, P
-
-
 def fold_fft(slots: list[Slot], d: int) -> FoldResult:
+    """NumericsError when the padded Q x P^d array exceeds _FFT_ENTRY_LIMIT entries."""
     N, q_lo, q_hi = _geometry(slots, d)
     m = len(slots)
     q_full = q_hi - q_lo + 1
     s_full = 2 * m * N + 1
-    Q, P = fft_grid(m, d, N)
+    Q, P = next_fast_len(q_full), next_fast_len(s_full)
+    if Q * P ** d > _FFT_ENTRY_LIMIT:
+        raise NumericsError(
+            f"fft fold array of {Q} x {P}^{d} entries exceeds the memory budget "
+            f"of {_FFT_ENTRY_LIMIT:.0e}; shrink the box")
     all_real = all(not np.iscomplexobj(sl.values) for sl in slots)
     shape = (Q,) + (P,) * d
     sq = _sq_norms(d, N)

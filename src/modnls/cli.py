@@ -1,9 +1,10 @@
 """Command-line front end: path generation, solves, and estimate reports.
 
-Exit codes: 0 success, 2 configuration/validation or argument failure,
-3 numerical failure (blow-up, non-convergence, a box over its size
-budget or a non-finite result, with a strict-JSON diagnostic on stderr),
-64 missing or unknown subcommand.
+Exit codes: 0 success, 2 configuration/validation or argument failure
+(an unreadable input or unwritable output file included), 3 numerical
+failure (blow-up, non-convergence, a box over its size budget or a
+non-finite result, with a strict-JSON diagnostic on stderr), 64 missing
+or unknown subcommand.
 
 Thread handling: --threads (default: all cores) is resolved before any
 numerical module is imported, so the BLAS thread variables set here
@@ -427,8 +428,9 @@ def run_command(argv) -> int:
     try:
         _setup_threads(_resolve_threads(argv))
         return _HANDLERS[argv[0]](argv[1:])
-    except ValueError as e:
-        # a ConfigError, or bad numeric input surfaced below the config layer
+    except (ValueError, OSError) as e:
+        # a ConfigError, bad numeric input surfaced below the config layer,
+        # or a file named on the command line that cannot be read or written
         sys.stderr.write(json.dumps(_diag(e)) + "\n")
         return 2
     except NumericsError as e:

@@ -108,14 +108,6 @@ class OscillatoryTable:
     mu_max: int
     values: np.ndarray  # shape (len(t_grid), 2*mu_max+1), column index mu + mu_max
 
-    def phi(self, i_t: int, mu: int) -> complex:
-        return complex(self.values[i_t, mu + self.mu_max])
-
-    def column(self, mu: int) -> np.ndarray:
-        if abs(mu) > self.mu_max:
-            raise KeyError(f"|mu|={abs(mu)} exceeds table mu_max={self.mu_max}")
-        return self.values[:, mu + self.mu_max]
-
     def increment(self, i_s: int, i_t: int) -> np.ndarray:
         """Phi_{t}(mu) - Phi_{s}(mu) over all tabulated mu."""
         return self.values[i_t] - self.values[i_s]

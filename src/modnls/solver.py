@@ -113,16 +113,6 @@ class Trajectory:
         if self.times.size != len(self.states):
             raise ConfigError("times and states lengths differ")
 
-    @property
-    def M(self) -> int:
-        return self.times.size - 1
-
-    def state_at(self, t: float) -> SpectralState:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, self.times[-1]):
-            raise KeyError(f"t={t} is not a trajectory time")
-        return self.states[i]
-
 
 def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
                    table: OscillatoryTable) -> SpectralState:

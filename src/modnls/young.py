@@ -22,14 +22,14 @@ precomputed OscillatoryTable. Two exact paths evaluate the sum:
     product is taken in physical space on a padded P^d grid,
     P >= (2k+2) N + 1, and cropped to |n_i| <= N.
 
-A box is admitted iff the q-bucketed fold could evaluate it: its padded
-FFT grid Q x P^d (_fold.fft_grid) fits the fold's entry budget. The rule
-depends on (d, k, N) alone, so the solver and the CLI apply it through
-check_kernel_box before any Phi table is built; the largest admitted N
-is 130, 92, 20 and 7 for (d, k) = (1, 1), (1, 2), (2, 1), (3, 1). An
-admitted box takes the tuple path when its table needs no more bytes
-than one complex phase-product array, count (2k+3) 4 <= L P^d 16: every
-d=1, k=1 box, while k >= 2 or d >= 2 takes the phases.
+The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
+is admitted iff the phase path's L x P^d entries fit the budget
+_PHASE_ENTRY_LIMIT. The rule depends on (d, k, N) alone, so the solver
+and the CLI apply it through check_kernel_box before any Phi table is
+built; the largest admitted N is 134, 103, 23 and 8 for (d, k) = (1, 1),
+(1, 2), (2, 1), (3, 1). A Phi table needs the window |mu| <= R. d=1, k=1
+boxes contract tuples, the faster path there; every other box sums
+phases.
 
 With w identically zero every Phi increment equals t - s and X_{s;t}
 collapses to -i (t - s) times the plain nonlinearity.
@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, fftn, ifftn, next_fast_len
 
-from ._fold import fft_grid
 from ._runtime import get_workers
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
 from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm,
@@ -56,17 +55,23 @@ __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment
 # phase-product entries per theta chunk of the phase path: 2^14 complex
 # entries are 256 KB, so a chunk's few arrays stay in a 2 MB L2 cache
 _PHASE_CHUNK_ENTRIES = 1 << 14
+# admission budget on the L x P^d entries the phase path transforms
+_PHASE_ENTRY_LIMIT = 4e7
 
 
 def check_kernel_box(d: int, k: int, N: int) -> None:
-    """ConfigError for a malformed box, NumericsError when its fold grid exceeds the budget."""
+    """ConfigError for a malformed box, NumericsError when its phase grid exceeds the budget."""
     _check_box(d, N, k)
-    fft_grid(2 * k + 1, d, N)
+    _, L, P = _phase_grid(d, k, N)
+    if L * P ** d > _PHASE_ENTRY_LIMIT:
+        raise NumericsError(
+            f"kernel phase grid of {L} x {P}^{d} entries exceeds the memory budget "
+            f"of {_PHASE_ENTRY_LIMIT:.0e}; shrink the box")
 
 
 def table_mu_max(d: int, k: int, N: int) -> int:
-    """The Phi-table size rule: a kernel table on the box holds |mu| <= (2k+2) d N^2."""
-    return (2 * k + 2) * d * N * N
+    """The Phi-table size rule: a kernel table on the box holds |mu| <= R."""
+    return _phase_grid(d, k, N)[0]
 
 
 def _phase_grid(d: int, k: int, N: int) -> tuple[int, int, int]:
@@ -88,14 +93,13 @@ class YoungKernelConfig:
 
     def __post_init__(self):
         check_kernel_box(self.d, self.k, self.N)
-        required = table_mu_max(self.d, self.k, self.N)
-        if self.table.mu_max < required:
+        d, k, N = self.d, self.k, self.N
+        R, L, _ = _phase_grid(d, k, N)
+        if self.table.mu_max < R:
             raise ConfigError(
                 f"table mu_max={self.table.mu_max} is too small for the mode box; "
-                f"need at least (2k+2) d N^2 = {required}")
-        d, k, N = self.d, self.k, self.N
-        _, L, P = _phase_grid(d, k, N)
-        if _tuple_count(d, k, N) * (2 * k + 3) * 4 <= L * P ** d * 16:
+                f"need at least R = (k+1) d N^2 = {R}")
+        if (d, k) == (1, 1):
             self._tuples, self._phases = _tuple_table(d, k, N), None
             return
         # e^{-i theta_l |n|^2}; theta_l |n|^2 is reduced mod 2 pi in integers
@@ -105,21 +109,6 @@ class YoungKernelConfig:
     @property
     def n_factors(self) -> int:
         return 2 * self.k + 1
-
-
-def _tuple_count(d: int, k: int, N: int) -> int:
-    """Number of in-box tuples: the per-dimension signed-sum count to the power d.
-
-    Per dimension, the count is the number of (n_1..n_{2k+1}) in
-    [-N, N]^{2k+1} whose signed sum lands in [-N, N]; the signs do not
-    matter on a symmetric range.
-    """
-    ones = np.ones(2 * N + 1, dtype=np.int64)
-    ways = ones
-    for _ in range(2 * k):
-        ways = np.convolve(ways, ones)
-    centre = (2 * k + 1) * N
-    return int(ways[centre - N:centre + N + 1].sum()) ** d
 
 
 def _tuple_table(d: int, k: int, N: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from modnls import cli
 from modnls.cli import run_command
 from modnls.errors import NumericsError
-from modnls.paths import load_path_csv
+from modnls.paths import load_path_csv, make_linear_path, save_path_csv
 
 
 def read_json(path):
@@ -369,8 +369,9 @@ def test_integral_float_grid_size_rejected(tmp_path, capsys, spec):
 
 @pytest.mark.parametrize("command", ["solve", "xnorm"])
 def test_oversized_box_refused_before_any_table(tmp_path, capsys, command):
-    # d=1, k=1, N=400 needs a 1.2e9-entry fold; the refusal comes from the
-    # box alone, so no Phi table (over 300 MB at this box) is allocated
+    # d=1, k=1, N=400 needs a 1.0e9-entry phase grid; the refusal comes
+    # from the box alone, so no Phi table (over 300 MB at this box) is
+    # allocated
     if command == "solve":
         argv = ["solve", "--config", write_config(tmp_path, N=400),
                 "--out", str(tmp_path / "x")]
@@ -409,17 +410,51 @@ _MUTATIONS = (
 )
 
 
-@settings(max_examples=27)
-@given(mutation=st.sampled_from(_MUTATIONS))
-@example(mutation=("N", 400))
-@example(mutation=("N", 10 ** 4))
-@example(mutation=("scheme", "rk4"))
-def test_cli_config_fuzz(mutation):
-    # one key of the base config mutated: the command either runs or fails
-    # with exit 2 or 3 and exactly one strict-JSON stderr line
-    key, value = mutation
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(Path(tmp))
+# flag changes for the other commands, applied to base arguments that
+# run: converge at 2 levels, xnorm on a linear clock and eq21 on the box
+# of test_verify_estimates_eq21_smoke; values are spelled --flag=value,
+# so argparse reads -1e9 as a value
+_BASE_FLAGS = {
+    "converge": {"--levels": "2"},
+    "xnorm": {"--path": "lin.csv", "--d": "1", "--k": "1", "--N": "2",
+              "--gamma": "0.55", "--s": "1.0", "--trials": "2"},
+    "verify-estimates": {"--which": "eq21", "--d": "2", "--k": "1", "--N": "2",
+                         "--s": "0.3", "--trials": "2"},
+}
+_FLAG_POOLS = {
+    "converge": {"--levels": ("0", "1", "3", "5", "6")},
+    "xnorm": {"--path": ("absent.csv",), "--d": ("0", "4"), "--k": ("0", "2"),
+              "--N": ("0", "-3", "24"), "--gamma": ("0", "1.5", "nan"),
+              "--s": ("nan", "inf", "-1e9"), "--trials": ("0", "-1"),
+              "--seed": ("-1",)},
+    "verify-estimates": {"--which": ("counting", "eq26", "eq27"),
+                         "--d": ("0", "1", "4"), "--k": ("0", "2"),
+                         "--N": ("0", "400"), "--rho": ("0", "-1"),
+                         "--s": ("nan", "inf", "-1e9"), "--sprime": ("-5", "nan"),
+                         "--q": ("0", "7"), "--trials": ("0",), "--seed": ("-1",)},
+}
+# one past the largest admitted d=1, k=1 box, with a path file that does
+# not exist: the box is refused before the file is read
+_PAST_MAX = ("xnorm", {"--N": "135", "--path": "absent.csv"})
+_FUZZ_CASES = (
+    [("solve", m) for m in _MUTATIONS]
+    + [(cmd, {flag: v}) for cmd, pool in _FLAG_POOLS.items()
+       for flag, values in pool.items() for v in values]
+    + [("verify-estimates", {"--which": w, flag: v})
+       for w, flag, v in (("eq26", "--blocks", "2,1"), ("eq26", "--blocks", "a,b"),
+                          ("eq26", "--blocks", "0,2,2,2"), ("eq27", "--blocks", "3,1,1,1"),
+                          ("eq26", "--mu", "1000"), ("eq26", "--mu", "-3"),
+                          ("counting", "--N", "400"))]
+    + [_PAST_MAX]
+)
+
+
+def _fuzz_argv(tmp, command, change):
+    """argv of one fuzz case: a solve config with one key mutated, or a
+    command's base flags with `change` applied."""
+    if command == "solve":
+        key, value = change
+        path = write_config(tmp)
         cfg = read_json(path)
         if value is _MISSING:
             cfg.pop(key, None)
@@ -427,11 +462,32 @@ def test_cli_config_fuzz(mutation):
             cfg[key] = value
         with open(path, "w") as fh:
             json.dump(cfg, fh)
+        return ["solve", "--config", path, "--out", str(tmp / "out")]
+    flags = {**_BASE_FLAGS[command], **change, "--out": str(tmp / "out")}
+    if command == "converge":
+        flags["--config"] = write_config(tmp)
+    if command == "xnorm":
+        save_path_csv(make_linear_path(0.5, 32), tmp / "lin.csv")
+        flags["--path"] = str(tmp / flags["--path"])
+    return [command] + [f"{flag}={v}" for flag, v in flags.items()]
+
+
+# enough examples for the derandomised search to exhaust the 147 cases
+@settings(max_examples=200)
+@given(case=st.sampled_from(_FUZZ_CASES))
+@example(case=("solve", ("N", 400)))
+@example(case=("solve", ("N", 10 ** 4)))
+@example(case=("solve", ("scheme", "rk4")))
+@example(case=_PAST_MAX)
+def test_cli_config_fuzz(case):
+    # one config key or one flag mutated: the command either runs or
+    # fails with exit 2 or 3 and exactly one strict-JSON stderr line
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _fuzz_argv(Path(tmp), *case)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rc = run_command(["solve", "--config", path,
-                              "--out", os.path.join(tmp, "out")])
+            rc = run_command(argv)
     assert rc in (0, 2, 3)
     if rc:
         lines = err.getvalue().splitlines()
@@ -439,3 +495,5 @@ def test_cli_config_fuzz(mutation):
         assert "Traceback" not in lines[0]
         diag = json.loads(lines[0], parse_constant=_reject_constant)
         assert set(diag) >= {"error", "message"}
+    if case == _PAST_MAX:
+        assert rc == 3 and "memory budget" in diag["message"]

@@ -175,10 +175,6 @@ def test_table_matches_phi_increment():
         for mu in range(-6, 7):
             direct = phi_increment(FBM, mu, FBM.t_grid[i_s], FBM.t_grid[i_t])
             assert inc[mu + 6] == pytest.approx(direct, abs=1e-13)
-    assert table.phi(5, 2) == table.values[5, 8]
-    np.testing.assert_array_equal(table.column(-3), table.values[:, 3])
-    with pytest.raises(KeyError):
-        table.column(7)
 
 
 def test_table_index_of_time():

@@ -185,16 +185,6 @@ def test_c0lambda_distance():
         c0lambda_distance(ta, tc, 0.5, 0.0)
 
 
-def test_trajectory_state_at():
-    times = uniform_partition(1.0, 4)
-    states = [unit_mode(1, 1, 0, amplitude=float(i)) for i in range(5)]
-    traj = Trajectory(times, states)
-    assert traj.M == 4
-    assert traj.state_at(0.5)[0] == 2.0
-    with pytest.raises(KeyError):
-        traj.state_at(0.37)
-
-
 def test_young_integral_splits():
     path = make_fbm_path(0.5, 0.5, 16, seed=13)
     cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 16))

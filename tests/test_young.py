@@ -16,8 +16,8 @@ from modnls.spectral import (SpectralState, conj_state, hs_norm, nonlinearity,
 from modnls.young import (
     YoungKernelConfig,
     _phase_grid,
-    _tuple_count,
     check_kernel_box,
+    table_mu_max,
     x_increment,
     x_norm_estimate,
 )
@@ -91,25 +91,14 @@ def _brute_tuple_count(d, k, N):
 def test_kernel_path_selection(d, k, N, path_name):
     path = make_linear_path(1.0, 2)
     cfg = make_kernel(d, k, N, path)
-    count = _tuple_count(d, k, N)
     if path_name == "tuples":
         assert cfg._tuples is not None
         assert cfg._tuples.dtype == np.int32
-        assert cfg._tuples.shape == (2 * k + 3, count)
+        assert cfg._tuples.shape == (2 * k + 3, _brute_tuple_count(d, k, N))
         assert cfg._phases is None
     else:
         assert cfg._tuples is None
         assert cfg._phases.shape == (_phase_grid(d, k, N)[1],) + (2 * N + 1,) * d
-    if (2 * N + 1) ** (d * (2 * k + 1)) <= 600_000:
-        assert count == _brute_tuple_count(d, k, N)
-
-
-def test_every_admitted_d1_k1_box_takes_tuples():
-    # the byte rule against one L x P phase-product array keeps the whole
-    # admitted d=1, k=1 range on tuples
-    for N in range(1, _ADMITTED_MAX[1, 1] + 1):
-        _, L, P = _phase_grid(1, 1, N)
-        assert _tuple_count(1, 1, N) * 5 * 4 <= L * P * 16
 
 
 def _clock(kind):
@@ -188,6 +177,27 @@ def test_phase_path_reaches_both_offset_ends(d, k, N, monkeypatch):
         got = x_increment(cfg, s, t, states).coeffs
         _assert_rel(got, x_increment_direct(cfg, s, t, states).coeffs, 1e-12)
         _assert_rel(got, _fold_oracle(cfg, s, t, states), 1e-12)
+
+
+@pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 2)])
+def test_window_table_drives_both_paths(d, k, N):
+    # a Phi table of exactly the in-box window |mu| <= R gives the bits
+    # of a (2k+2) d N^2 table on either path, the corner state reaching
+    # Omega = -R and +R for k = 1; one column fewer is refused
+    R = (k + 1) * d * N * N
+    assert table_mu_max(d, k, N) == R
+    path = make_fbm_path(0.3, 0.5, 64, seed=12)
+    cfg = YoungKernelConfig(d, k, N, build_phi_table(path, R))
+    wide = make_kernel(d, k, N, path)
+    assert (cfg._tuples is not None) == ((d, k) == (1, 1))
+    psi = _corner_state(d, N)
+    rng = np.random.default_rng(8)
+    for states in ([psi] * (2 * k + 1),
+                   [psi] + [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k)]):
+        got = x_increment(cfg, 0.0, path.T, states).coeffs
+        np.testing.assert_array_equal(got, x_increment(wide, 0.0, path.T, states).coeffs)
+    with pytest.raises(ConfigError, match="mu_max"):
+        YoungKernelConfig(d, k, N, build_phi_table(path, R - 1))
 
 
 def _negated(path):
@@ -300,38 +310,42 @@ def test_off_grid_times_rejected():
         x_increment(cfg, 0.0, 0.33, states)
 
 
-def test_cap_guard_and_override():
-    # the fold budget is the only size rule: (1, 1, 33) is well inside it,
-    # (3, 3, 4) needs a 343 x 60^3 fft array and is refused up front
+def test_cap_guard():
+    # the phase budget is the only size rule: (1, 1, 33) is well inside
+    # it, (3, 3, 4) needs 385 x 33^3 = 1.4e7 entries and (3, 3, 5) needs
+    # 625 x 45^3 = 5.7e7, refused up front
     path = make_linear_path(1.0, 2)
     cfg = make_kernel(1, 1, 33, path)
     assert cfg.N == 33 and cfg._tuples is not None
-    table = build_phi_table(path, mu_max=8 * 3 * 4 * 4)
+    check_kernel_box(3, 3, 4)
+    table = build_phi_table(path, mu_max=table_mu_max(3, 3, 5))
     with pytest.raises(NumericsError, match="memory budget"):
-        YoungKernelConfig(d=3, k=3, N=4, table=table)
+        YoungKernelConfig(d=3, k=3, N=5, table=table)
 
 
-# largest N whose padded fold grid fits the fft entry budget
-_ADMITTED_MAX = {(1, 1): 130, (1, 2): 92, (1, 3): 73, (1, 4): 62,
-                 (2, 1): 20, (2, 2): 13, (2, 3): 10, (2, 4): 8,
-                 (3, 1): 7, (3, 2): 4, (3, 3): 3, (3, 4): 2}
+# largest N whose L x P^d phase grid fits the entry budget
+_ADMITTED_MAX = {(1, 1): 134, (1, 2): 103, (1, 3): 85, (1, 4): 73,
+                 (2, 1): 23, (2, 2): 17, (2, 3): 13, (2, 4): 11,
+                 (3, 1): 8, (3, 2): 5, (3, 3): 4, (3, 4): 4}
 
 
 @pytest.mark.parametrize("d,k", sorted(_ADMITTED_MAX))
 def test_kernel_admission_is_the_fold_budget(monkeypatch, d, k):
-    # admitted iff the (2k+1)-slot fold's Q x P^d fft array fits the
-    # budget; the rule runs before any tuple or Phi table is built
+    # admitted iff the phase path's L x P^d entries fit the budget, with
+    # R = (k+1) d N^2, L = next_fast_len(2R + 1) and
+    # P = next_fast_len((2k+2) N + 1); the rule runs before any tuple or
+    # Phi table is built (the name dates from when kernel boxes were
+    # admitted by the fold's budget)
     def no_table(*args):
         raise AssertionError("a table was built for the box")
 
-    monkeypatch.setattr(young, "_tuple_count", no_table)
     monkeypatch.setattr(young, "_tuple_table", no_table)
     empty = build_phi_table(make_linear_path(1.0, 1), 0)
-    m = 2 * k + 1
     admitted = []
     for N in range(1, _ADMITTED_MAX[d, k] + 2):
-        fits = (next_fast_len(m * d * N * N + 1) * next_fast_len(2 * m * N + 1) ** d
-                <= _fold._FFT_ENTRY_LIMIT)
+        R = (k + 1) * d * N * N
+        fits = (next_fast_len(2 * R + 1) * next_fast_len((2 * k + 2) * N + 1) ** d
+                <= 4e7)
         solver_cfg = dict(d=d, k=k, N=N, s=2.0, gamma=0.6, lam=0.5, rho=1.0,
                           T=1.0, partition=uniform_partition(1.0, 1))
         if fits:
