@@ -13,8 +13,9 @@ bucket is what turns resonance-weighted sums (weights depending on
 Two backends produce identical tables:
   * dense: explicit shift-accumulate over nonzero slot entries; cheap for
     sparse slots (shells, point masses) and small grids.
-  * fft: embeds each slot into a (d+1)-array with an integer q axis and
-    convolves by zero-padded FFT; real input uses the real transform.
+  * fft: sum_q T[q, n] e^{-i theta q} at Q equispaced theta is a product
+    of free-Schroedinger phased slot fields (spectral._phase_products, the
+    kernel's primitive); one inverse DFT over theta recovers T.
 
 Internal module: resonance.py folds through it for the eq21, eq26 and
 eq27 probes.
@@ -25,14 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, ifftn, irfftn, next_fast_len, rfftn
+from scipy.fft import ifft, irfft, next_fast_len
 
 from ._runtime import get_workers
 from .errors import ConfigError, NumericsError
-from .spectral import _sq_norms
+from .spectral import _check_phase_grid, _phase_products, _sq_norms
 
 _DENSE_OP_LIMIT = 4e7
-_FFT_ENTRY_LIMIT = 4e7
+# phase-product entries per theta chunk of fold_fft
+_PHASE_CHUNK_ENTRIES = 1 << 18
 # table entries per row chunk of FoldResult.contract
 _CONTRACT_CHUNK_ENTRIES = 1 << 18
 
@@ -94,37 +96,28 @@ class FoldResult:
 
 def alternating_slots(values) -> list[Slot]:
     """Slots of signs +, -, +, ... with the even (1-based) slots conjugated."""
-    return [Slot(v, 1) if j % 2 == 0 else Slot(np.conj(v), -1)
+    return [Slot(v, 1) if j % 2 == 0 else Slot(v if np.isrealobj(v) else np.conj(v), -1)
             for j, v in enumerate(values)]
 
 
-def _geometry(slots: list[Slot], d: int):
+def _cutoff(slots: list[Slot], d: int) -> int:
     N = (slots[0].values.shape[0] - 1) // 2
     for sl in slots:
         if sl.values.ndim != d or sl.values.shape[0] != 2 * N + 1:
             raise ConfigError("all slots must share dimension and cutoff")
-    dn2 = d * N * N
-    q_lo = sum(-dn2 for sl in slots if sl.sign < 0)
-    q_hi = sum(+dn2 for sl in slots if sl.sign > 0)
-    return N, q_lo, q_hi
-
-
-def _oriented(slot: Slot) -> np.ndarray:
-    """Values reindexed by the additive variable m = zeta * n."""
-    return slot.values if slot.sign > 0 else np.flip(slot.values)
+    return N
 
 
 def fold_dense(slots: list[Slot], d: int) -> FoldResult:
-    N, q_lo, q_hi = _geometry(slots, d)
+    N = _cutoff(slots, d)
     sq = _sq_norms(d, N)
-    all_real = all(not np.iscomplexobj(sl.values) for sl in slots)
-    dtype = float if all_real else complex
+    dtype = float if all(np.isrealobj(sl.values) for sl in slots) else complex
     acc = np.zeros((1,) + (1,) * d, dtype=dtype)
     acc[(0,) * (d + 1)] = 1.0
     acc_qlo, acc_R = 0, 0
     ops = 0.0
     for sl in slots:
-        vals = _oriented(sl)
+        vals = sl.values if sl.sign > 0 else np.flip(sl.values)  # indexed by zeta n
         nz = np.argwhere(vals != 0)
         new_R = acc_R + N
         if sl.sign > 0:
@@ -147,38 +140,38 @@ def fold_dense(slots: list[Slot], d: int) -> FoldResult:
     return FoldResult(acc, acc_qlo, acc_R, d)
 
 
+def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
+    """(Q, P) of an m-slot fft fold; NumericsError past the phase-grid budget."""
+    Q, P = next_fast_len(m * d * N * N + 1), next_fast_len(2 * m * N + 1)
+    _check_phase_grid("fft fold", Q, P, d)
+    return Q, P
+
+
 def fold_fft(slots: list[Slot], d: int) -> FoldResult:
-    """NumericsError when the padded Q x P^d array exceeds _FFT_ENTRY_LIMIT entries."""
-    N, q_lo, q_hi = _geometry(slots, d)
-    m = len(slots)
-    q_full = q_hi - q_lo + 1
-    s_full = 2 * m * N + 1
-    Q, P = next_fast_len(q_full), next_fast_len(s_full)
-    if Q * P ** d > _FFT_ENTRY_LIMIT:
-        raise NumericsError(
-            f"fft fold array of {Q} x {P}^{d} entries exceeds the memory budget "
-            f"of {_FFT_ENTRY_LIMIT:.0e}; shrink the box")
-    all_real = all(not np.iscomplexobj(sl.values) for sl in slots)
-    shape = (Q,) + (P,) * d
-    sq = _sq_norms(d, N)
-    dn2 = d * N * N
-    spec = None
-    for sl in slots:
-        vals = _oriented(sl)
-        # q offset within the slot: sigma|m|^2 shifted to start at 0
-        qi = (sq if sl.sign > 0 else dn2 - sq).ravel()
-        embed = np.zeros((dn2 + 1,) + vals.shape,
-                         dtype=float if all_real else complex)
-        np.add.at(embed.reshape(dn2 + 1, -1), (qi, np.arange(vals.size)),
-                  vals.ravel())
-        f = (rfftn(embed, s=shape, workers=get_workers()) if all_real
-             else fftn(embed, s=shape, workers=get_workers()))
-        spec = f if spec is None else spec * f
-        del embed, f
-    conv = (irfftn(spec, s=shape, workers=get_workers()) if all_real
-            else ifftn(spec, workers=get_workers()))
-    sl_out = (slice(0, q_full),) + (slice(0, s_full),) * d
-    return FoldResult(np.ascontiguousarray(conv[sl_out]), q_lo, m * N, d)
+    """F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} by phase products, inverted over l."""
+    N, m = _cutoff(slots, d), len(slots)
+    Q, P = fft_grid(m, d, N)
+    real = all(np.isrealobj(sl.values) for sl in slots)
+    # a sign -1 slot is the conjugate field of its conjugated values; real
+    # values are their own conjugate, so slots sharing an array share a transform
+    sources = [sl.values if sl.sign > 0 or real else np.conj(sl.values) for sl in slots]
+    conj = [sl.sign < 0 for sl in slots]
+    q_lo = -d * N * N * sum(conj)
+    # output mode n sits at index (n + (#plus - #minus) N) mod P
+    idx = (np.arange(-m * N, m * N + 1) + sum(sl.sign for sl in slots) * N) % P
+    crop = (slice(None),) + np.ix_(*[idx] * d)
+    ls = np.arange(Q // 2 + 1 if real else Q)
+    rows = max(1, _PHASE_CHUNK_ENTRIES // P ** d)
+    spec = np.empty((ls.size,) + (idx.size,) * d, dtype=complex)
+    for lo in range(0, ls.size, rows):
+        turns = np.multiply.outer(ls[lo:lo + rows], _sq_norms(d, N)) % Q
+        spec[lo:lo + rows] = _phase_products(sources, conj,
+                                             np.exp(-2j * np.pi / Q * turns), P, crop)
+    # e^{2 pi i l q_lo / Q} moves row 0 of the inverse to q = q_lo
+    spec *= np.exp(2j * np.pi / Q * (ls * q_lo % Q)).reshape((-1,) + (1,) * d)
+    table = (irfft(spec, Q, axis=0, workers=get_workers()) if real
+             else ifft(spec, axis=0, workers=get_workers()))
+    return FoldResult(table[:m * d * N * N + 1], q_lo, m * N, d)
 
 
 def fold(slots: list[Slot], d: int) -> FoldResult:
@@ -190,7 +183,7 @@ def fold(slots: list[Slot], d: int) -> FoldResult:
     """
     if len(slots) < 1:
         raise ConfigError("fold needs at least one slot")
-    N = _geometry(slots, d)[0]
+    N = _cutoff(slots, d)
     est = 0.0
     for j, sl in enumerate(slots):
         nnz = int(np.count_nonzero(sl.values))

@@ -1,10 +1,10 @@
 """Command-line front end: path generation, solves, and estimate reports.
 
 Exit codes: 0 success, 2 configuration/validation or argument failure
-(an unreadable input or unwritable output file included), 3 numerical
-failure (blow-up, non-convergence, a box over its size budget or a
-non-finite result, with a strict-JSON diagnostic on stderr), 64 missing
-or unknown subcommand.
+(an unreadable input or unwritable output file, a missing or unparsable
+flag included), 3 numerical failure (blow-up, non-convergence, a box
+over its size budget or a non-finite result), each with one strict-JSON
+diagnostic on stderr, 64 missing or unknown subcommand.
 
 Thread handling: --threads (default: all cores) is resolved before any
 numerical module is imported, so the BLAS thread variables set here
@@ -81,8 +81,13 @@ def _diag(exc) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one JSON line with exit 2, not usage text
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser(cmd: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"modnls {cmd}")
+    p = _Parser(prog=f"modnls {cmd}")
     p.add_argument("--threads", type=int, default=None,
                    help="worker count (already applied; listed for --help)")
     return p

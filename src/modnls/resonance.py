@@ -23,7 +23,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from ._fold import alternating_slots, fold
+from ._fold import alternating_slots, fft_grid, fold
 from .errors import ConfigError, NumericsError
 from .spectral import _check_box, _sq_norms, mode_grid
 
@@ -364,6 +364,7 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
                         q: int, N: int, trials: int, seed) -> EstimateReport:
     """Max LHS/RHS ratio of the eq21 bound over random nonnegative sequences."""
     _check_box(d, N, k)
+    fft_grid(2 * k + 1, d, N)  # trial 0 has full support and folds by fft
     if int(trials) != trials or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials}")
     if (d, k) == (1, 1):

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import fftn, ifftn, next_fast_len
 
-from .errors import ConfigError
+from ._runtime import get_workers
+from .errors import ConfigError, NumericsError
 
 __all__ = [
     "SpectralState",
@@ -57,6 +58,33 @@ def _check_box(d: int, N: int, k: int | None = None) -> None:
         raise ConfigError(f"nonlinearity index k must be a positive integer, got {k}")
     if not _is_int(N) or N < 1:
         raise ConfigError(f"mode cutoff N must be a positive integer, got {N}")
+
+
+_PHASE_ENTRY_LIMIT = 4e7  # admitted phases x P^d entries of a phase-product sum
+
+
+def _check_phase_grid(what: str, n_phases: int, P: int, d: int) -> None:
+    """NumericsError when n_phases x P^d exceeds the phase-grid budget."""
+    if n_phases * P ** d > _PHASE_ENTRY_LIMIT:
+        raise NumericsError(f"{what} phase grid of {n_phases} x {P}^{d} entries exceeds "
+                            f"the memory budget of {_PHASE_ENTRY_LIMIT:.0e}; shrink the box")
+
+
+def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarray:
+    """Cropped spectra of prod_j f_j, one per phase row: f_j is the P^d-padded
+    field of phases * sources[j] (index i at frequency i), conjugated where
+    conj[j] is set. A source array filling several slots costs one inverse FFT."""
+    axes = tuple(range(1, phases.ndim))
+    fields: dict[int, np.ndarray] = {}
+    prod = None
+    for src, cj in zip(sources, conj):
+        f = fields.get(id(src))
+        if f is None:
+            f = fields[id(src)] = ifftn(phases * src, s=(P,) * len(axes), axes=axes,
+                                        norm="forward", workers=get_workers())
+        f = np.conj(f) if cj else f
+        prod = f if prod is None else prod * f
+    return fftn(prod, axes=axes, norm="forward", workers=get_workers())[crop]
 
 
 def _mode_index(n, d: int, N: int, error=ConfigError) -> tuple[int, ...]:

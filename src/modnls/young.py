@@ -20,16 +20,17 @@ precomputed OscillatoryTable. Two exact paths evaluate the sum:
     Each phase is one free-Schroedinger conjugation
     U^{-theta} N(U^{theta} psi_1, ..., U^{theta} psi_{2k+1}): the slot
     product is taken in physical space on a padded P^d grid,
-    P >= (2k+2) N + 1, and cropped to |n_i| <= N.
+    P >= (2k+2) N + 1, and cropped to |n_i| <= N, by
+    spectral._phase_products, which the fold's fft backend shares.
 
 The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
 is admitted iff the phase path's L x P^d entries fit the budget
-_PHASE_ENTRY_LIMIT. The rule depends on (d, k, N) alone, so the solver
-and the CLI apply it through check_kernel_box before any Phi table is
-built; the largest admitted N is 134, 103, 23 and 8 for (d, k) = (1, 1),
-(1, 2), (2, 1), (3, 1). A Phi table needs the window |mu| <= R. d=1, k=1
-boxes contract tuples, the faster path there; every other box sums
-phases.
+spectral._PHASE_ENTRY_LIMIT, shared with the fft fold. The rule depends
+on (d, k, N) alone, so the solver and the CLI apply it through
+check_kernel_box before any Phi table is built; the largest admitted N
+is 134, 103, 23 and 8 for (d, k) = (1, 1), (1, 2), (2, 1), (3, 1). A
+Phi table needs the window |mu| <= R. d=1, k=1 boxes contract tuples,
+the faster path there; every other box sums phases.
 
 With w identically zero every Phi increment equals t - s and X_{s;t}
 collapses to -i (t - s) times the plain nonlinearity.
@@ -40,14 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, fftn, ifftn, next_fast_len
+from scipy.fft import fft, next_fast_len
 
-from ._runtime import get_workers
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
-from .spectral import (SpectralState, _check_box, _sq_norms, hs_norm,
-                       random_state, zero_state)
+from .spectral import (SpectralState, _check_box, _check_phase_grid, _phase_products,
+                       _sq_norms, hs_norm, random_state, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
            "x_norm_estimate"]
@@ -55,18 +55,13 @@ __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment
 # phase-product entries per theta chunk of the phase path: 2^14 complex
 # entries are 256 KB, so a chunk's few arrays stay in a 2 MB L2 cache
 _PHASE_CHUNK_ENTRIES = 1 << 14
-# admission budget on the L x P^d entries the phase path transforms
-_PHASE_ENTRY_LIMIT = 4e7
 
 
 def check_kernel_box(d: int, k: int, N: int) -> None:
     """ConfigError for a malformed box, NumericsError when its phase grid exceeds the budget."""
     _check_box(d, N, k)
     _, L, P = _phase_grid(d, k, N)
-    if L * P ** d > _PHASE_ENTRY_LIMIT:
-        raise NumericsError(
-            f"kernel phase grid of {L} x {P}^{d} entries exceeds the memory budget "
-            f"of {_PHASE_ENTRY_LIMIT:.0e}; shrink the box")
+    _check_phase_grid("kernel", L, P, d)
 
 
 def table_mu_max(d: int, k: int, N: int) -> int:
@@ -167,10 +162,8 @@ def _phase_sum(cfg: YoungKernelConfig, dphi: np.ndarray, states) -> np.ndarray:
 
     w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L give
     dPhi(Omega) = sum_l c_l e^{i theta_l Omega} on every in-box Omega.
-    Slot j at theta is the physical field of U^{theta} psi_j, conjugated
-    on even slots, so each distinct state costs one inverse transform per
-    phase and the product one forward transform. theta runs in chunks of
-    at most _PHASE_CHUNK_ENTRIES product entries.
+    Slot j at theta is the field of U^{theta} psi_j, conjugated on even
+    slots; theta runs in chunks of at most _PHASE_CHUNK_ENTRIES entries.
     """
     d, N, mu = cfg.d, cfg.N, cfg.table.mu_max
     R, L, P = _phase_grid(d, cfg.k, N)
@@ -180,23 +173,13 @@ def _phase_sum(cfg: YoungKernelConfig, dphi: np.ndarray, states) -> np.ndarray:
     c = fft(w) / L
     # mode n sits at index n + N of the padded input and, because the
     # product holds one more plain than conjugate field, of the output
-    axes = tuple(range(1, d + 1))
     crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
+    sources, conj = [st.coeffs for st in states], [j % 2 for j in range(len(states))]
     rows = max(1, _PHASE_CHUNK_ENTRIES // P ** d)
     acc = np.zeros((2 * N + 1,) * d, dtype=complex)
     for lo in range(0, L, rows):
         phases = cfg._phases[lo:lo + rows]
-        fields: dict[int, np.ndarray] = {}
-        prod = None
-        for j, st in enumerate(states):
-            f = fields.get(id(st))
-            if f is None:
-                f = fields[id(st)] = ifftn(phases * st.coeffs, s=(P,) * d, axes=axes,
-                                           norm="forward", workers=get_workers())
-            if j % 2:
-                f = np.conj(f)
-            prod = f if prod is None else prod * f
-        spec = fftn(prod, axes=axes, norm="forward", workers=get_workers())[crop]
+        spec = _phase_products(sources, conj, phases, P, crop)
         acc += np.tensordot(c[lo:lo + rows], np.conj(phases) * spec, axes=1)
     return acc
 

@@ -367,14 +367,18 @@ def test_integral_float_grid_size_rejected(tmp_path, capsys, spec):
     assert "grid size M" in diag["message"]
 
 
-@pytest.mark.parametrize("command", ["solve", "xnorm"])
+@pytest.mark.parametrize("command", ["solve", "xnorm", "eq21"])
 def test_oversized_box_refused_before_any_table(tmp_path, capsys, command):
     # d=1, k=1, N=400 needs a 1.0e9-entry phase grid; the refusal comes
     # from the box alone, so no Phi table (over 300 MB at this box) is
-    # allocated
+    # allocated. eq21 at d=2, N=10^4 is refused before its nine 20001^2
+    # candidate profiles (about 29 GB) are built
     if command == "solve":
         argv = ["solve", "--config", write_config(tmp_path, N=400),
                 "--out", str(tmp_path / "x")]
+    elif command == "eq21":
+        argv = ["verify-estimates", "--which", "eq21", "--d", "2", "--k", "1",
+                "--N", "10000", "--out", str(tmp_path / "x.json")]
     else:
         pcsv = tmp_path / "lin.csv"
         assert run_command(["gen-path", "--kind", "linear", "--T", "0.5",
@@ -398,6 +402,33 @@ def test_oversized_box_refused_before_any_table(tmp_path, capsys, command):
     assert peak < 20 * 2 ** 20
 
 
+_XNORM_ARGS = ["xnorm", "--path", "lin.csv", "--d", "1", "--k", "1", "--N", "2",
+               "--gamma", "0.55", "--s", "1.0", "--out", "xn.json"]
+
+
+@pytest.mark.parametrize("change,needle", [
+    ({"--s": "-1e9"}, "argument --s: expected one argument"),
+    ({"--N": "abc"}, "argument --N: invalid int value: 'abc'"),
+    ({"--gamma": None}, "the following arguments are required: --gamma"),
+], ids=["negative-exponent", "not-an-int", "missing-flag"])
+def test_argument_errors_are_one_json_line(capsys, change, needle):
+    # argparse's errors leave as one ConfigError line with exit 2 instead
+    # of its usage text; --help still prints usage and exits 0
+    argv = list(_XNORM_ARGS)
+    for flag, value in change.items():
+        i = argv.index(flag)
+        argv[i:i + 2] = [] if value is None else [flag, value]
+    assert run_command(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0], parse_constant=_reject_constant)
+    assert diag["error"] == "ConfigError"
+    assert needle in diag["message"]
+    assert run_command(["xnorm", "--help"]) == 0
+    out = capsys.readouterr()
+    assert "usage: modnls xnorm" in out.out and not out.err
+
+
 _MISSING = object()
 _CONFIG_KEYS = ("d", "k", "N", "s", "gamma", "lambda", "rho", "T", "M",
                 "scheme", "path", "init", "tol", "max_iter")
@@ -412,8 +443,9 @@ _MUTATIONS = (
 
 # flag changes for the other commands, applied to base arguments that
 # run: converge at 2 levels, xnorm on a linear clock and eq21 on the box
-# of test_verify_estimates_eq21_smoke; values are spelled --flag=value,
-# so argparse reads -1e9 as a value
+# of test_verify_estimates_eq21_smoke; each change is spelled --flag=value
+# and --flag value (where argparse reads -1e9 as a flag), and _MISSING
+# drops the flag
 _BASE_FLAGS = {
     "converge": {"--levels": "2"},
     "xnorm": {"--path": "lin.csv", "--d": "1", "--k": "1", "--N": "2",
@@ -422,14 +454,14 @@ _BASE_FLAGS = {
                          "--s": "0.3", "--trials": "2"},
 }
 _FLAG_POOLS = {
-    "converge": {"--levels": ("0", "1", "3", "5", "6")},
-    "xnorm": {"--path": ("absent.csv",), "--d": ("0", "4"), "--k": ("0", "2"),
-              "--N": ("0", "-3", "24"), "--gamma": ("0", "1.5", "nan"),
+    "converge": {"--levels": ("0", "1", "3", "5", "6", "abc")},
+    "xnorm": {"--path": ("absent.csv", _MISSING), "--d": ("0", "4"), "--k": ("0", "2"),
+              "--N": ("0", "-3", "24", "abc", _MISSING), "--gamma": ("0", "1.5", "nan"),
               "--s": ("nan", "inf", "-1e9"), "--trials": ("0", "-1"),
               "--seed": ("-1",)},
     "verify-estimates": {"--which": ("counting", "eq26", "eq27"),
                          "--d": ("0", "1", "4"), "--k": ("0", "2"),
-                         "--N": ("0", "400"), "--rho": ("0", "-1"),
+                         "--N": ("0", "400", "10000"), "--rho": ("0", "-1"),
                          "--s": ("nan", "inf", "-1e9"), "--sprime": ("-5", "nan"),
                          "--q": ("0", "7"), "--trials": ("0",), "--seed": ("-1",)},
 }
@@ -438,20 +470,21 @@ _FLAG_POOLS = {
 _PAST_MAX = ("xnorm", {"--N": "135", "--path": "absent.csv"})
 _FUZZ_CASES = (
     [("solve", m) for m in _MUTATIONS]
-    + [(cmd, {flag: v}) for cmd, pool in _FLAG_POOLS.items()
-       for flag, values in pool.items() for v in values]
-    + [("verify-estimates", {"--which": w, flag: v})
+    + [(cmd, {flag: v}, sep) for cmd, pool in _FLAG_POOLS.items()
+       for flag, values in pool.items() for v in values for sep in ("=", " ")]
+    + [("verify-estimates", {"--which": w, flag: v}, sep)
        for w, flag, v in (("eq26", "--blocks", "2,1"), ("eq26", "--blocks", "a,b"),
                           ("eq26", "--blocks", "0,2,2,2"), ("eq27", "--blocks", "3,1,1,1"),
                           ("eq26", "--mu", "1000"), ("eq26", "--mu", "-3"),
-                          ("counting", "--N", "400"))]
+                          ("counting", "--N", "400"))
+       for sep in ("=", " ")]
     + [_PAST_MAX]
 )
 
 
-def _fuzz_argv(tmp, command, change):
+def _fuzz_argv(tmp, command, change, sep="="):
     """argv of one fuzz case: a solve config with one key mutated, or a
-    command's base flags with `change` applied."""
+    command's base flags with `change` applied, spelled flag + sep + value."""
     if command == "solve":
         key, value = change
         path = write_config(tmp)
@@ -468,17 +501,21 @@ def _fuzz_argv(tmp, command, change):
         flags["--config"] = write_config(tmp)
     if command == "xnorm":
         save_path_csv(make_linear_path(0.5, 32), tmp / "lin.csv")
-        flags["--path"] = str(tmp / flags["--path"])
-    return [command] + [f"{flag}={v}" for flag, v in flags.items()]
+        if flags["--path"] is not _MISSING:
+            flags["--path"] = str(tmp / flags["--path"])
+    return [command] + [tok for flag, v in flags.items() if v is not _MISSING
+                        for tok in ([f"{flag}={v}"] if sep == "=" else [flag, v])]
 
 
-# enough examples for the derandomised search to exhaust the 147 cases
-@settings(max_examples=200)
+# enough examples for the derandomised search to exhaust the 207 cases
+@settings(max_examples=300)
 @given(case=st.sampled_from(_FUZZ_CASES))
 @example(case=("solve", ("N", 400)))
 @example(case=("solve", ("N", 10 ** 4)))
 @example(case=("solve", ("scheme", "rk4")))
 @example(case=_PAST_MAX)
+@example(case=("verify-estimates", {"--N": "10000"}, " "))
+@example(case=("xnorm", {"--s": "-1e9"}, " "))
 def test_cli_config_fuzz(case):
     # one config key or one flag mutated: the command either runs or
     # fails with exit 2 or 3 and exactly one strict-JSON stderr line

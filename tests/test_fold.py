@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from modnls import _fold
+from modnls import _fold, spectral
 from modnls._fold import FoldResult, Slot, fold, fold_dense, fold_fft
 from modnls.errors import ConfigError, NumericsError
 
@@ -48,17 +48,36 @@ def test_fold_matches_brute_force():
     assert covered <= set(q_vals.tolist())
 
 
-@pytest.mark.parametrize("d,N,signs", [
-    (1, 3, (1, -1, 1)),
-    (1, 2, (1, -1, 1, -1, 1)),
-    (2, 2, (1, -1, 1)),
-    (1, 3, (-1, -1, -1)),
+def _ragged_chunks(monkeypatch, slots, d, rows):
+    """Set fold_fft's chunk to `rows` phases, which leaves a partial last chunk."""
+    N = (slots[0].values.shape[0] - 1) // 2
+    Q, P = _fold.fft_grid(len(slots), d, N)
+    real = all(np.isrealobj(sl.values) for sl in slots)
+    assert (Q // 2 + 1 if real else Q) % rows != 0
+    monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", rows * P ** d)
+
+
+# one_array: the same array object fills every slot; rows: phases per
+# fold_fft chunk, None for the default chunk
+@pytest.mark.parametrize("d,N,signs,one_array,rows", [
+    pytest.param(1, 3, (1, -1, 1), False, None, id="1-3-signs0"),
+    pytest.param(1, 2, (1, -1, 1, -1, 1), False, None, id="1-2-signs1"),
+    pytest.param(2, 2, (1, -1, 1), False, None, id="2-2-signs2"),
+    pytest.param(1, 3, (-1, -1, -1), False, None, id="1-3-signs3"),
+    pytest.param(3, 1, (1, -1, 1), False, None, id="3-1-signs0"),
+    pytest.param(2, 2, (1, -1, 1, -1, 1), True, None, id="2-2-one-array"),
+    pytest.param(1, 3, (1, -1, 1), False, 3, id="1-3-ragged-chunk"),
 ])
-def test_dense_and_fft_agree(d, N, signs):
+def test_dense_and_fft_agree(d, N, signs, one_array, rows, monkeypatch):
     rng = np.random.default_rng(5)
     shape = (2 * N + 1,) * d
-    slots = [Slot(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), sg)
-             for sg in signs]
+    values = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for _ in signs]
+    if one_array:
+        values = [values[0]] * len(signs)
+    slots = [Slot(v, sg) for v, sg in zip(values, signs)]
+    if rows:
+        _ragged_chunks(monkeypatch, slots, d, rows)
     a = fold_dense(slots, d)
     b = fold_fft(slots, d)
     assert a.q_min == b.q_min
@@ -66,14 +85,49 @@ def test_dense_and_fft_agree(d, N, signs):
     np.testing.assert_allclose(b.table, a.table, atol=1e-12 * max(1.0, scale))
 
 
-def test_real_slots_give_real_tables():
+def test_real_slots_give_real_tables(monkeypatch):
+    # Q = 28, 49, 10, 25 and 28 phases; the last two cases put one array
+    # object in every slot, the last one with a partial last chunk
     rng = np.random.default_rng(8)
-    slots = [Slot(np.abs(rng.standard_normal(7)), sg) for sg in (1, -1, 1)]
-    dense = fold_dense(slots, 1)
-    fft = fold_fft(slots, 1)
-    assert not np.iscomplexobj(dense.table)
-    assert not np.iscomplexobj(fft.table)
-    np.testing.assert_allclose(fft.table, dense.table, atol=1e-12)
+    for d, N, one_array, rows in [(1, 3, False, None), (1, 4, False, None),
+                                  (3, 1, False, None), (2, 2, True, None),
+                                  (1, 3, True, 4)]:
+        shape = (2 * N + 1,) * d
+        values = [np.abs(rng.standard_normal(shape)) for _ in range(3)]
+        if one_array:
+            values = [values[0]] * 3
+        slots = [Slot(v, sg) for v, sg in zip(values, (1, -1, 1))]
+        with monkeypatch.context() as m:
+            if rows:
+                _ragged_chunks(m, slots, d, rows)
+            dense = fold_dense(slots, d)
+            fft = fold_fft(slots, d)
+        assert not np.iscomplexobj(dense.table)
+        assert not np.iscomplexobj(fft.table)
+        np.testing.assert_allclose(fft.table, dense.table, atol=1e-12)
+
+
+def test_one_real_array_is_transformed_once_per_phase_chunk(monkeypatch):
+    # alternating_slots hands the same real array to the conjugate slots,
+    # so fold_fft takes one inverse transform per chunk for all five slots
+    v = np.abs(np.random.default_rng(4).standard_normal((5, 5)))
+    slots = _fold.alternating_slots([v] * 5)
+    assert all(sl.values is v for sl in slots)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
+
+    ifftn = spectral.ifftn
+    monkeypatch.setattr(spectral, "ifftn", counted)
+    Q, P = _fold.fft_grid(5, 2, 2)
+    monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", 8 * P ** 2)
+    res = fold_fft(slots, 2)
+    assert len(calls) == -(-(Q // 2 + 1) // 8) > 1
+    dense = fold_dense(slots, 2)
+    np.testing.assert_allclose(res.table, dense.table,
+                               atol=1e-12 * np.abs(dense.table).max())
 
 
 def test_collapse_q_is_plain_convolution():

@@ -121,10 +121,14 @@ def _corner_state(d, N):
 
 
 def _fold_oracle(cfg, s, t, states):
-    """-i times the q-bucketed fold contracted with the Phi increments."""
+    """-i times the q-bucketed fold contracted with the Phi increments.
+
+    The dense backend shift-accumulates slot entries, so it shares no
+    phase product with the kernel's phase path.
+    """
     dphi = cfg.table.increment(cfg.table.index_of_time(s), cfg.table.index_of_time(t))
     slots = _fold.alternating_slots([st.coeffs for st in states])
-    res = _fold.fold(slots, cfg.d).crop_spatial(cfg.N)
+    res = _fold.fold_dense(slots, cfg.d).crop_spatial(cfg.N)
     return -1j * res.contract(dphi, cfg.table.mu_max)
 
 
