@@ -13,12 +13,12 @@ bucket is what turns resonance-weighted sums (weights depending on
 Two backends produce identical tables:
   * dense: explicit shift-accumulate over nonzero slot entries; cheap for
     sparse slots (shells, point masses) and small grids.
-  * fft: sum_q T[q, n] e^{-i theta q} at Q equispaced theta is a product
-    of free-Schroedinger phased slot fields (spectral._phase_products, the
-    kernel's primitive); one inverse DFT over theta recovers T.
+  * fft: phase_spectra yields F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q},
+    products of free-Schroedinger phased slot fields (spectral._phase_products,
+    the kernel's primitive), a chunk of l at a time; fold_fft inverts them.
 
-Internal module: resonance.py folds through it for the eq21, eq26 and
-eq27 probes.
+Internal module for resonance.py: eq26 reads the fold table, eq21 contracts
+the phase spectra (prefers_dense inputs excepted), eq27 takes F_0.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class FoldResult:
         off = self.N_out - N
         sl = (slice(None),) + tuple(slice(off, off + 2 * N + 1) for _ in range(self.d))
         return FoldResult(self.table[sl], self.q_min, N, self.d)
-
-    def collapse_q(self) -> np.ndarray:
-        """Plain convolution: sum the table over q."""
-        return self.table.sum(axis=0)
 
     def contract(self, weight: np.ndarray, offset: int) -> np.ndarray:
         """sum_q weight[|n|^2 - q + offset] T[q, n] for every output mode n.
@@ -147,8 +143,10 @@ def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
     return Q, P
 
 
-def fold_fft(slots: list[Slot], d: int) -> FoldResult:
-    """F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} by phase products, inverted over l."""
+def phase_spectra(slots: list[Slot], d: int, ls=None):
+    """Yield (l, F_l) chunks: F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} on the
+    (2mN+1)^d output cube, for the given l or by default every l fold_fft
+    inverts (l <= Q/2 for real slots, whose F_{Q-l} is conj(F_l); else l < Q)."""
     N, m = _cutoff(slots, d), len(slots)
     Q, P = fft_grid(m, d, N)
     real = all(np.isrealobj(sl.values) for sl in slots)
@@ -156,39 +154,41 @@ def fold_fft(slots: list[Slot], d: int) -> FoldResult:
     # values are their own conjugate, so slots sharing an array share a transform
     sources = [sl.values if sl.sign > 0 or real else np.conj(sl.values) for sl in slots]
     conj = [sl.sign < 0 for sl in slots]
-    q_lo = -d * N * N * sum(conj)
     # output mode n sits at index (n + (#plus - #minus) N) mod P
     idx = (np.arange(-m * N, m * N + 1) + sum(sl.sign for sl in slots) * N) % P
     crop = (slice(None),) + np.ix_(*[idx] * d)
-    ls = np.arange(Q // 2 + 1 if real else Q)
+    ls = np.arange(Q // 2 + 1 if real else Q) if ls is None else np.asarray(ls)
     rows = max(1, _PHASE_CHUNK_ENTRIES // P ** d)
-    spec = np.empty((ls.size,) + (idx.size,) * d, dtype=complex)
     for lo in range(0, ls.size, rows):
         turns = np.multiply.outer(ls[lo:lo + rows], _sq_norms(d, N)) % Q
-        spec[lo:lo + rows] = _phase_products(sources, conj,
-                                             np.exp(-2j * np.pi / Q * turns), P, crop)
+        yield ls[lo:lo + rows], _phase_products(sources, conj,
+                                                np.exp(-2j * np.pi / Q * turns), P, crop)
+
+
+def fold_fft(slots: list[Slot], d: int) -> FoldResult:
+    """The phase spectra F_l of phase_spectra, inverted over l."""
+    N, m = _cutoff(slots, d), len(slots)
+    Q, _ = fft_grid(m, d, N)
+    real = all(np.isrealobj(sl.values) for sl in slots)
+    spec = np.concatenate([F for _, F in phase_spectra(slots, d)])
+    q_lo = -d * N * N * sum(sl.sign < 0 for sl in slots)
     # e^{2 pi i l q_lo / Q} moves row 0 of the inverse to q = q_lo
-    spec *= np.exp(2j * np.pi / Q * (ls * q_lo % Q)).reshape((-1,) + (1,) * d)
+    ls = np.arange(len(spec)).reshape((-1,) + (1,) * d)
+    spec *= np.exp(2j * np.pi / Q * (ls * q_lo % Q))
     table = (irfft(spec, Q, axis=0, workers=get_workers()) if real
              else ifft(spec, axis=0, workers=get_workers()))
     return FoldResult(table[:m * d * N * N + 1], q_lo, m * N, d)
 
 
-def fold(slots: list[Slot], d: int) -> FoldResult:
-    """Dispatch between the dense and fft backends.
+def prefers_dense(slots: list[Slot], d: int) -> bool:
+    """fold_dense's cost, slot j's nonzeros times the accumulator before it, is cheap."""
+    N = _cutoff(slots, d)
+    return sum(np.count_nonzero(sl.values) * (j * d * N * N + 1) * (2 * j * N + 1) ** d
+               for j, sl in enumerate(slots)) <= _DENSE_OP_LIMIT / 4
 
-    Predicts the dense cost as fold_dense pays it, slot j's nonzero count
-    times the accumulator built from the slots before it, and falls back
-    to fft when it would blow the budget.
-    """
+
+def fold(slots: list[Slot], d: int) -> FoldResult:
+    """Dispatch between the dense and fft backends by prefers_dense."""
     if len(slots) < 1:
         raise ConfigError("fold needs at least one slot")
-    N = _cutoff(slots, d)
-    est = 0.0
-    for j, sl in enumerate(slots):
-        nnz = int(np.count_nonzero(sl.values))
-        acc_size = (j * d * N * N + 1) * (2 * j * N + 1) ** d
-        est += nnz * acc_size
-    if est <= _DENSE_OP_LIMIT / 4:
-        return fold_dense(slots, d)
-    return fold_fft(slots, d)
+    return fold_dense(slots, d) if prefers_dense(slots, d) else fold_fft(slots, d)

@@ -5,9 +5,9 @@ sums n_0 - n_1 + ... - n_{2k+1} = 0 and |n_0|^2 - |n_1|^2 + ... -
 |n_{2k+1}|^2 = mu; the classes partition the zero-sum set. The
 estimators here (ids eq21, eq26, eq27) sample nonnegative test
 sequences, evaluate both sides of the corresponding weighted
-convolution bound exactly through the fold backend, and report the
-worst observed LHS/RHS ratio. They probe boundedness; they prove
-nothing.
+convolution bound exactly (eq21 and eq27 on the fold's phase spectra,
+eq26 on its q-bucketed table), and report the worst observed LHS/RHS
+ratio. They probe boundedness; they prove nothing.
 
 Every enumeration (enumerate_A, verify_counting_partition, the eq26
 witness scan) has one size rule: the product of its slot mode lists,
@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt, prod
 
 import numpy as np
 
-from ._fold import alternating_slots, fft_grid, fold
+from ._fold import (alternating_slots, fft_grid, fold, fold_dense, phase_spectra,
+                    prefers_dense)
 from .errors import ConfigError, NumericsError
 from .spectral import _check_box, _sq_norms, mode_grid
 
@@ -288,12 +290,33 @@ def _eq21_weight(d: int, k: int, N: int, rho: float):
     return (1.0 + omega.astype(float) ** 2) ** (-rho / 2.0), (k + 1) * dn2
 
 
+def _eq21_kernel(d: int, k: int, N: int, rho: float):
+    """K[l, i] = (c_l / Q) sum_q W(r_i - q) e^{2 pi i l q / Q} for l <= Q/2 (c_l = 1
+    at l = 0, Q/2, else 2) over the distinct |n|^2 = r_i of the cube; where[n] = i."""
+    weight, offset = _eq21_weight(d, k, N, rho)
+    Q, _ = fft_grid(2 * k + 1, d, N)
+    r, where = np.unique(_sq_norms(d, (2 * k + 1) * N), return_inverse=True)
+    # row j holds W(r - q) at q = offset - j, the weight index r - q + offset
+    win = np.lib.stride_tricks.sliding_window_view(weight, r[-1] + 1)[:, r]
+    K = np.fft.rfft(win, Q, axis=0)
+    l = np.arange(len(K))[:, None]
+    K *= (2.0 - (l == 0) - (2 * l == Q)) / Q * np.exp(2j * np.pi / Q * (l * offset % Q))
+    return K, where.reshape((2 * (2 * k + 1) * N + 1,) * d)
+
+
+def _eq21_phase(slots, d: int, K: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """t_rho(n) = Re sum_{l <= Q/2} F_l(n) K[l, |n|^2]; c_l counts F_{Q-l} = conj(F_l)."""
+    return sum(np.einsum("i...,i...", F, np.take(K[l], where, axis=1)).real
+               for l, F in phase_spectra(slots, d))
+
+
 def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
-               s_prime: float, q: int):
+               s_prime: float, q: int, kernel=None):
     """(lhs, rhs, ratio) of the eq21 bound for given nonnegative profiles.
 
     psis are 2k+1 arrays on the (2N+1)^d cube. The output mode is not
     truncated: the lhs norm runs over the full fold extent (2k+1)N.
+    Dense-fold inputs (prefers_dense) keep the table; others use K from `kernel()` if given.
     """
     m = 2 * k + 1
     if len(psis) != m:
@@ -304,8 +327,11 @@ def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
     if any(p.min() < 0 for p in psis):
         raise ConfigError("test sequences must be nonnegative")
     N = (psis[0].shape[0] - 1) // 2
-    res = fold(alternating_slots(psis), d)
-    t_rho = res.contract(*_eq21_weight(d, k, N, rho))
+    slots = alternating_slots(psis)
+    if prefers_dense(slots, d):
+        t_rho = fold_dense(slots, d).contract(*_eq21_weight(d, k, N, rho))
+    else:
+        t_rho = _eq21_phase(slots, d, *(kernel() if kernel else _eq21_kernel(d, k, N, rho)))
     nsq_out = _sq_norms(d, m * N)
     nsq = _sq_norms(d, N)
     lhs = _weighted_norm(t_rho, nsq_out, s_prime)
@@ -364,7 +390,7 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
                         q: int, N: int, trials: int, seed) -> EstimateReport:
     """Max LHS/RHS ratio of the eq21 bound over random nonnegative sequences."""
     _check_box(d, N, k)
-    fft_grid(2 * k + 1, d, N)  # trial 0 has full support and folds by fft
+    fft_grid(2 * k + 1, d, N)  # trial 0 has full support and runs on phases
     if int(trials) != trials or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials}")
     if (d, k) == (1, 1):
@@ -380,13 +406,14 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
         raise ConfigError(f"need 1 <= q <= {2 * k + 1}, got q={q}")
     rng = np.random.default_rng(seed)
     candidates = _eq21_candidates(d, N, s, 2 * k + 1)
+    kernel = cache(lambda: _eq21_kernel(d, k, N, rho))  # built by the first phase trial
     best = (-1.0, 0.0, 0.0)
     for t in range(trials):
         if t < len(candidates):
             psis = candidates[t]
         else:
             psis = [_eq21_profile(rng, d, N, s) for _ in range(2 * k + 1)]
-        lhs, rhs, ratio = eq21_ratio(psis, d, k, rho, s, s_prime, q)
+        lhs, rhs, ratio = eq21_ratio(psis, d, k, rho, s, s_prime, q, kernel)
         if ratio > best[0]:
             best = (ratio, lhs, rhs)
     params = {"d": d, "k": k, "rho": rho, "s": s, "s_prime": s_prime,
@@ -451,12 +478,15 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
             raise ConfigError("profiles must vanish off their block shells")
         if not p.any():
             raise ConfigError("profiles must not vanish identically")
-    res = fold(alternating_slots(psis[1:]), d).crop_spatial(Bmax)
+    slots = alternating_slots(psis[1:])
     if estimate == "eq27":
-        lhs = float((psis[0] * res.collapse_q()).sum())
+        _, F = next(phase_spectra(slots, d, ls=[0]))  # the plain convolution
+        off = 2 * k * Bmax
+        lhs = float((psis[0] * F[(0,) + (slice(off, -off),) * d].real).sum())
     elif estimate == "eq26":
         if mu is None or int(mu) != mu:
             raise ConfigError("eq26 needs an integer mu")
+        res = fold(slots, d).crop_spatial(Bmax)
         lhs = _eq26_lhs(res, psis[0], nsq, [int(mu)])[0]
     else:
         raise ConfigError(f"unknown estimate id {estimate!r}")

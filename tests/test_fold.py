@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modnls import _fold, spectral
-from modnls._fold import FoldResult, Slot, fold, fold_dense, fold_fft
+from modnls._fold import FoldResult, Slot, fold, fold_dense, fold_fft, phase_spectra
 from modnls.errors import ConfigError, NumericsError
 
 
@@ -130,14 +130,15 @@ def test_one_real_array_is_transformed_once_per_phase_chunk(monkeypatch):
                                atol=1e-12 * np.abs(dense.table).max())
 
 
-def test_collapse_q_is_plain_convolution():
+def test_zero_phase_spectrum_is_plain_convolution():
     rng = np.random.default_rng(3)
     vals = [rng.standard_normal(7) + 1j * rng.standard_normal(7) for _ in range(3)]
     slots = [Slot(v, sg) for v, sg in zip(vals, (1, -1, 1))]
-    res = fold(slots, 1)
+    (l, F), = phase_spectra(slots, 1, ls=[0])
+    assert l.tolist() == [0]
     oriented = [vals[0], vals[1][::-1], vals[2]]
     conv = np.convolve(np.convolve(oriented[0], oriented[1]), oriented[2])
-    np.testing.assert_allclose(res.collapse_q(), conv, atol=1e-12)
+    np.testing.assert_allclose(F[0], conv, atol=1e-12)
 
 
 def random_fold(rng, d, N, complex_values):

@@ -1,13 +1,18 @@
 """Resonance sets A(mu), the counting identity, and estimate ratio probes."""
 
+import csv
 import itertools
+import runpy
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modnls import resonance
+from modnls import _fold, resonance
 from modnls._fold import alternating_slots, fold
 from modnls.errors import ConfigError, NumericsError
 from modnls.resonance import (
@@ -251,6 +256,83 @@ def test_eq21_large_rho_dominated_by_resonant_stratum():
     assert lhs_big == pytest.approx(lhs_res, rel=1e-9)
 
 
+@pytest.mark.parametrize("shape,d,match", [
+    ((5,), 2, "share dimension and cutoff"),
+    ((5, 5), 1, "share dimension and cutoff"),
+    ((4, 4), 2, "centered cube with odd side"),
+])
+def test_eq21_ratio_shape_validation(shape, d, match):
+    psis = [np.ones(shape) for _ in range(3)]
+    with pytest.raises(ConfigError, match=match):
+        eq21_ratio(psis, d=d, k=1, rho=1.0, s=0.6, s_prime=0.0, q=1)
+
+
+def _eq21_profiles(rng, d, N, m, nnz, identical):
+    """m nonnegative profiles; with nnz set, every slot but a distinct first
+    one keeps nnz random modes, so the dense oracle stays within budget."""
+    shape = (2 * N + 1,) * d
+    vals = []
+    for j in range(1 if identical else m):
+        v = np.abs(rng.standard_normal(shape))
+        if nnz is not None and (identical or j > 0):
+            v.ravel()[rng.permutation(v.size)[nnz:]] = 0.0
+        vals.append(v)
+    return vals * m if identical else vals
+
+
+# (d, k, N) -> Q: (2,1,16) 1540, (2,1,8) 385, (3,1,2) 40, (1,2,6) 189;
+# rows: phases per chunk, set to leave a partial last chunk
+@pytest.mark.parametrize("d,k,N,nnz,identical,rows", [
+    pytest.param(2, 1, 16, 6, False, None, id="2-1-16-even-Q"),
+    pytest.param(2, 1, 16, 6, True, None, id="2-1-16-one-array"),
+    pytest.param(2, 1, 8, 30, False, None, id="2-1-8-odd-Q"),
+    pytest.param(2, 1, 8, 30, True, 10, id="2-1-8-one-array-ragged-chunk"),
+    pytest.param(3, 1, 2, None, False, None, id="3-1-2"),
+    pytest.param(3, 1, 2, None, True, 4, id="3-1-2-one-array-ragged-chunk"),
+    pytest.param(1, 2, 6, None, False, 20, id="1-2-6-ragged-chunk"),
+    pytest.param(1, 2, 6, None, True, None, id="1-2-6-one-array"),
+])
+def test_eq21_phase_matches_dense_fold(d, k, N, nnz, identical, rows, monkeypatch):
+    rho = 0.7
+    psis = _eq21_profiles(np.random.default_rng(21), d, N, 2 * k + 1, nnz, identical)
+    slots = alternating_slots(psis)
+    Q, P = _fold.fft_grid(2 * k + 1, d, N)
+    if rows:
+        assert (Q // 2 + 1) % rows != 0
+        monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", rows * P ** d)
+    want = _fold.fold_dense(slots, d).contract(*_eq21_weight(d, k, N, rho))
+    got = resonance._eq21_phase(slots, d, *resonance._eq21_kernel(d, k, N, rho))
+    assert got.shape == want.shape and not np.iscomplexobj(got)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_eq21_phase_branch_is_lean(monkeypatch):
+    # (2, 1, 16): the full-support candidates take the phase branch, which
+    # never builds the (q, n) table, and K is built once per estimate
+    def no_table(slots, d):
+        raise AssertionError("fold_fft called")
+
+    weights = []
+
+    def counted(*args):
+        weights.append(args)
+        return _eq21_weight(*args)
+
+    monkeypatch.setattr(_fold, "fold_fft", no_table)
+    monkeypatch.setattr(resonance, "_eq21_weight", counted)
+    rep = estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, N=16, trials=4, seed=3)
+    assert rep.trials == 4 and rep.ratio > 0
+    assert len(weights) == 1
+    psis = [np.ones((33, 33))] * 3
+    tracemalloc.start()
+    try:
+        eq21_ratio(psis, d=2, k=1, rho=1.0, s=0.3, s_prime=0.0, q=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
 def test_estimate_ratio_eq21_guards():
     with pytest.raises(ConfigError):
         estimate_ratio_eq21(1, 1, 1.0, 0.6, 0.0, 1, N=3, trials=2, seed=0)
@@ -273,6 +355,24 @@ def test_estimate_ratio_eq21_deterministic_report():
     assert a.max_ratio_over_trials == a.ratio == pytest.approx(a.lhs / a.rhs)
     for key in ("d", "k", "rho", "s", "s_prime", "q", "N"):
         assert key in a.parameters
+
+
+def test_ratio_growth_study_rows_match_the_estimate(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ratio_growth_study.py"
+    out = tmp_path / "growth.csv"
+    monkeypatch.setattr(sys, "argv", [str(script), "--sizes", "2,4", "--trials", "3",
+                                      "--out", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["N"]) for row in rows] == [2, 4]
+    for row in rows:
+        rep = estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, N=int(row["N"]), trials=3,
+                                  seed=0)
+        assert float(row["ratio"]) == rep.max_ratio_over_trials
+    assert rows[0]["growth"] == ""
+    assert float(rows[1]["growth"]) == pytest.approx(
+        float(rows[1]["ratio"]) / float(rows[0]["ratio"]), rel=1e-15)
 
 
 def test_estimate_report_json_keys():
