@@ -13,16 +13,24 @@ bucket is what turns resonance-weighted sums (weights depending on
 Two backends produce identical tables:
   * dense: explicit shift-accumulate over nonzero slot entries; cheap for
     sparse slots (shells, point masses) and small grids.
-  * fft: phase_spectra yields F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q},
+  * fft: the phase spectra F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} are
     products of free-Schroedinger phased slot fields (spectral._phase_products,
-    the kernel's primitive), a chunk of l at a time; fold_fft inverts them.
+    the kernel's primitive); fold_fft inverts them over l.
+
+map_phase_chunks computes F_l a chunk of l at a time on a pool of
+get_workers() threads and maps each chunk through the caller's reduction.
+The chunks and the order of the results do not depend on the thread
+count, so neither do the outputs. The tasks run only _phase_products and
+the reduction; everything else runs in the calling thread.
 
 Internal module for resonance.py: eq26 reads the fold table, eq21 contracts
-the phase spectra (prefers_dense inputs excepted), eq27 takes F_0.
+each chunk of phase spectra in its task (prefers_dense inputs excepted),
+eq27 takes F_0.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +41,8 @@ from .errors import ConfigError, NumericsError
 from .spectral import _check_phase_grid, _phase_products, _sq_norms
 
 _DENSE_OP_LIMIT = 4e7
-# phase-product entries per theta chunk of fold_fft
-_PHASE_CHUNK_ENTRIES = 1 << 18
+# phase-product entries per chunk of map_phase_chunks, whatever the thread count
+_PHASE_CHUNK_ENTRIES = 1 << 17
 # table entries per row chunk of FoldResult.contract
 _CONTRACT_CHUNK_ENTRIES = 1 << 18
 
@@ -143,10 +151,18 @@ def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
     return Q, P
 
 
-def phase_spectra(slots: list[Slot], d: int, ls=None):
-    """Yield (l, F_l) chunks: F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} on the
-    (2mN+1)^d output cube, for the given l or by default every l fold_fft
-    inverts (l <= Q/2 for real slots, whose F_{Q-l} is conj(F_l); else l < Q)."""
+def map_phase_chunks(slots: list[Slot], d: int, reduce, ls=None):
+    """Yield reduce(l, F_l) for each chunk of l, in chunk order, computed on a
+    pool of get_workers() threads. F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q}
+    on the (2mN+1)^d output cube, for the given l or by default every l
+    fold_fft inverts (l <= Q/2 for real slots, whose F_{Q-l} is conj(F_l);
+    else l < Q).
+
+    A chunk holds at most _PHASE_CHUNK_ENTRIES phase-product entries whatever
+    the worker count, and each task runs its FFTs on one worker, so the
+    results do not depend on get_workers(). Each result is yielded once it
+    and those before it are ready, so a caller that sums them keeps no list.
+    """
     N, m = _cutoff(slots, d), len(slots)
     Q, P = fft_grid(m, d, N)
     real = all(np.isrealobj(sl.values) for sl in slots)
@@ -159,18 +175,28 @@ def phase_spectra(slots: list[Slot], d: int, ls=None):
     crop = (slice(None),) + np.ix_(*[idx] * d)
     ls = np.arange(Q // 2 + 1 if real else Q) if ls is None else np.asarray(ls)
     rows = max(1, _PHASE_CHUNK_ENTRIES // P ** d)
-    for lo in range(0, ls.size, rows):
-        turns = np.multiply.outer(ls[lo:lo + rows], _sq_norms(d, N)) % Q
-        yield ls[lo:lo + rows], _phase_products(sources, conj,
-                                                np.exp(-2j * np.pi / Q * turns), P, crop)
+    sq = _sq_norms(d, N)
+
+    def task(lo):
+        chunk = ls[lo:lo + rows]
+        phases = np.exp(-2j * np.pi / Q * (np.multiply.outer(chunk, sq) % Q))
+        return reduce(chunk, _phase_products(sources, conj, phases, P, crop, workers=1))
+
+    starts = range(0, ls.size, rows)
+    threads = min(get_workers(), len(starts))
+    if threads < 2:
+        yield from map(task, starts)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        yield from pool.map(task, starts)
 
 
 def fold_fft(slots: list[Slot], d: int) -> FoldResult:
-    """The phase spectra F_l of phase_spectra, inverted over l."""
+    """The phase spectra F_l of map_phase_chunks, inverted over l."""
     N, m = _cutoff(slots, d), len(slots)
     Q, _ = fft_grid(m, d, N)
     real = all(np.isrealobj(sl.values) for sl in slots)
-    spec = np.concatenate([F for _, F in phase_spectra(slots, d)])
+    spec = np.concatenate(list(map_phase_chunks(slots, d, lambda l, F: F)))
     q_lo = -d * N * N * sum(sl.sign < 0 for sl in slots)
     # e^{2 pi i l q_lo / Q} moves row 0 of the inverse to q = q_lo
     ls = np.arange(len(spec)).reshape((-1,) + (1,) * d)

@@ -24,7 +24,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from ._fold import (alternating_slots, fft_grid, fold, fold_dense, phase_spectra,
+from ._fold import (alternating_slots, fft_grid, fold, fold_dense, map_phase_chunks,
                     prefers_dense)
 from .errors import ConfigError, NumericsError
 from .spectral import _check_box, _sq_norms, mode_grid
@@ -283,6 +283,14 @@ def _weighted_norm(vals: np.ndarray, nsq: np.ndarray, sigma: float) -> float:
     return float(np.sqrt(np.sum((1.0 + nsq) ** sigma * np.abs(vals) ** 2)))
 
 
+def _check_profiles(psis: list[np.ndarray], what: str) -> None:
+    """ConfigError unless every entry of every profile is finite and >= 0."""
+    if not all(np.isfinite(p).all() for p in psis):
+        raise ConfigError(f"{what} must be finite")
+    if any(p.min() < 0 for p in psis):
+        raise ConfigError(f"{what} must be nonnegative")
+
+
 def _eq21_weight(d: int, k: int, N: int, rho: float):
     """<Omega>^(-rho) over the Omega = |n|^2 - q of the full fold, and its offset."""
     dn2 = d * N * N
@@ -306,8 +314,8 @@ def _eq21_kernel(d: int, k: int, N: int, rho: float):
 
 def _eq21_phase(slots, d: int, K: np.ndarray, where: np.ndarray) -> np.ndarray:
     """t_rho(n) = Re sum_{l <= Q/2} F_l(n) K[l, |n|^2]; c_l counts F_{Q-l} = conj(F_l)."""
-    return sum(np.einsum("i...,i...", F, np.take(K[l], where, axis=1)).real
-               for l, F in phase_spectra(slots, d))
+    return sum(map_phase_chunks(
+        slots, d, lambda l, F: np.einsum("i...,i...", F, np.take(K[l], where, axis=1)).real))
 
 
 def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
@@ -324,8 +332,7 @@ def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
     psis = [np.asarray(p, dtype=float) for p in psis]
     if any(p.shape != psis[0].shape for p in psis):
         raise ConfigError("test sequences must share one cube")
-    if any(p.min() < 0 for p in psis):
-        raise ConfigError("test sequences must be nonnegative")
+    _check_profiles(psis, "test sequences")
     N = (psis[0].shape[0] - 1) // 2
     slots = alternating_slots(psis)
     if prefers_dense(slots, d):
@@ -469,18 +476,17 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
     if len(psis) != 2 * k + 2:
         raise ConfigError(f"need {2 * k + 2} profiles, got {len(psis)}")
     psis = [np.asarray(p, dtype=float) for p in psis]
+    if any(p.shape != nsq.shape for p in psis):
+        raise ConfigError("profiles must live on the common block cube")
+    _check_profiles(psis, "profiles")
     for p, m in zip(psis, masks):
-        if p.shape != nsq.shape:
-            raise ConfigError("profiles must live on the common block cube")
-        if p.min() < 0:
-            raise ConfigError("profiles must be nonnegative")
         if np.any(p[~m] != 0):
             raise ConfigError("profiles must vanish off their block shells")
         if not p.any():
             raise ConfigError("profiles must not vanish identically")
     slots = alternating_slots(psis[1:])
     if estimate == "eq27":
-        _, F = next(phase_spectra(slots, d, ls=[0]))  # the plain convolution
+        F, = map_phase_chunks(slots, d, lambda l, F: F, ls=[0])  # the plain convolution
         off = 2 * k * Bmax
         lhs = float((psis[0] * F[(0,) + (slice(off, -off),) * d].real).sum())
     elif estimate == "eq26":

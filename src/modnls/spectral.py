@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import fftn, ifftn, next_fast_len
 
-from ._runtime import get_workers
 from .errors import ConfigError, NumericsError
 
 __all__ = [
@@ -70,10 +69,12 @@ def _check_phase_grid(what: str, n_phases: int, P: int, d: int) -> None:
                             f"the memory budget of {_PHASE_ENTRY_LIMIT:.0e}; shrink the box")
 
 
-def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarray:
+def _phase_products(sources, conj, phases: np.ndarray, P: int, crop,
+                    workers: int) -> np.ndarray:
     """Cropped spectra of prod_j f_j, one per phase row: f_j is the P^d-padded
     field of phases * sources[j] (index i at frequency i), conjugated where
-    conj[j] is set. A source array filling several slots costs one inverse FFT."""
+    conj[j] is set. A source array filling several slots costs one inverse FFT;
+    the FFTs run on `workers` pocketfft workers."""
     axes = tuple(range(1, phases.ndim))
     fields: dict[int, np.ndarray] = {}
     prod = None
@@ -81,10 +82,10 @@ def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarr
         f = fields.get(id(src))
         if f is None:
             f = fields[id(src)] = ifftn(phases * src, s=(P,) * len(axes), axes=axes,
-                                        norm="forward", workers=get_workers())
+                                        norm="forward", workers=workers)
         f = np.conj(f) if cj else f
         prod = f if prod is None else prod * f
-    return fftn(prod, axes=axes, norm="forward", workers=get_workers())[crop]
+    return fftn(prod, axes=axes, norm="forward", workers=workers)[crop]
 
 
 def _mode_index(n, d: int, N: int, error=ConfigError) -> tuple[int, ...]:

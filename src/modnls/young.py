@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, next_fast_len
 
+from ._runtime import get_workers
 from .errors import ConfigError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
@@ -179,7 +180,7 @@ def _phase_sum(cfg: YoungKernelConfig, dphi: np.ndarray, states) -> np.ndarray:
     acc = np.zeros((2 * N + 1,) * d, dtype=complex)
     for lo in range(0, L, rows):
         phases = cfg._phases[lo:lo + rows]
-        spec = _phase_products(sources, conj, phases, P, crop)
+        spec = _phase_products(sources, conj, phases, P, crop, workers=get_workers())
         acc += np.tensordot(c[lo:lo + rows], np.conj(phases) * spec, axes=1)
     return acc
 

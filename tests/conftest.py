@@ -1,9 +1,12 @@
 """Shared test helpers: oracles independent of the library's fast paths."""
 
+import threading
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 from scipy.signal import convolve
 
+from modnls import spectral
 from modnls.spectral import SpectralState
 
 settings.register_profile(
@@ -142,3 +145,18 @@ def x_increment_direct(cfg, s, t, states):
     contrib = (-1j) * prod.ravel()[sel] * dphi[omega.ravel()[sel] + cfg.table.mu_max]
     np.add.at(flat, idx.ravel()[sel], contrib)
     return SpectralState(d, N, flat.reshape((2 * N + 1,) * d))
+
+
+def record_phase_ffts(monkeypatch) -> list:
+    """Patch the phase primitive's FFTs to log (thread id, workers=) per call."""
+    log = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            log.append((threading.get_ident(), kwargs.get("workers")))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(spectral, "ifftn", recorded(spectral.ifftn))
+    monkeypatch.setattr(spectral, "fftn", recorded(spectral.fftn))
+    return log

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modnls import cli
+from modnls import _runtime, cli
 from modnls.cli import run_command
 from modnls.errors import NumericsError
 from modnls.paths import load_path_csv, make_linear_path, save_path_csv
@@ -165,6 +165,22 @@ def test_verify_estimates_eq26_blocks(tmp_path):
     payload = read_json(out)
     assert payload["estimate_id"] == "eq26"
     assert payload["parameters"]["blocks"] == [2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("which", [
+    ["--which", "eq21", "--d", "2", "--k", "1", "--N", "8", "--trials", "10"],
+    ["--which", "eq27", "--d", "2", "--k", "1", "--blocks", "4,2,2,1",
+     "--trials", "4"],
+], ids=["eq21", "eq27"])
+def test_verify_estimates_same_bytes_for_any_thread_count(tmp_path, monkeypatch, which):
+    monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        assert run_command(["verify-estimates", "--threads", threads, *which,
+                            "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_xnorm_smoke(tmp_path):

@@ -1,13 +1,16 @@
 """Resonance-resolved fold tables against brute-force tuple enumeration."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
-from modnls import _fold, spectral
-from modnls._fold import FoldResult, Slot, fold, fold_dense, fold_fft, phase_spectra
+from modnls import _fold, _runtime, spectral
+from modnls._fold import (FoldResult, Slot, fold, fold_dense, fold_fft,
+                          map_phase_chunks)
 from modnls.errors import ConfigError, NumericsError
+from tests.conftest import record_phase_ffts
 
 
 def brute_fold_1d(values, signs, N):
@@ -130,11 +133,43 @@ def test_one_real_array_is_transformed_once_per_phase_chunk(monkeypatch):
                                atol=1e-12 * np.abs(dense.table).max())
 
 
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_phase_chunks_do_not_depend_on_worker_count(complex_values, monkeypatch):
+    # two-row chunks leave a ragged last chunk; with two workers the tasks
+    # run on pool threads, each with one FFT worker, and every output is
+    # bit for bit the serial one
+    rng = np.random.default_rng(11)
+    vals = [rng.standard_normal((5, 5)) for _ in range(3)]
+    if complex_values:
+        vals = [v + 1j * rng.standard_normal((5, 5)) for v in vals]
+    slots = [Slot(v, sg) for v, sg in zip(vals, (1, -1, 1))]
+    _ragged_chunks(monkeypatch, slots, 2, 2)
+    log = record_phase_ffts(monkeypatch)
+    monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
+    out = {}
+    for n in (1, 2):
+        _runtime.set_workers(n)
+        log.clear()
+        chunks = list(map_phase_chunks(slots, 2, lambda l, F: (l, F)))
+        out[n] = chunks, fold_fft(slots, 2).table
+        assert {w for _, w in log} == {1}
+        on_pool = {t for t, _ in log} != {threading.get_ident()}
+        assert on_pool == (n == 2)
+    (serial, table1), (pooled, table2) = out[1], out[2]
+    Q, _ = _fold.fft_grid(3, 2, 2)
+    ls = np.concatenate([l for l, _ in serial])
+    assert ls.tolist() == list(range(Q if complex_values else Q // 2 + 1))
+    assert len(serial) == len(pooled) > 2
+    for (l1, F1), (l2, F2) in zip(serial, pooled):
+        assert np.array_equal(l1, l2) and np.array_equal(F1, F2)
+    assert np.array_equal(table1, table2)
+
+
 def test_zero_phase_spectrum_is_plain_convolution():
     rng = np.random.default_rng(3)
     vals = [rng.standard_normal(7) + 1j * rng.standard_normal(7) for _ in range(3)]
     slots = [Slot(v, sg) for v, sg in zip(vals, (1, -1, 1))]
-    (l, F), = phase_spectra(slots, 1, ls=[0])
+    (l, F), = map_phase_chunks(slots, 1, lambda l, F: (l, F), ls=[0])
     assert l.tolist() == [0]
     oriented = [vals[0], vals[1][::-1], vals[2]]
     conv = np.convolve(np.convolve(oriented[0], oriented[1]), oriented[2])

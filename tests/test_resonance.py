@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modnls import _fold, resonance
+from modnls import _fold, _runtime, resonance
 from modnls._fold import alternating_slots, fold
 from modnls.errors import ConfigError, NumericsError
 from modnls.resonance import (
@@ -29,6 +29,7 @@ from modnls.resonance import (
     estimate_ratio_eq21,
     verify_counting_partition,
 )
+from tests.conftest import record_phase_ffts
 
 
 def brute_tuples(bounds, d, k):
@@ -324,13 +325,57 @@ def test_eq21_phase_branch_is_lean(monkeypatch):
     assert rep.trials == 4 and rep.ratio > 0
     assert len(weights) == 1
     psis = [np.ones((33, 33))] * 3
-    tracemalloc.start()
-    try:
-        eq21_ratio(psis, d=2, k=1, rho=1.0, s=0.3, s_prime=0.0, q=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 60e6
+    # the pool's tasks hold one chunk each; the bound is the serial one
+    monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
+    for workers in (1, 2):
+        _runtime.set_workers(workers)
+        tracemalloc.start()
+        try:
+            eq21_ratio(psis, d=2, k=1, rho=1.0, s=0.3, s_prime=0.0, q=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6, workers
+
+
+def test_eq21_and_eq27_do_not_depend_on_worker_count(monkeypatch):
+    # (2, 1, 8) in ten-phase chunks, the last one ragged; the eq27 lhs
+    # is one chunk, which runs in the calling thread
+    d, k, N, rho = 2, 1, 8, 0.7
+    slots = alternating_slots(_eq21_profiles(np.random.default_rng(5), d, N, 3,
+                                             None, False))
+    Q, P = _fold.fft_grid(3, d, N)
+    assert (Q // 2 + 1) % 10 != 0
+    monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", 10 * P ** d)
+    kernel = resonance._eq21_kernel(d, k, N, rho)
+    blocks = (2, 2, 1, 1)
+    rng = np.random.default_rng(9)
+    shells = [resonance._shell_profile(rng, m) for m in _dyadic_setup(blocks, 2, 1)[3]]
+    log = record_phase_ffts(monkeypatch)
+    monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
+    out = []
+    for workers in (1, 2):
+        _runtime.set_workers(workers)
+        log.clear()
+        out.append((resonance._eq21_phase(slots, d, *kernel),
+                    block_ratio_once("eq27", shells, blocks, None, 2, 1, 0.1)))
+        assert {w for _, w in log} == {1}
+    (t1, eq27_1), (t2, eq27_2) = out
+    assert np.array_equal(t1, t2)
+    assert eq27_1 == eq27_2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_profiles_rejected(bad):
+    p = np.ones((5, 5))
+    p[2, 3] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        eq21_ratio([p] * 3, 2, 1, 1.0, 0.3, 0.0, 1)
+    blocks = (1, 1, 1, 1)
+    psis = [np.ones((3, 3)) for _ in blocks]
+    psis[2][1, 1] = bad  # n = 0 lies on the N_j = 1 shell
+    with pytest.raises(ConfigError, match="finite"):
+        block_ratio_once("eq27", psis, blocks, None, 2, 1, 0.1)
 
 
 def test_estimate_ratio_eq21_guards():
