@@ -12,16 +12,15 @@ bucket is what turns resonance-weighted sums (weights depending on
 
 Two backends produce identical tables:
   * dense: explicit shift-accumulate over nonzero slot entries; cheap for
-    sparse slots (shells, point masses) and small grids.
+    sparse slots (shells, point masses) and small grids. _dense_cost is its
+    work, which both its budget and the dispatch (prefers_dense) read.
   * fft: the phase spectra F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} are
-    products of free-Schroedinger phased slot fields (spectral._phase_products,
-    the kernel's primitive); fold_fft inverts them over l.
+    products of free-Schroedinger phased slot fields; fold_fft inverts them
+    over l.
 
-map_phase_chunks computes F_l a chunk of l at a time on a pool of
-get_workers() threads and maps each chunk through the caller's reduction.
-The chunks and the order of the results do not depend on the thread
-count, so neither do the outputs. The tasks run only _phase_products and
-the reduction; everything else runs in the calling thread.
+map_phase_chunks maps the F_l through the caller's reduction a chunk of l
+at a time on spectral.walk_phases, the kernel's phase walker, so no output
+depends on the thread count.
 
 Internal module for resonance.py: eq26 reads the fold table, eq21 contracts
 each chunk of phase spectra in its task (prefers_dense inputs excepted),
@@ -30,19 +29,15 @@ eq27 takes F_0.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import ifft, irfft, next_fast_len
 
-from ._runtime import get_workers
 from .errors import ConfigError, NumericsError
-from .spectral import _check_phase_grid, _phase_products, _sq_norms
+from .spectral import _check_phase_grid, _sq_norms, walk_phases
 
 _DENSE_OP_LIMIT = 4e7
-# phase-product entries per chunk of map_phase_chunks, whatever the thread count
-_PHASE_CHUNK_ENTRIES = 1 << 17
 # table entries per row chunk of FoldResult.contract
 _CONTRACT_CHUNK_ENTRIES = 1 << 18
 
@@ -112,14 +107,22 @@ def _cutoff(slots: list[Slot], d: int) -> int:
     return N
 
 
+def _dense_cost(slots: list[Slot], d: int) -> int:
+    """fold_dense's work: slot j's nonzeros times the accumulator before it."""
+    N = _cutoff(slots, d)
+    return sum(np.count_nonzero(sl.values) * (j * d * N * N + 1) * (2 * j * N + 1) ** d
+               for j, sl in enumerate(slots))
+
+
 def fold_dense(slots: list[Slot], d: int) -> FoldResult:
+    if _dense_cost(slots, d) > _DENSE_OP_LIMIT:
+        raise NumericsError("dense fold would exceed the operation budget; use the fft backend")
     N = _cutoff(slots, d)
     sq = _sq_norms(d, N)
     dtype = float if all(np.isrealobj(sl.values) for sl in slots) else complex
     acc = np.zeros((1,) + (1,) * d, dtype=dtype)
     acc[(0,) * (d + 1)] = 1.0
     acc_qlo, acc_R = 0, 0
-    ops = 0.0
     for sl in slots:
         vals = sl.values if sl.sign > 0 else np.flip(sl.values)  # indexed by zeta n
         nz = np.argwhere(vals != 0)
@@ -129,10 +132,6 @@ def fold_dense(slots: list[Slot], d: int) -> FoldResult:
         else:
             new_qlo, new_qhi = acc_qlo - d * N * N, acc_qlo + (acc.shape[0] - 1)
         new_shape = (new_qhi - new_qlo + 1,) + (2 * new_R + 1,) * d
-        ops += float(len(nz)) * acc.size
-        if ops > _DENSE_OP_LIMIT:
-            raise NumericsError(
-                "dense fold would exceed the operation budget; use the fft backend")
         new = np.zeros(new_shape, dtype=dtype)
         for idx in nz:
             m = idx - N
@@ -151,18 +150,11 @@ def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
     return Q, P
 
 
-def map_phase_chunks(slots: list[Slot], d: int, reduce, ls=None):
-    """Yield reduce(l, F_l) for each chunk of l, in chunk order, computed on a
-    pool of get_workers() threads. F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q}
-    on the (2mN+1)^d output cube, for the given l or by default every l
-    fold_fft inverts (l <= Q/2 for real slots, whose F_{Q-l} is conj(F_l);
-    else l < Q).
-
-    A chunk holds at most _PHASE_CHUNK_ENTRIES phase-product entries whatever
-    the worker count, and each task runs its FFTs on one worker, so the
-    results do not depend on get_workers(). Each result is yielded once it
-    and those before it are ready, so a caller that sums them keeps no list.
-    """
+def map_phase_chunks(slots: list[Slot], d: int, reduce, n: int | None = None):
+    """reduce(l, F_l) for each walk_phases chunk (one task) of l, in order, where
+    F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} on the (2mN+1)^d output cube,
+    for l < n or by default every l fold_fft inverts (l <= Q/2 for real
+    slots, whose F_{Q-l} is conj(F_l); else l < Q)."""
     N, m = _cutoff(slots, d), len(slots)
     Q, P = fft_grid(m, d, N)
     real = all(np.isrealobj(sl.values) for sl in slots)
@@ -173,22 +165,8 @@ def map_phase_chunks(slots: list[Slot], d: int, reduce, ls=None):
     # output mode n sits at index (n + (#plus - #minus) N) mod P
     idx = (np.arange(-m * N, m * N + 1) + sum(sl.sign for sl in slots) * N) % P
     crop = (slice(None),) + np.ix_(*[idx] * d)
-    ls = np.arange(Q // 2 + 1 if real else Q) if ls is None else np.asarray(ls)
-    rows = max(1, _PHASE_CHUNK_ENTRIES // P ** d)
-    sq = _sq_norms(d, N)
-
-    def task(lo):
-        chunk = ls[lo:lo + rows]
-        phases = np.exp(-2j * np.pi / Q * (np.multiply.outer(chunk, sq) % Q))
-        return reduce(chunk, _phase_products(sources, conj, phases, P, crop, workers=1))
-
-    starts = range(0, ls.size, rows)
-    threads = min(get_workers(), len(starts))
-    if threads < 2:
-        yield from map(task, starts)
-        return
-    with ThreadPoolExecutor(threads) as pool:
-        yield from pool.map(task, starts)
+    n = (Q // 2 + 1 if real else Q) if n is None else n
+    return walk_phases(sources, conj, Q, P, crop, lambda l, phases, F: reduce(l, F), n=n)
 
 
 def fold_fft(slots: list[Slot], d: int) -> FoldResult:
@@ -201,16 +179,13 @@ def fold_fft(slots: list[Slot], d: int) -> FoldResult:
     # e^{2 pi i l q_lo / Q} moves row 0 of the inverse to q = q_lo
     ls = np.arange(len(spec)).reshape((-1,) + (1,) * d)
     spec *= np.exp(2j * np.pi / Q * (ls * q_lo % Q))
-    table = (irfft(spec, Q, axis=0, workers=get_workers()) if real
-             else ifft(spec, axis=0, workers=get_workers()))
+    table = irfft(spec, Q, axis=0) if real else ifft(spec, axis=0)
     return FoldResult(table[:m * d * N * N + 1], q_lo, m * N, d)
 
 
 def prefers_dense(slots: list[Slot], d: int) -> bool:
-    """fold_dense's cost, slot j's nonzeros times the accumulator before it, is cheap."""
-    N = _cutoff(slots, d)
-    return sum(np.count_nonzero(sl.values) * (j * d * N * N + 1) * (2 * j * N + 1) ** d
-               for j, sl in enumerate(slots)) <= _DENSE_OP_LIMIT / 4
+    """fold_dense's cost is a quarter of its budget or less."""
+    return _dense_cost(slots, d) <= _DENSE_OP_LIMIT / 4
 
 
 def fold(slots: list[Slot], d: int) -> FoldResult:

@@ -6,11 +6,11 @@ flag included), 3 numerical failure (blow-up, non-convergence, a box
 over its size budget or a non-finite result), each with one strict-JSON
 diagnostic on stderr, 64 missing or unknown subcommand.
 
-Thread handling: --threads (default: all cores) is resolved before any
-numerical module is imported, so the BLAS thread variables set here
-actually take effect; the same count drives the FFT worker pool.
-Library code imported directly, without the CLI, stays single-threaded
-by default.
+Thread handling: --threads (default: all cores) sizes the one worker
+pool, the phase walker's. It is read before numpy is imported, so the BLAS
+thread variables, 1 unless set, take effect: pocketfft and BLAS run one
+thread each, and outputs do not depend on the count. Library code
+imported directly, without the CLI, stays single-threaded by default.
 
 solve and converge read the whole experiment from the JSON config; a
 key outside the README schema is a configuration error.
@@ -52,7 +52,7 @@ def _resolve_threads(argv) -> int:
 def _setup_threads(n: int) -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        os.environ.setdefault(var, "1")
     _runtime.set_workers(n)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from ._fold import (alternating_slots, fft_grid, fold, fold_dense, map_phase_chunks,
                     prefers_dense)
 from .errors import ConfigError, NumericsError
-from .spectral import _check_box, _sq_norms, mode_grid
+from .spectral import _check_box, _check_trials, _sq_norms, mode_grid
 
 __all__ = [
     "ResonanceTuple",
@@ -398,8 +398,7 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
     """Max LHS/RHS ratio of the eq21 bound over random nonnegative sequences."""
     _check_box(d, N, k)
     fft_grid(2 * k + 1, d, N)  # trial 0 has full support and runs on phases
-    if int(trials) != trials or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials}")
+    _check_trials(trials)
     if (d, k) == (1, 1):
         raise ConfigError("(d, k) = (1, 1) is outside the proven range")
     if not 0.0 <= rho <= 1.0:
@@ -486,7 +485,7 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
             raise ConfigError("profiles must not vanish identically")
     slots = alternating_slots(psis[1:])
     if estimate == "eq27":
-        F, = map_phase_chunks(slots, d, lambda l, F: F, ls=[0])  # the plain convolution
+        F, = map_phase_chunks(slots, d, lambda l, F: F, n=1)  # the plain convolution
         off = 2 * k * Bmax
         lhs = float((psis[0] * F[(0,) + (slice(off, -off),) * d].real).sum())
     elif estimate == "eq26":
@@ -536,8 +535,7 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
     """
     if estimate not in ("eq26", "eq27"):
         raise ConfigError(f"unknown estimate id {estimate!r}")
-    if int(trials) != trials or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials}")
+    _check_trials(trials)
     if estimate == "eq26" and (mu is None or int(mu) != mu):
         raise ConfigError("eq26 needs an integer mu")
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
@@ -572,6 +570,7 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     their max/min spread. A witness scan above the enumeration budget
     raises its NumericsError.
     """
+    _check_trials(trials)
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     attained = sorted(_shell_witnesses(masks, nsq, Bmax, d, k))
     if not attained:

@@ -11,18 +11,24 @@ The nonlinearity of degree 2k+1 is the signed convolution
 
 with zeta_j = +1 for odd j, -1 for even j, and J_j conjugating even
 slots, evaluated by zero-padded FFT.
+
+walk_phases is the one loop over phase rows e^{-2 pi i l |n|^2 / L}: the
+Young kernel and the fold's phase spectra both reduce its chunks.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy.fft import fftn, ifftn, next_fast_len
 
+from ._runtime import get_workers
 from .errors import ConfigError, NumericsError
 
 __all__ = [
@@ -59,7 +65,15 @@ def _check_box(d: int, N: int, k: int | None = None) -> None:
         raise ConfigError(f"mode cutoff N must be a positive integer, got {N}")
 
 
+def _check_trials(trials) -> None:
+    """ConfigError unless the trial count of a random probe is a positive integer."""
+    if not _is_int(trials) or trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials}")
+
+
 _PHASE_ENTRY_LIMIT = 4e7  # admitted phases x P^d entries of a phase-product sum
+# phase-product entries per task of walk_phases, whatever the thread count
+_PHASE_TASK_ENTRIES = 1 << 17
 
 
 def _check_phase_grid(what: str, n_phases: int, P: int, d: int) -> None:
@@ -69,12 +83,10 @@ def _check_phase_grid(what: str, n_phases: int, P: int, d: int) -> None:
                             f"the memory budget of {_PHASE_ENTRY_LIMIT:.0e}; shrink the box")
 
 
-def _phase_products(sources, conj, phases: np.ndarray, P: int, crop,
-                    workers: int) -> np.ndarray:
-    """Cropped spectra of prod_j f_j, one per phase row: f_j is the P^d-padded
-    field of phases * sources[j] (index i at frequency i), conjugated where
-    conj[j] is set. A source array filling several slots costs one inverse FFT;
-    the FFTs run on `workers` pocketfft workers."""
+def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarray:
+    """Cropped spectra of prod_j f_j, one per phase row: f_j is the P^d-padded field
+    of phases * sources[j] (index i at frequency i), conjugated where conj[j] is set.
+    A source filling several slots costs one inverse FFT; each FFT runs on one worker."""
     axes = tuple(range(1, phases.ndim))
     fields: dict[int, np.ndarray] = {}
     prod = None
@@ -82,10 +94,41 @@ def _phase_products(sources, conj, phases: np.ndarray, P: int, crop,
         f = fields.get(id(src))
         if f is None:
             f = fields[id(src)] = ifftn(phases * src, s=(P,) * len(axes), axes=axes,
-                                        norm="forward", workers=workers)
+                                        norm="forward", workers=1)
         f = np.conj(f) if cj else f
         prod = f if prod is None else prod * f
-    return fftn(prod, axes=axes, norm="forward", workers=workers)[crop]
+    return fftn(prod, axes=axes, norm="forward", workers=1)[crop]
+
+
+def walk_phases(sources, conj, L: int, P: int, crop, reduce, rows=None, n=None):
+    """Yield reduce(l, phases, F) for each chunk of `rows` rows l < n (default L), in
+    order: phases[i] = e^{-2 pi i l_i |m|^2 / L} on the source cube, gathered from L
+    roots of unity by (l |m|^2) mod L, and F = _phase_products(...). Chunks form
+    tasks of about _PHASE_TASK_ENTRIES entries (one chunk by default), run on
+    get_workers() threads if there are two or more, else inline; each task's results
+    are yielded once it and those before it finish, whatever the thread count."""
+    sq = _sq_norms(sources[0].ndim, (sources[0].shape[0] - 1) // 2)
+    n = L if n is None else n
+    task_rows = max(1, _PHASE_TASK_ENTRIES // P ** sq.ndim)
+    rows = task_rows if rows is None else rows
+    span = max(1, task_rows // rows) * rows
+    roots = np.exp(-2j * np.pi / L * np.arange(L))
+
+    def chunk(a):
+        l = np.arange(a, min(a + rows, n))
+        phases = roots[np.multiply.outer(l, sq) % L]
+        return reduce(l, phases, _phase_products(sources, conj, phases, P, crop))
+
+    def task(lo):
+        return [chunk(a) for a in range(lo, min(lo + span, n), rows)]
+
+    starts = range(0, n, span)
+    threads = min(get_workers(), len(starts))
+    if threads < 2:
+        yield from chain.from_iterable(map(task, starts))
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        yield from chain.from_iterable(pool.map(task, starts))
 
 
 def _mode_index(n, d: int, N: int, error=ConfigError) -> tuple[int, ...]:

@@ -20,8 +20,8 @@ precomputed OscillatoryTable. Two exact paths evaluate the sum:
     Each phase is one free-Schroedinger conjugation
     U^{-theta} N(U^{theta} psi_1, ..., U^{theta} psi_{2k+1}): the slot
     product is taken in physical space on a padded P^d grid,
-    P >= (2k+2) N + 1, and cropped to |n_i| <= N, by
-    spectral._phase_products, which the fold's fft backend shares.
+    P >= (2k+2) N + 1, and cropped to |n_i| <= N; the sum is one reduction
+    over spectral.walk_phases, shared with the fold, so no table is kept.
 
 The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
 is admitted iff the phase path's L x P^d entries fit the budget
@@ -43,17 +43,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, next_fast_len
 
-from ._runtime import get_workers
 from .errors import ConfigError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
-from .spectral import (SpectralState, _check_box, _check_phase_grid, _phase_products,
-                       _sq_norms, hs_norm, random_state, zero_state)
+from .spectral import (SpectralState, _check_box, _check_phase_grid, _check_trials,
+                       hs_norm, random_state, walk_phases, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
            "x_norm_estimate"]
 
-# phase-product entries per theta chunk of the phase path: 2^14 complex
+# phase-product entries per summation chunk of the phase path: 2^14 complex
 # entries are 256 KB, so a chunk's few arrays stay in a 2 MB L2 cache
 _PHASE_CHUNK_ENTRIES = 1 << 14
 
@@ -85,22 +84,15 @@ class YoungKernelConfig:
     N: int
     table: OscillatoryTable
     _tuples: np.ndarray | None = field(init=False, repr=False)
-    _phases: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_kernel_box(self.d, self.k, self.N)
         d, k, N = self.d, self.k, self.N
-        R, L, _ = _phase_grid(d, k, N)
+        check_kernel_box(d, k, N)
+        R = table_mu_max(d, k, N)
         if self.table.mu_max < R:
-            raise ConfigError(
-                f"table mu_max={self.table.mu_max} is too small for the mode box; "
-                f"need at least R = (k+1) d N^2 = {R}")
-        if (d, k) == (1, 1):
-            self._tuples, self._phases = _tuple_table(d, k, N), None
-            return
-        # e^{-i theta_l |n|^2}; theta_l |n|^2 is reduced mod 2 pi in integers
-        turns = np.multiply.outer(np.arange(L), _sq_norms(d, N)) % L
-        self._tuples, self._phases = None, np.exp(-2j * np.pi / L * turns)
+            raise ConfigError(f"table mu_max={self.table.mu_max} is too small for the mode "
+                              f"box; need at least R = (k+1) d N^2 = {R}")
+        self._tuples = _tuple_table(d, k, N) if (d, k) == (1, 1) else None
 
     @property
     def n_factors(self) -> int:
@@ -164,7 +156,7 @@ def _phase_sum(cfg: YoungKernelConfig, dphi: np.ndarray, states) -> np.ndarray:
     w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L give
     dPhi(Omega) = sum_l c_l e^{i theta_l Omega} on every in-box Omega.
     Slot j at theta is the field of U^{theta} psi_j, conjugated on even
-    slots; theta runs in chunks of at most _PHASE_CHUNK_ENTRIES entries.
+    slots; the terms are summed in walk_phases chunk order.
     """
     d, N, mu = cfg.d, cfg.N, cfg.table.mu_max
     R, L, P = _phase_grid(d, cfg.k, N)
@@ -176,13 +168,9 @@ def _phase_sum(cfg: YoungKernelConfig, dphi: np.ndarray, states) -> np.ndarray:
     # product holds one more plain than conjugate field, of the output
     crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
     sources, conj = [st.coeffs for st in states], [j % 2 for j in range(len(states))]
-    rows = max(1, _PHASE_CHUNK_ENTRIES // P ** d)
-    acc = np.zeros((2 * N + 1,) * d, dtype=complex)
-    for lo in range(0, L, rows):
-        phases = cfg._phases[lo:lo + rows]
-        spec = _phase_products(sources, conj, phases, P, crop, workers=get_workers())
-        acc += np.tensordot(c[lo:lo + rows], np.conj(phases) * spec, axes=1)
-    return acc
+    return sum(walk_phases(sources, conj, L, P, crop,
+                           lambda l, phases, F: np.tensordot(c[l], np.conj(phases) * F, axes=1),
+                           rows=max(1, _PHASE_CHUNK_ENTRIES // P ** d)))
 
 
 def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,
@@ -195,8 +183,7 @@ def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,
     is a deterministic function of the seed, so enlarging `trials`
     extends (never reshuffles) the sampled set.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modnls import _runtime, cli
+from modnls import _runtime, cli, spectral, young
 from modnls.cli import run_command
 from modnls.errors import NumericsError
 from modnls.paths import load_path_csv, make_linear_path, save_path_csv
+from tests.conftest import record_phase_ffts
 
 
 def read_json(path):
@@ -183,6 +185,30 @@ def test_verify_estimates_same_bytes_for_any_thread_count(tmp_path, monkeypatch,
     assert texts[0] == texts[1]
 
 
+def test_solve_same_bytes_for_any_thread_count(tmp_path, monkeypatch):
+    # d = 2, N = 3: L = 75 phases in 8-row chunks and 16-row walker tasks,
+    # so two threads share the kernel's tasks and every file keeps its bytes
+    _, L, P = young._phase_grid(2, 1, 3)
+    assert L % 16
+    monkeypatch.setattr(young, "_PHASE_CHUNK_ENTRIES", 8 * P ** 2)
+    monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 16 * P ** 2)
+    monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
+    log = record_phase_ffts(monkeypatch)
+    cfg = write_config(tmp_path, d=2, N=3, M=8, s=1.2, init=RANDOM_INIT,
+                       path={"kind": "fbm", "H": 0.4, "T": 0.1, "M": 8, "seed": 5})
+    outs = []
+    for threads in ("1", "2"):
+        log.clear()
+        out = tmp_path / f"threads-{threads}"
+        assert run_command(["solve", "--threads", threads, "--config", cfg,
+                            "--out", str(out)]) == 0
+        assert {w for _, w in log} == {1}
+        assert ({t for t, _ in log} != {threading.get_ident()}) == (threads == "2")
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(outs[0]) == 2 * 9 + 1
+    assert outs[0] == outs[1]
+
+
 def test_xnorm_smoke(tmp_path):
     pcsv = tmp_path / "lin.csv"
     assert run_command(["gen-path", "--kind", "linear", "--T", "0.5",
@@ -272,7 +298,7 @@ def test_config_must_be_object(tmp_path, capsys):
 
 def test_config_non_finite_number_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, tol=float("nan"))
-    assert '"tol": NaN' in open(cfg).read()
+    assert '"tol": NaN' in Path(cfg).read_text()
     rc = run_command(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == 2
     lines = capsys.readouterr().err.splitlines()

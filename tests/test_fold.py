@@ -2,6 +2,7 @@
 
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def _ragged_chunks(monkeypatch, slots, d, rows):
     Q, P = _fold.fft_grid(len(slots), d, N)
     real = all(np.isrealobj(sl.values) for sl in slots)
     assert (Q // 2 + 1 if real else Q) % rows != 0
-    monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", rows * P ** d)
+    monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", rows * P ** d)
 
 
 # one_array: the same array object fills every slot; rows: phases per
@@ -125,7 +126,7 @@ def test_one_real_array_is_transformed_once_per_phase_chunk(monkeypatch):
     ifftn = spectral.ifftn
     monkeypatch.setattr(spectral, "ifftn", counted)
     Q, P = _fold.fft_grid(5, 2, 2)
-    monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", 8 * P ** 2)
+    monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 8 * P ** 2)
     res = fold_fft(slots, 2)
     assert len(calls) == -(-(Q // 2 + 1) // 8) > 1
     dense = fold_dense(slots, 2)
@@ -169,7 +170,7 @@ def test_zero_phase_spectrum_is_plain_convolution():
     rng = np.random.default_rng(3)
     vals = [rng.standard_normal(7) + 1j * rng.standard_normal(7) for _ in range(3)]
     slots = [Slot(v, sg) for v, sg in zip(vals, (1, -1, 1))]
-    (l, F), = map_phase_chunks(slots, 1, lambda l, F: (l, F), ls=[0])
+    (l, F), = map_phase_chunks(slots, 1, lambda l, F: (l, F), n=1)
     assert l.tolist() == [0]
     oriented = [vals[0], vals[1][::-1], vals[2]]
     conv = np.convolve(np.convolve(oriented[0], oriented[1]), oriented[2])
@@ -302,3 +303,19 @@ def test_dispatch_prices_the_accumulator_before_each_slot(monkeypatch, N, nnz, p
     cost = sum(c * (j * d * N * N + 1) * (2 * j * N + 1) ** d for j, c in enumerate(nnz))
     assert picked == [pick]
     assert (cost <= _fold._DENSE_OP_LIMIT / 4) == (pick == "dense")
+
+
+def test_dense_fold_refuses_over_budget_before_allocating():
+    # three full d=2, N=20 slots cost about 2e9 operations; the refusal
+    # comes from the cost model, before the first accumulator is built
+    vals = np.ones((41, 41))
+    slots = _fold.alternating_slots([vals] * 3)
+    assert _fold._dense_cost(slots, 2) > _fold._DENSE_OP_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericsError, match="operation budget"):
+            fold_dense(slots, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modnls import _fold, _runtime, resonance
+from modnls import _fold, _runtime, resonance, spectral
 from modnls._fold import alternating_slots, fold
 from modnls.errors import ConfigError, NumericsError
+from modnls.paths import make_linear_path
+from modnls.phi import build_phi_table
 from modnls.resonance import (
     EstimateReport,
     ResonanceTuple,
@@ -29,6 +31,7 @@ from modnls.resonance import (
     estimate_ratio_eq21,
     verify_counting_partition,
 )
+from modnls.young import YoungKernelConfig, table_mu_max, x_norm_estimate
 from tests.conftest import record_phase_ffts
 
 
@@ -300,7 +303,7 @@ def test_eq21_phase_matches_dense_fold(d, k, N, nnz, identical, rows, monkeypatc
     Q, P = _fold.fft_grid(2 * k + 1, d, N)
     if rows:
         assert (Q // 2 + 1) % rows != 0
-        monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", rows * P ** d)
+        monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", rows * P ** d)
     want = _fold.fold_dense(slots, d).contract(*_eq21_weight(d, k, N, rho))
     got = resonance._eq21_phase(slots, d, *resonance._eq21_kernel(d, k, N, rho))
     assert got.shape == want.shape and not np.iscomplexobj(got)
@@ -346,7 +349,7 @@ def test_eq21_and_eq27_do_not_depend_on_worker_count(monkeypatch):
                                              None, False))
     Q, P = _fold.fft_grid(3, d, N)
     assert (Q // 2 + 1) % 10 != 0
-    monkeypatch.setattr(_fold, "_PHASE_CHUNK_ENTRIES", 10 * P ** d)
+    monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 10 * P ** d)
     kernel = resonance._eq21_kernel(d, k, N, rho)
     blocks = (2, 2, 1, 1)
     rng = np.random.default_rng(9)
@@ -503,6 +506,24 @@ def test_dyadic_block_ratio_witness_trials(monkeypatch):
     assert rep.max_ratio_over_trials == max(draws)
     with pytest.raises(NumericsError, match="enumeration budget"):
         eq26_mu_sweep(blocks, 2, 1, s, trials=1, seed=3)
+
+
+def _kernel_xnorm(trials):
+    path = make_linear_path(1.0, 8)
+    cfg = YoungKernelConfig(1, 1, 2, build_phi_table(path, table_mu_max(1, 1, 2)))
+    return x_norm_estimate(cfg, gamma=0.5, s=0.5, trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5])
+@pytest.mark.parametrize("probe", [
+    lambda t: estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, N=3, trials=t, seed=0),
+    lambda t: dyadic_block_ratio("eq26", (2, 2, 1, 1), 0, 2, 1, 0.1, trials=t, seed=0),
+    lambda t: eq26_mu_sweep((2, 2, 1, 1), 2, 1, 0.1, trials=t, seed=0),
+    _kernel_xnorm,
+], ids=["eq21", "dyadic", "eq26-sweep", "xnorm"])
+def test_trials_must_be_a_positive_integer(probe, trials):
+    with pytest.raises(ConfigError, match="trials must be a positive integer"):
+        probe(trials)
 
 
 def test_eq26_sweep_over_budget_is_a_numerics_error():

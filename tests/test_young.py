@@ -1,11 +1,14 @@
 """Young kernel increments: worked example, oracles, and structure."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scipy.fft import next_fast_len
 
-from modnls import _fold, young
+from modnls import _fold, _runtime, spectral, young
 from modnls.errors import ConfigError, NumericsError
 from modnls.paths import (SamplePath, make_constant_path, make_fbm_path,
                           make_linear_path, make_modulated_path)
@@ -21,7 +24,7 @@ from modnls.young import (
     x_increment,
     x_norm_estimate,
 )
-from tests.conftest import duhamel_x_oracle, x_increment_direct
+from tests.conftest import duhamel_x_oracle, record_phase_ffts, x_increment_direct
 
 
 def make_kernel(d, k, N, path):
@@ -88,17 +91,21 @@ def _brute_tuple_count(d, k, N):
     (1, 2, 2, "phases"), (2, 1, 2, "phases"), (2, 1, 4, "phases"),
     (3, 1, 2, "phases"),
 ])
-def test_kernel_path_selection(d, k, N, path_name):
+def test_kernel_path_selection(d, k, N, path_name, monkeypatch):
     path = make_linear_path(1.0, 2)
     cfg = make_kernel(d, k, N, path)
+    walks = []
+    monkeypatch.setattr(young, "walk_phases",
+                        lambda *a, **kw: walks.append(a[2]) or spectral.walk_phases(*a, **kw))
+    x_increment(cfg, 0.0, 1.0, [unit_mode(d, N, [0] * d)] * (2 * k + 1))
     if path_name == "tuples":
         assert cfg._tuples is not None
         assert cfg._tuples.dtype == np.int32
         assert cfg._tuples.shape == (2 * k + 3, _brute_tuple_count(d, k, N))
-        assert cfg._phases is None
+        assert walks == []
     else:
         assert cfg._tuples is None
-        assert cfg._phases.shape == (_phase_grid(d, k, N)[1],) + (2 * N + 1,) * d
+        assert walks == [_phase_grid(d, k, N)[1]]
 
 
 def _clock(kind):
@@ -144,7 +151,7 @@ def _assert_rel(got, want, rel):
 def test_phase_path_matches_oracles(d, k, N, clock):
     path = _clock(clock)
     cfg = make_kernel(d, k, N, path)
-    assert cfg._phases is not None
+    assert cfg._tuples is None
     rng = np.random.default_rng(100 * d + 10 * k + N)
     psi = random_state(d, N, 0.5, seed=rng)
     distinct = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
@@ -181,6 +188,50 @@ def test_phase_path_reaches_both_offset_ends(d, k, N, monkeypatch):
         got = x_increment(cfg, s, t, states).coeffs
         _assert_rel(got, x_increment_direct(cfg, s, t, states).coeffs, 1e-12)
         _assert_rel(got, _fold_oracle(cfg, s, t, states), 1e-12)
+
+
+def test_phase_path_keeps_no_phase_table():
+    # (2, 1, 16): L = 2050 phases on a 33^2 cube; a whole phase table would
+    # be 36 MB, one chunk of gathered phases is a few KB
+    path = make_fbm_path(0.3, 0.5, 4, seed=2)
+    tracemalloc.start()
+    try:
+        cfg = make_kernel(2, 1, 16, path)
+        states = [random_state(2, 16, 0.5, seed=j) for j in range(3)]
+        out = x_increment(cfg, path.t_grid[0], path.t_grid[4], states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out.coeffs))
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("task_chunks", [3, None], ids=["pooled", "one-task"])
+def test_phase_path_does_not_depend_on_worker_count(task_chunks, monkeypatch):
+    # (2, 1, 3): L = 150 phases in 7-row chunks, three chunks a task, so the
+    # last chunk and the last task are ragged; the default task holds all
+    # of L, which runs inline at any worker count
+    d, k, N = 2, 1, 3
+    _, L, P = _phase_grid(d, k, N)
+    monkeypatch.setattr(young, "_PHASE_CHUNK_ENTRIES", 7 * P ** d)
+    if task_chunks:
+        assert L % 7 and L % (7 * task_chunks)
+        monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 7 * task_chunks * P ** d)
+    path = make_fbm_path(0.3, 0.5, 16, seed=4)
+    cfg = make_kernel(d, k, N, path)
+    rng = np.random.default_rng(6)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(3)]
+    log = record_phase_ffts(monkeypatch)
+    monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
+    out = []
+    for n in (1, 2):
+        _runtime.set_workers(n)
+        log.clear()
+        out.append(x_increment(cfg, path.t_grid[3], path.t_grid[11], states).coeffs)
+        assert {w for _, w in log} == {1}
+        on_pool = {t for t, _ in log} != {threading.get_ident()}
+        assert on_pool == (n == 2 and task_chunks is not None)
+    assert np.array_equal(out[0], out[1])
 
 
 @pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 2)])
