@@ -13,7 +13,7 @@ bucket is what turns resonance-weighted sums (weights depending on
 Two backends produce identical tables:
   * dense: explicit shift-accumulate over nonzero slot entries; cheap for
     sparse slots (shells, point masses) and small grids. _dense_cost is its
-    work, which both its budget and the dispatch (prefers_dense) read.
+    work, which both the operation budget and the dispatch (prefers_dense) read.
   * fft: the phase spectra F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} are
     products of free-Schroedinger phased slot fields; fold_fft inverts them
     over l.
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import ifft, irfft, next_fast_len
 
-from .errors import ConfigError, NumericsError
-from .spectral import _check_phase_grid, _sq_norms, walk_phases
+from .errors import ConfigError
+from .spectral import _SIZE_LIMITS, _refuse_oversized, _sq_norms, walk_phases
 
-_DENSE_OP_LIMIT = 4e7
 # table entries per row chunk of FoldResult.contract
 _CONTRACT_CHUNK_ENTRIES = 1 << 18
 
@@ -115,8 +114,7 @@ def _dense_cost(slots: list[Slot], d: int) -> int:
 
 
 def fold_dense(slots: list[Slot], d: int) -> FoldResult:
-    if _dense_cost(slots, d) > _DENSE_OP_LIMIT:
-        raise NumericsError("dense fold would exceed the operation budget; use the fft backend")
+    _refuse_oversized("operation", _dense_cost(slots, d), "dense fold operations")
     N = _cutoff(slots, d)
     sq = _sq_norms(d, N)
     dtype = float if all(np.isrealobj(sl.values) for sl in slots) else complex
@@ -146,7 +144,7 @@ def fold_dense(slots: list[Slot], d: int) -> FoldResult:
 def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
     """(Q, P) of an m-slot fft fold; NumericsError past the phase-grid budget."""
     Q, P = next_fast_len(m * d * N * N + 1), next_fast_len(2 * m * N + 1)
-    _check_phase_grid("fft fold", Q, P, d)
+    _refuse_oversized("memory", Q * P ** d, f"fft fold phase-grid entries ({Q} x {P}^{d})")
     return Q, P
 
 
@@ -185,7 +183,7 @@ def fold_fft(slots: list[Slot], d: int) -> FoldResult:
 
 def prefers_dense(slots: list[Slot], d: int) -> bool:
     """fold_dense's cost is a quarter of its budget or less."""
-    return _dense_cost(slots, d) <= _DENSE_OP_LIMIT / 4
+    return _dense_cost(slots, d) <= _SIZE_LIMITS["operation"] / 4
 
 
 def fold(slots: list[Slot], d: int) -> FoldResult:

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 2 configuration/validation or argument failure
 (an unreadable input or unwritable output file, a missing or unparsable
-flag included), 3 numerical failure (blow-up, non-convergence, a box
-over its size budget or a non-finite result), each with one strict-JSON
-diagnostic on stderr, 64 missing or unknown subcommand.
+flag and a --threads below 1 included), 3 numerical failure (blow-up,
+non-convergence, a box over its size budget, a non-finite result, or a
+MemoryError or OverflowError from a size no budget prices), each with
+one strict-JSON diagnostic on stderr, 64 missing or unknown subcommand.
 
-Thread handling: --threads (default: all cores) sizes the one worker
-pool, the phase walker's. It is read before numpy is imported, so the BLAS
-thread variables, 1 unless set, take effect: pocketfft and BLAS run one
-thread each, and outputs do not depend on the count. Library code
-imported directly, without the CLI, stays single-threaded by default.
+Thread handling: --threads (default: all cores), a positive integer,
+sizes the one worker pool, the phase walker's. The subcommand's parser
+reads it before numpy is imported, so the BLAS thread variables, 1
+unless set, take effect: pocketfft and BLAS run one thread each, and
+outputs do not depend on the count. Library code imported directly,
+without the CLI, stays single-threaded by default.
 
 solve and converge read the whole experiment from the JSON config; a
 key outside the README schema is a configuration error.
@@ -34,26 +36,6 @@ _COMMANDS = ("gen-path", "irregularity", "solve", "converge",
              "verify-estimates", "xnorm")
 _USAGE = ("usage: modnls {gen-path|irregularity|solve|converge|"
           "verify-estimates|xnorm} [--threads N] [options]\n")
-
-
-def _resolve_threads(argv) -> int:
-    val = os.cpu_count() or 1
-    for i, tok in enumerate(argv):
-        if tok == "--threads" and i + 1 < len(argv):
-            val = argv[i + 1]
-        elif tok.startswith("--threads="):
-            val = tok.split("=", 1)[1]
-    try:
-        return max(1, int(val))
-    except ValueError:
-        raise ConfigError(f"--threads expects an integer, got {val!r}") from None
-
-
-def _setup_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    _runtime.set_workers(n)
 
 
 def _write_json(obj, filename) -> None:
@@ -85,11 +67,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one JSON line with exit 2, not usage text
         raise ConfigError(f"{self.prog}: {message}")
 
+    def parse_args(self, args=None, namespace=None):
+        """Parse, then size the pool by --threads (set_workers refuses a count below 1)
+        and pin BLAS to 1 thread unless set, before the handler imports numpy."""
+        args = super().parse_args(args, namespace)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
+        _runtime.set_workers(args.threads)
+        return args
+
 
 def _parser(cmd: str) -> argparse.ArgumentParser:
     p = _Parser(prog=f"modnls {cmd}")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker count (already applied; listed for --help)")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker count (default: all cores)")
     return p
 
 
@@ -304,7 +296,8 @@ def _cmd_converge(rest) -> int:
         raise ConfigError("--levels must be at least 2")
     cfg, phi0, table = _load_experiment(args)
     M = cfg.partition.size - 1
-    if M % (1 << (args.levels - 1)):
+    # a 2^(levels-1) above M divides no M; it is refused before the shift is computed
+    if args.levels - 1 >= M.bit_length() or M % (1 << (args.levels - 1)):
         raise ConfigError(
             f"M={M} is not divisible by 2^{args.levels - 1}; "
             "choose M with enough factors of two for the levels")
@@ -431,14 +424,14 @@ def run_command(argv) -> int:
         sys.stderr.write(_USAGE)
         return 64
     try:
-        _setup_threads(_resolve_threads(argv))
         return _HANDLERS[argv[0]](argv[1:])
     except (ValueError, OSError) as e:
         # a ConfigError, bad numeric input surfaced below the config layer,
         # or a file named on the command line that cannot be read or written
         sys.stderr.write(json.dumps(_diag(e)) + "\n")
         return 2
-    except NumericsError as e:
+    except (NumericsError, MemoryError, OverflowError) as e:
+        # a refused size, a failed computation, or a size no budget prices
         sys.stderr.write(json.dumps(_diag(e)) + "\n")
         return 3
     except SystemExit as e:

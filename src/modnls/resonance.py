@@ -10,9 +10,10 @@ eq26 on its q-bucketed table), and report the worst observed LHS/RHS
 ratio. They probe boundedness; they prove nothing.
 
 Every enumeration (enumerate_A, verify_counting_partition, the eq26
-witness scan) has one size rule: the product of its slot mode lists,
-the number of candidate tuples it visits, must stay within
-_CANDIDATE_LIMIT, or the call raises NumericsError before scanning.
+witness scan) has one size rule: the product of its slot mode counts,
+the number of candidate tuples it visits, must fit spectral's
+enumeration budget. It is priced from the box bounds or shell counts,
+and refused with NumericsError before any mode list is built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ._fold import (alternating_slots, fft_grid, fold, fold_dense, map_phase_chunks,
                     prefers_dense)
 from .errors import ConfigError, NumericsError
-from .spectral import _check_box, _check_trials, _sq_norms, mode_grid
+from .spectral import _check_box, _check_trials, _is_int, _refuse_oversized, _sq_norms
 
 __all__ = [
     "ResonanceTuple",
@@ -41,8 +42,6 @@ __all__ = [
     "dyadic_block_ratio",
     "eq26_mu_sweep",
 ]
-
-_CANDIDATE_LIMIT = 2.0e7
 
 
 def _alt_signs(k: int) -> np.ndarray:
@@ -104,21 +103,16 @@ def _normalize_box(box, k: int) -> list[tuple[int, int]]:
 
 def _range_modes(lo: int, hi: int, d: int) -> np.ndarray:
     """(S, d) array of all modes in the cube [lo, hi]^d; empty when lo > hi."""
-    r = np.arange(lo, hi + 1)
-    if r.size == 0:
-        return np.zeros((0, d), dtype=int)
-    axes = np.meshgrid(*([r] * d), indexing="ij")
+    axes = np.meshgrid(*([np.arange(lo, hi + 1)] * d), indexing="ij")
     return np.stack([a.ravel() for a in axes], axis=-1)
 
 
-def _check_budget(lists) -> float:
-    """Size of the product of the slot mode lists; NumericsError above budget."""
-    total = prod(float(f.shape[0]) for f in lists)
-    if total > _CANDIDATE_LIMIT:
-        raise NumericsError(
-            f"{total:.3g} candidate tuples exceed the enumeration budget "
-            f"{_CANDIDATE_LIMIT:.0e}; shrink the box")
-    return total
+def _priced_modes(bounds, d: int) -> tuple[list[np.ndarray], int]:
+    """The mode list of each slot's (lo, hi) and their product, the candidate count,
+    which is priced against the enumeration budget before any list is built."""
+    total = prod(max(0, hi - lo + 1) ** d for lo, hi in bounds)
+    _refuse_oversized("enumeration", total, "candidate tuples")
+    return [_range_modes(lo, hi, d) for lo, hi in bounds], total
 
 
 def _zero_sum_scan(frees: list[np.ndarray], d: int):
@@ -159,8 +153,7 @@ def enumerate_A(mu: int, box, d: int, k: int):
         raise ConfigError(f"mu must be an integer, got {mu}")
     mu = int(mu)
     bounds = _normalize_box(box, k)
-    frees = [_range_modes(lo, hi, d) for lo, hi in bounds[1:]]
-    _check_budget(frees)
+    frees, _ = _priced_modes(bounds[1:], d)
     lo0, hi0 = bounds[0]
     out = []
     for a, n0, _, muv in _zero_sum_scan(frees, d):
@@ -215,8 +208,7 @@ def verify_counting_partition(box, d: int, k: int) -> CountingReport:
     tuples land in.
     """
     bounds = _normalize_box(box, k)
-    slots_modes = [_range_modes(lo, hi, d) for lo, hi in bounds]
-    total = _check_budget(slots_modes)
+    slots_modes, total = _priced_modes(bounds, d)
     counts: dict[int, int] = {}
     zero_sum_count = 0
     if total:
@@ -249,7 +241,7 @@ def verify_counting_partition(box, d: int, k: int) -> CountingReport:
             classes_of[key] = classes_of.get(key, 0) + 1
     max_membership = max(classes_of.values(), default=0)
     return CountingReport(
-        d=d, k=k, bounds=bounds, total_tuples=int(total),
+        d=d, k=k, bounds=bounds, total_tuples=total,
         zero_sum_count=zero_sum_count, mu_values=mu_values,
         mu_counts=mu_counts, max_membership=max_membership,
         cross_checked=len(check_mus), cross_check_ok=ok)
@@ -329,6 +321,8 @@ def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
     m = 2 * k + 1
     if len(psis) != m:
         raise ConfigError(f"need {m} test sequences, got {len(psis)}")
+    if not _is_int(q) or not 1 <= q <= m:
+        raise ConfigError(f"need 1 <= q <= {m}, got q={q}")
     psis = [np.asarray(p, dtype=float) for p in psis]
     if any(p.shape != psis[0].shape for p in psis):
         raise ConfigError("test sequences must share one cube")
@@ -408,8 +402,6 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
             f"need s > d/2 - rho/k = {d / 2 - rho / k}, got s={s}")
     if not -s <= s_prime <= s:
         raise ConfigError(f"need -s <= s_prime <= s, got s_prime={s_prime}")
-    if not 1 <= q <= 2 * k + 1:
-        raise ConfigError(f"need 1 <= q <= {2 * k + 1}, got q={q}")
     rng = np.random.default_rng(seed)
     candidates = _eq21_candidates(d, N, s, 2 * k + 1)
     kernel = cache(lambda: _eq21_kernel(d, k, N, rho))  # built by the first phase trial
@@ -429,14 +421,16 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
 
 
 def _dyadic_setup(blocks, d: int, k: int):
+    """Validated blocks, Bmax, |n|^2 on the (2 Bmax + 1)^d cube (priced first), shells."""
     blocks = tuple(int(b) for b in blocks)
     if len(blocks) != 2 * k + 2:
         raise ConfigError(f"need {2 * k + 2} dyadic blocks, got {len(blocks)}")
     for b in blocks:
         if b < 1 or b & (b - 1):
             raise ConfigError(f"blocks must be powers of two >= 1, got {b}")
-    B = [isqrt(4 * b * b - 2) for b in blocks]
-    Bmax = max(B)
+    Bmax = isqrt(4 * max(blocks) ** 2 - 2)
+    _check_box(d, Bmax, k)
+    _refuse_oversized("memory", (2 * Bmax + 1) ** d, "dyadic block cube entries")
     nsq = _sq_norms(d, Bmax)
     masks = [(nsq >= b * b - 1) & (nsq <= 4 * b * b - 2) for b in blocks]
     for b, m in zip(blocks, masks):
@@ -445,11 +439,29 @@ def _dyadic_setup(blocks, d: int, k: int):
     return blocks, Bmax, nsq, masks
 
 
-def _eq26_lhs(res, psi0: np.ndarray, nsq: np.ndarray, mus) -> list[float]:
-    """sum_n psi0(n) T[|n|^2 - mu, n] for each mu: the eq26 lhs on A(mu)."""
+def _block_mus(estimate: str, mu) -> list[int] | None:
+    """The mus argument of _block_lhs: None for eq27, [mu] for eq26 with an integer mu."""
+    if estimate not in ("eq26", "eq27"):
+        raise ConfigError(f"unknown estimate id {estimate!r}")
+    if estimate == "eq27":
+        return None
+    if mu is None or int(mu) != mu:
+        raise ConfigError("eq26 needs an integer mu")
+    return [int(mu)]
+
+
+def _block_lhs(psis, nsq: np.ndarray, Bmax: int, d: int, k: int, mus) -> list[float]:
+    """The per-trial core of the block probes: [eq27 lhs] when mus is None, else the
+    eq26 lhs sum_n psi0(n) T[|n|^2 - mu, n] on A(mu) for each mu in mus."""
+    slots = alternating_slots(psis[1:])
+    if mus is None:
+        F, = map_phase_chunks(slots, d, lambda l, F: F, n=1)  # the plain convolution
+        off = 2 * k * Bmax
+        return [float((psis[0] * F[(0,) + (slice(off, -off),) * d].real).sum())]
+    res = fold(slots, d).crop_spatial(Bmax)
     Q = res.table.shape[0]
     tab = res.table.reshape(Q, -1)
-    flat = psi0.ravel()
+    flat = psis[0].ravel()
     out = []
     for mu in mus:
         qidx = nsq.ravel() - mu - res.q_min
@@ -471,6 +483,7 @@ def _block_rhs(blocks, s: float, psis=()) -> float:
 def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
                      mu: int | None, d: int, k: int, s: float):
     """(lhs, rhs, ratio) for one tuple of block-supported nonnegative profiles."""
+    mus = _block_mus(estimate, mu)
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     if len(psis) != 2 * k + 2:
         raise ConfigError(f"need {2 * k + 2} profiles, got {len(psis)}")
@@ -483,18 +496,7 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
             raise ConfigError("profiles must vanish off their block shells")
         if not p.any():
             raise ConfigError("profiles must not vanish identically")
-    slots = alternating_slots(psis[1:])
-    if estimate == "eq27":
-        F, = map_phase_chunks(slots, d, lambda l, F: F, n=1)  # the plain convolution
-        off = 2 * k * Bmax
-        lhs = float((psis[0] * F[(0,) + (slice(off, -off),) * d].real).sum())
-    elif estimate == "eq26":
-        if mu is None or int(mu) != mu:
-            raise ConfigError("eq26 needs an integer mu")
-        res = fold(slots, d).crop_spatial(Bmax)
-        lhs = _eq26_lhs(res, psis[0], nsq, [int(mu)])[0]
-    else:
-        raise ConfigError(f"unknown estimate id {estimate!r}")
+    lhs, = _block_lhs(psis, nsq, Bmax, d, k, mus)
     rhs = _block_rhs(blocks, s, psis)
     return lhs, rhs, lhs / rhs
 
@@ -502,11 +504,14 @@ def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
 def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> set:
     """The mu whose class A(mu) has a member with every slot on its shell.
 
-    NumericsError when the scan exceeds the budget.
+    The scan is priced from the shell sizes, before any mode list is built;
+    NumericsError when it exceeds the enumeration budget.
     """
-    modes_cube = mode_grid(d, Bmax).reshape(-1, d)
+    # Python ints: a product of int64 shell counts can wrap
+    _refuse_oversized("enumeration", prod(int(np.count_nonzero(m)) for m in masks[1:]),
+                      "candidate tuples")
+    modes_cube = _range_modes(-Bmax, Bmax, d)
     frees = [modes_cube[m.ravel()] for m in masks[1:]]
-    _check_budget(frees)
     # the |n_0|^2 window alone puts n_0 on its shell: each coordinate is
     # at most isqrt(4 N_0^2 - 2) <= Bmax, so n_0 lies inside the cube
     shell0 = nsq[masks[0]]
@@ -533,17 +538,14 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
     witness scan finds one, so sweeps over mu share a common floor. Other
     trials, and all eq27 trials, use |Gaussian| shell profiles.
     """
-    if estimate not in ("eq26", "eq27"):
-        raise ConfigError(f"unknown estimate id {estimate!r}")
+    mus = _block_mus(estimate, mu)
     _check_trials(trials)
-    if estimate == "eq26" and (mu is None or int(mu) != mu):
-        raise ConfigError("eq26 needs an integer mu")
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     rng = np.random.default_rng(seed)
     witness = False
-    if estimate == "eq26":
+    if mus:
         with suppress(NumericsError):  # over budget: run on without a witness
-            witness = int(mu) in _shell_witnesses(masks, nsq, Bmax, d, k)
+            witness = mus[0] in _shell_witnesses(masks, nsq, Bmax, d, k)
     best = (-1.0, 0.0, 0.0)
     for t in range(trials):
         if witness and t % 2 == 1:
@@ -551,8 +553,9 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
             lhs, ratio = 1.0, 1.0 / rhs
         else:
             psis = [_shell_profile(rng, m) for m in masks]
-            lhs, rhs, ratio = block_ratio_once(estimate, psis, blocks, mu,
-                                               d, k, s)
+            lhs, = _block_lhs(psis, nsq, Bmax, d, k, mus)
+            rhs = _block_rhs(blocks, s, psis)
+            ratio = lhs / rhs
         if ratio > best[0]:
             best = (ratio, lhs, rhs)
     params = {"blocks": list(blocks), "mu": None if mu is None else int(mu),
@@ -581,9 +584,8 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         psis = [_shell_profile(rng, m) for m in masks]
-        res = fold(alternating_slots(psis[1:]), d).crop_spatial(Bmax)
         rhs = _block_rhs(blocks, s, psis)
-        for mu, lhs in zip(attained, _eq26_lhs(res, psis[0], nsq, attained)):
+        for mu, lhs in zip(attained, _block_lhs(psis, nsq, Bmax, d, k, attained)):
             best[mu] = max(best[mu], lhs / rhs)
     ratios = np.array([best[mu] for mu in attained])
     return {

@@ -71,16 +71,20 @@ def _check_trials(trials) -> None:
         raise ConfigError(f"trials must be a positive integer, got {trials}")
 
 
-_PHASE_ENTRY_LIMIT = 4e7  # admitted phases x P^d entries of a phase-product sum
+# the package's size budgets: array entries of a phase grid or the dyadic block
+# cube, fold_dense accumulate operations, and candidate tuples of a zero-sum scan
+_SIZE_LIMITS = {"memory": 4e7, "operation": 4e7, "enumeration": 2e7}
 # phase-product entries per task of walk_phases, whatever the thread count
 _PHASE_TASK_ENTRIES = 1 << 17
 
 
-def _check_phase_grid(what: str, n_phases: int, P: int, d: int) -> None:
-    """NumericsError when n_phases x P^d exceeds the phase-grid budget."""
-    if n_phases * P ** d > _PHASE_ENTRY_LIMIT:
-        raise NumericsError(f"{what} phase grid of {n_phases} x {P}^{d} entries exceeds "
-                            f"the memory budget of {_PHASE_ENTRY_LIMIT:.0e}; shrink the box")
+def _refuse_oversized(budget: str, size: int, what: str) -> None:
+    """NumericsError when size exceeds its budget in _SIZE_LIMITS, read at call time;
+    every caller prices size from shapes or bounds before it allocates."""
+    limit = _SIZE_LIMITS[budget]
+    if size > limit:
+        raise NumericsError(f"{float(size):.3g} {what} exceed the {budget} budget "
+                            f"{limit:.0e}; shrink the box")
 
 
 def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarray:
@@ -301,7 +305,6 @@ def load_state_csv(filename) -> SpectralState:
         raise ConfigError(f"missing sidecar {sidecar}")
     meta = json.loads(sidecar.read_text())
     d, N = int(meta["d"]), int(meta["N"])
-    _check_box(d, N)
     st = zero_state(d, N)
     body = [ln for ln in Path(str(filename)).read_text().splitlines()[1:] if ln.strip()]
     if not body:

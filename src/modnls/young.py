@@ -24,13 +24,13 @@ precomputed OscillatoryTable. Two exact paths evaluate the sum:
     over spectral.walk_phases, shared with the fold, so no table is kept.
 
 The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
-is admitted iff the phase path's L x P^d entries fit the budget
-spectral._PHASE_ENTRY_LIMIT, shared with the fft fold. The rule depends
-on (d, k, N) alone, so the solver and the CLI apply it through
-check_kernel_box before any Phi table is built; the largest admitted N
-is 134, 103, 23 and 8 for (d, k) = (1, 1), (1, 2), (2, 1), (3, 1). A
-Phi table needs the window |mu| <= R. d=1, k=1 boxes contract tuples,
-the faster path there; every other box sums phases.
+is admitted iff the phase path's L x P^d entries fit spectral's memory
+budget, shared with the fft fold. The rule depends on (d, k, N) alone,
+so the solver and the CLI apply it through check_kernel_box before any
+Phi table is built; the largest admitted N is 134, 103, 23 and 8 for
+(d, k) = (1, 1), (1, 2), (2, 1), (3, 1). A Phi table needs the window
+|mu| <= R. d=1, k=1 boxes contract tuples, the faster path there; every
+other box sums phases.
 
 With w identically zero every Phi increment equals t - s and X_{s;t}
 collapses to -i (t - s) times the plain nonlinearity.
@@ -46,7 +46,7 @@ from scipy.fft import fft, next_fast_len
 from .errors import ConfigError
 from .phi import OscillatoryTable
 from .resonance import _range_modes, _zero_sum_scan
-from .spectral import (SpectralState, _check_box, _check_phase_grid, _check_trials,
+from .spectral import (SpectralState, _check_box, _check_trials, _refuse_oversized,
                        hs_norm, random_state, walk_phases, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
@@ -61,7 +61,7 @@ def check_kernel_box(d: int, k: int, N: int) -> None:
     """ConfigError for a malformed box, NumericsError when its phase grid exceeds the budget."""
     _check_box(d, N, k)
     _, L, P = _phase_grid(d, k, N)
-    _check_phase_grid("kernel", L, P, d)
+    _refuse_oversized("memory", L * P ** d, f"kernel phase-grid entries ({L} x {P}^{d})")
 
 
 def table_mu_max(d: int, k: int, N: int) -> int:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modnls import _runtime, cli, spectral, young
+from modnls import _runtime, cli, paths, phi, spectral, young
 from modnls.cli import run_command
 from modnls.errors import NumericsError
 from modnls.paths import load_path_csv, make_linear_path, save_path_csv
@@ -442,6 +442,69 @@ def test_oversized_box_refused_before_any_table(tmp_path, capsys, command):
     assert diag["error"] == "NumericsError"
     assert "memory budget" in diag["message"]
     assert peak < 20 * 2 ** 20
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+
+_HUGE_BLOCKS = ["--d", "2", "--k", "1", "--blocks", "1099511627776,4,2,2"]
+
+
+@pytest.mark.parametrize("argv,loader,error", [
+    (["verify-estimates", "--which", "counting", "--d", "2", "--k", "1",
+      "--N", "1000000"], None, "NumericsError"),
+    (["verify-estimates", "--which", "eq26", *_HUGE_BLOCKS], None, "NumericsError"),
+    (["verify-estimates", "--which", "eq27", *_HUGE_BLOCKS], None, "NumericsError"),
+    (["verify-estimates", "--which", "eq21", "--d", "2", "--k", "1",
+      "--N", str(10 ** 20)], None, "OverflowError"),
+    (["converge", "--config", "{config}", "--levels", "9223372036854775809"], None,
+     "ConfigError"),
+    (["gen-path", "--kind", "linear", "--T", "1", "--M", "10000000000000"],
+     (paths, "make_linear_path"), "MemoryError"),
+    (["irregularity", "--path", "{path}", "--gamma", "0.55", "--rho", "0.5",
+      "--amax", "1e14", "--pairs", "4"], (phi, "default_a_grid"), "MemoryError"),
+], ids=["counting", "eq26-cube", "eq27-cube", "eq21-overflow", "levels", "gen-path",
+        "irregularity"])
+def test_oversized_input_refused_before_allocating(tmp_path, capsys, monkeypatch,
+                                                   argv, loader, error):
+    # each of these inputs asks for terabytes or more. The counting box and
+    # the dyadic cube are priced from their bounds and --levels against M,
+    # so the small peak shows nothing was allocated first; an N too large
+    # for a machine integer overflows before any allocation. gen-path and
+    # irregularity have no size rule: their loader's MemoryError is stood in
+    # for, never provoked, since an overcommitting host kills such a process
+    # instead of refusing its request. Each exits with one JSON line
+    pcsv = tmp_path / "lin.csv"
+    save_path_csv(make_linear_path(1.0, 8), pcsv)
+    fill = {"{config}": write_config(tmp_path), "{path}": str(pcsv)}
+    argv = [fill.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]
+    if loader:
+        monkeypatch.setattr(*loader, _raise_memory_error)
+    tracemalloc.start()
+    try:
+        rc = run_command(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == (2 if error == "ConfigError" else 3)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_reject_constant)["error"] == error
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_must_be_a_positive_integer(tmp_path, capsys, threads):
+    # a count below 1 is refused, not raised to 1, and nothing is written
+    rc = run_command(["gen-path", "--threads", threads, "--kind", "linear",
+                      "--T", "1.0", "--M", "4", "--out", str(tmp_path / "lin.csv")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError" and "--threads" in diag["message"]
+    assert not (tmp_path / "lin.csv").exists()
 
 
 _XNORM_ARGS = ["xnorm", "--path", "lin.csv", "--d", "1", "--k", "1", "--N", "2",

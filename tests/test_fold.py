@@ -302,7 +302,7 @@ def test_dispatch_prices_the_accumulator_before_each_slot(monkeypatch, N, nnz, p
     fold(slots, d)
     cost = sum(c * (j * d * N * N + 1) * (2 * j * N + 1) ** d for j, c in enumerate(nnz))
     assert picked == [pick]
-    assert (cost <= _fold._DENSE_OP_LIMIT / 4) == (pick == "dense")
+    assert (cost <= spectral._SIZE_LIMITS["operation"] / 4) == (pick == "dense")
 
 
 def test_dense_fold_refuses_over_budget_before_allocating():
@@ -310,7 +310,7 @@ def test_dense_fold_refuses_over_budget_before_allocating():
     # comes from the cost model, before the first accumulator is built
     vals = np.ones((41, 41))
     slots = _fold.alternating_slots([vals] * 3)
-    assert _fold._dense_cost(slots, 2) > _fold._DENSE_OP_LIMIT
+    assert _fold._dense_cost(slots, 2) > spectral._SIZE_LIMITS["operation"]
     tracemalloc.start()
     try:
         with pytest.raises(NumericsError, match="operation budget"):

@@ -394,6 +394,33 @@ def test_estimate_ratio_eq21_guards():
         estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 4, N=3, trials=2, seed=0)
 
 
+@pytest.mark.parametrize("q", [0, 4, -1, 1.5])
+def test_eq21_ratio_refuses_q_outside_the_slots(q):
+    # unchecked, q = 0 would read psis[-1] as the s' slot and q = 4 index past the end
+    p = np.ones((9, 9))
+    with pytest.raises(ConfigError, match="1 <= q <= 3"):
+        eq21_ratio([p] * 3, 2, 1, 1.0, 0.3, 0.0, q)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: enumerate_A(0, 10 ** 6, d=2, k=1),
+    lambda: verify_counting_partition(10 ** 6, d=2, k=1),
+    lambda: dyadic_block_ratio("eq27", (2 ** 40, 4, 2, 2), None, 2, 1, 0.1, 1, 0),
+    lambda: eq26_mu_sweep((2 ** 40, 4, 2, 2), 2, 1, 0.1, trials=1, seed=0),
+], ids=["enumerate_A", "counting", "dyadic", "eq26-sweep"])
+def test_size_refusals_come_before_allocation(probe):
+    # mode lists of 4e12 entries, or a dyadic cube of 1.9e25, are priced
+    # from their bounds and refused before anything that size is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericsError, match="(enumeration|memory) budget"):
+            probe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_estimate_ratio_eq21_deterministic_report():
     a = estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, N=3, trials=4, seed=8)
     b = estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, N=3, trials=4, seed=8)
@@ -501,7 +528,7 @@ def test_dyadic_block_ratio_witness_trials(monkeypatch):
     rep = dyadic_block_ratio("eq26", blocks, mu, 2, 1, s, trials=3, seed=3)
     assert rep.max_ratio_over_trials == max(floor, *draws)
 
-    monkeypatch.setattr(resonance, "_CANDIDATE_LIMIT", 1.0)
+    monkeypatch.setitem(spectral._SIZE_LIMITS, "enumeration", 1.0)
     rep = dyadic_block_ratio("eq26", blocks, mu, 2, 1, s, trials=2, seed=3)
     assert rep.max_ratio_over_trials == max(draws)
     with pytest.raises(NumericsError, match="enumeration budget"):
