@@ -26,8 +26,6 @@ __all__ = [
     "make_constant_path",
     "make_fbm_path",
     "make_modulated_path",
-    "eval_path",
-    "modulation_value",
     "save_path_csv",
     "load_path_csv",
 ]
@@ -164,21 +162,6 @@ def make_modulated_path(profile, eps: float, T: float, M: int) -> SamplePath:
     values[0] = 0.0
     return SamplePath(t_grid=t, values=values, kind="modulated",
                       meta={"eps": eps, "profile_size": P})
-
-
-def eval_path(path: SamplePath, t) -> float | np.ndarray:
-    """Normalized path value w(t) by linear interpolation; t must lie in [0, T]."""
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0) or np.any(tt > path.T):
-        raise ValueError(f"t outside the path domain [0, {path.T}]")
-    out = np.interp(tt, path.t_grid, path.values)
-    return float(out) if np.isscalar(t) or tt.ndim == 0 else out
-
-
-def modulation_value(path: SamplePath, t) -> float | np.ndarray:
-    """Actual clock value w(t) + offset, the quantity entering e^{i a w}."""
-    out = eval_path(path, t)
-    return out + path.offset
 
 
 def save_path_csv(path: SamplePath, filename) -> None:

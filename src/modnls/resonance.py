@@ -28,7 +28,8 @@ import numpy as np
 from ._fold import (alternating_slots, fft_grid, fold, fold_dense, map_phase_chunks,
                     prefers_dense)
 from .errors import ConfigError, NumericsError
-from .spectral import _check_box, _check_trials, _is_int, _refuse_oversized, _sq_norms
+from .spectral import (_check_box, _check_trials, _cube_modes, _is_int, _refuse_oversized,
+                       _sq_norms)
 
 __all__ = [
     "ResonanceTuple",
@@ -38,7 +39,6 @@ __all__ = [
     "verify_counting_partition",
     "eq21_ratio",
     "estimate_ratio_eq21",
-    "block_ratio_once",
     "dyadic_block_ratio",
     "eq26_mu_sweep",
 ]
@@ -64,14 +64,6 @@ class ResonanceTuple:
             raise ConfigError("tuple violates the alternating zero-sum constraint")
         if int(sig @ (self.modes ** 2).sum(axis=1)) != self.mu:
             raise ConfigError("tuple violates the alternating square-sum constraint")
-
-    @property
-    def d(self) -> int:
-        return self.modes.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.modes.shape[0] // 2 - 1
 
 
 def _normalize_box(box, k: int) -> list[tuple[int, int]]:
@@ -101,18 +93,12 @@ def _normalize_box(box, k: int) -> list[tuple[int, int]]:
     return [one(spec) for spec in box]
 
 
-def _range_modes(lo: int, hi: int, d: int) -> np.ndarray:
-    """(S, d) array of all modes in the cube [lo, hi]^d; empty when lo > hi."""
-    axes = np.meshgrid(*([np.arange(lo, hi + 1)] * d), indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=-1)
-
-
 def _priced_modes(bounds, d: int) -> tuple[list[np.ndarray], int]:
     """The mode list of each slot's (lo, hi) and their product, the candidate count,
     which is priced against the enumeration budget before any list is built."""
     total = prod(max(0, hi - lo + 1) ** d for lo, hi in bounds)
     _refuse_oversized("enumeration", total, "candidate tuples")
-    return [_range_modes(lo, hi, d) for lo, hi in bounds], total
+    return [_cube_modes(d, lo, hi) for lo, hi in bounds], total
 
 
 def _zero_sum_scan(frees: list[np.ndarray], d: int):
@@ -275,14 +261,6 @@ def _weighted_norm(vals: np.ndarray, nsq: np.ndarray, sigma: float) -> float:
     return float(np.sqrt(np.sum((1.0 + nsq) ** sigma * np.abs(vals) ** 2)))
 
 
-def _check_profiles(psis: list[np.ndarray], what: str) -> None:
-    """ConfigError unless every entry of every profile is finite and >= 0."""
-    if not all(np.isfinite(p).all() for p in psis):
-        raise ConfigError(f"{what} must be finite")
-    if any(p.min() < 0 for p in psis):
-        raise ConfigError(f"{what} must be nonnegative")
-
-
 def _eq21_weight(d: int, k: int, N: int, rho: float):
     """<Omega>^(-rho) over the Omega = |n|^2 - q of the full fold, and its offset."""
     dn2 = d * N * N
@@ -326,7 +304,10 @@ def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
     psis = [np.asarray(p, dtype=float) for p in psis]
     if any(p.shape != psis[0].shape for p in psis):
         raise ConfigError("test sequences must share one cube")
-    _check_profiles(psis, "test sequences")
+    if not all(np.isfinite(p).all() for p in psis):
+        raise ConfigError("test sequences must be finite")
+    if any(p.min() < 0 for p in psis):
+        raise ConfigError("test sequences must be nonnegative")
     N = (psis[0].shape[0] - 1) // 2
     slots = alternating_slots(psis)
     if prefers_dense(slots, d):
@@ -480,27 +461,6 @@ def _block_rhs(blocks, s: float, psis=()) -> float:
     return rhs
 
 
-def block_ratio_once(estimate: str, psis: list[np.ndarray], blocks,
-                     mu: int | None, d: int, k: int, s: float):
-    """(lhs, rhs, ratio) for one tuple of block-supported nonnegative profiles."""
-    mus = _block_mus(estimate, mu)
-    blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
-    if len(psis) != 2 * k + 2:
-        raise ConfigError(f"need {2 * k + 2} profiles, got {len(psis)}")
-    psis = [np.asarray(p, dtype=float) for p in psis]
-    if any(p.shape != nsq.shape for p in psis):
-        raise ConfigError("profiles must live on the common block cube")
-    _check_profiles(psis, "profiles")
-    for p, m in zip(psis, masks):
-        if np.any(p[~m] != 0):
-            raise ConfigError("profiles must vanish off their block shells")
-        if not p.any():
-            raise ConfigError("profiles must not vanish identically")
-    lhs, = _block_lhs(psis, nsq, Bmax, d, k, mus)
-    rhs = _block_rhs(blocks, s, psis)
-    return lhs, rhs, lhs / rhs
-
-
 def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> set:
     """The mu whose class A(mu) has a member with every slot on its shell.
 
@@ -510,7 +470,7 @@ def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> set:
     # Python ints: a product of int64 shell counts can wrap
     _refuse_oversized("enumeration", prod(int(np.count_nonzero(m)) for m in masks[1:]),
                       "candidate tuples")
-    modes_cube = _range_modes(-Bmax, Bmax, d)
+    modes_cube = _cube_modes(d, -Bmax, Bmax)
     frees = [modes_cube[m.ravel()] for m in masks[1:]]
     # the |n_0|^2 window alone puts n_0 on its shell: each coordinate is
     # at most isqrt(4 N_0^2 - 2) <= Bmax, so n_0 lies inside the cube

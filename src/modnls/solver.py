@@ -34,10 +34,6 @@ __all__ = [
     "young_integral",
     "solve_euler_young",
     "solve_picard",
-    "holder_seminorm",
-    "sup_norm",
-    "holder_norm",
-    "c0lambda_distance",
     "reference_split_step",
     "plane_wave_exact",
 ]
@@ -185,53 +181,18 @@ def solve_picard(cfg: SolverConfig, phi0: SpectralState,
     raise NonConvergenceError(cfg.max_iter, residuals, cfg.tol)
 
 
-def _pair_norms(states, s: float):
-    """All pairwise H^s distances via one Gram matrix; returns (dist2, diag)."""
-    d, N = states[0].d, states[0].N
-    w = (1.0 + _sq_norms(d, N)).ravel() ** s
-    C = np.stack([st.coeffs.ravel() for st in states])
-    G = (C * w) @ C.conj().T
+def _distance(states_a, states_b, times: np.ndarray, lam: float, s: float) -> float:
+    """Discrete C^{0,lambda} norm of the differences D_i = a_i - b_i on the partition:
+    max_i |D_i|_{H^s} plus max_{i<j} |D_i - D_j|_{H^s} / |t_i - t_j|^lambda, all
+    from one Gram matrix of the stacked coefficient differences."""
+    D = np.stack([a.coeffs.ravel() - b.coeffs.ravel() for a, b in zip(states_a, states_b)])
+    G = (D * (1.0 + _sq_norms(states_a[0].d, states_a[0].N)).ravel() ** s) @ D.conj().T
     diag = np.real(np.diag(G))
-    dist2 = diag[:, None] + diag[None, :] - 2.0 * np.real(G)
-    return np.maximum(dist2, 0.0), np.maximum(diag, 0.0)
-
-
-def _holder_parts(traj: Trajectory, lam: float, s: float):
-    """(sup norm, Holder seminorm) of a trajectory from one Gram matrix."""
-    if traj.times.size < 2:
-        raise ConfigError("trajectory needs at least two times")
-    dist2, diag = _pair_norms(traj.states, s)
-    dt = np.abs(traj.times[:, None] - traj.times[None, :])
-    iu = np.triu_indices(traj.times.size, k=1)
-    return (float(np.sqrt(diag.max())),
-            float(np.max(np.sqrt(dist2[iu]) / dt[iu] ** lam)))
-
-
-def holder_seminorm(traj: Trajectory, lam: float, s: float) -> float:
-    """sup over grid pairs of |psi(t) - psi(t')|_{H^s} / |t - t'|^lam."""
-    return _holder_parts(traj, lam, s)[1]
-
-
-def sup_norm(traj: Trajectory, s: float) -> float:
-    return float(np.sqrt(_pair_norms(traj.states, s)[1].max()))
-
-
-def holder_norm(traj: Trajectory, lam: float, s: float) -> float:
-    """Discrete C^{0,lambda} norm: sup norm plus the Holder seminorm."""
-    return sum(_holder_parts(traj, lam, s))
-
-
-def _distance(states_a, states_b, times, lam: float, s: float) -> float:
-    diff = [SpectralState(a.d, a.N, a.coeffs - b.coeffs)
-            for a, b in zip(states_a, states_b)]
-    return holder_norm(Trajectory(times, diff), lam, s)
-
-
-def c0lambda_distance(a: Trajectory, b: Trajectory, lam: float, s: float) -> float:
-    """C^{0,lambda} norm of the difference of two same-partition trajectories."""
-    if a.times.size != b.times.size or not np.allclose(a.times, b.times):
-        raise ConfigError("trajectories live on different partitions")
-    return _distance(a.states, b.states, a.times, lam, s)
+    dist2 = np.maximum(diag[:, None] + diag[None, :] - 2.0 * np.real(G), 0.0)
+    iu = np.triu_indices(times.size, k=1)
+    dt = np.abs(times[:, None] - times[None, :])
+    return (float(np.sqrt(np.maximum(diag, 0.0).max()))
+            + float(np.max(np.sqrt(dist2[iu]) / dt[iu] ** lam)))
 
 
 def reference_split_step(phi0: SpectralState, T: float, dt: float,

@@ -22,6 +22,7 @@ import json
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import chain
 from pathlib import Path
 
@@ -38,10 +39,7 @@ __all__ = [
     "random_state",
     "hs_norm",
     "apply_U",
-    "conj_state",
     "nonlinearity",
-    "resonance_offset",
-    "mode_grid",
     "save_state_csv",
     "load_state_csv",
 ]
@@ -80,10 +78,12 @@ _PHASE_TASK_ENTRIES = 1 << 17
 
 def _refuse_oversized(budget: str, size: int, what: str) -> None:
     """NumericsError when size exceeds its budget in _SIZE_LIMITS, read at call time;
-    every caller prices size from shapes or bounds before it allocates."""
+    every caller prices size from shapes or bounds before it allocates. An integer
+    size past float range is shown through Decimal, so it gets the same message."""
     limit = _SIZE_LIMITS[budget]
     if size > limit:
-        raise NumericsError(f"{float(size):.3g} {what} exceed the {budget} budget "
+        shown = f"{Decimal(size):.3g}" if size > 1e308 else f"{float(size):.3g}"
+        raise NumericsError(f"{shown} {what} exceed the {budget} budget "
                             f"{limit:.0e}; shrink the box")
 
 
@@ -182,11 +182,10 @@ def unit_mode(d: int, N: int, n, amplitude: complex = 1.0) -> SpectralState:
     return st
 
 
-def mode_grid(d: int, N: int) -> np.ndarray:
-    """Array of shape (2N+1,)*d + (d,) with the integer mode at each entry."""
-    _check_box(d, N)
-    axes = np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij")
-    return np.stack(axes, axis=-1)
+def _cube_modes(d: int, lo: int, hi: int) -> np.ndarray:
+    """(S, d) array of the modes in [lo, hi]^d, in C order; empty when lo > hi."""
+    axes = np.meshgrid(*([np.arange(lo, hi + 1)] * d), indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=-1)
 
 
 def _sq_norms(d: int, N: int) -> np.ndarray:
@@ -216,12 +215,6 @@ def apply_U(state: SpectralState, w_value: float,
     sign = +1 if direction == "forward" else -1
     phase = np.exp(-1j * sign * w_value * _sq_norms(state.d, state.N))
     return SpectralState(state.d, state.N, state.coeffs * phase)
-
-
-def conj_state(state: SpectralState) -> SpectralState:
-    """Coefficients of the complex conjugate function: conj(phi(-n))."""
-    flipped = np.flip(np.conj(state.coeffs))
-    return SpectralState(state.d, state.N, flipped)
 
 
 def random_state(d: int, N: int, s: float, seed, scale: float = 1.0,
@@ -265,7 +258,7 @@ def nonlinearity(factors: list[SpectralState], k: int | None = None) -> Spectral
     shape = (next_fast_len((2 * k + 2) * N + 1),) * d
     spec = np.ones(shape, dtype=complex)
     for j, st in enumerate(factors, start=1):
-        # slot j carries factor j, conjugated via conj_state on even slots
+        # slot j carries factor j, conjugated and reflected on even slots
         arr = st.coeffs if j % 2 == 1 else np.flip(np.conj(st.coeffs))
         spec = spec * np.fft.fftn(arr, s=shape, axes=tuple(range(d)))
     # mode n sits at index n + (2k+1)N, below the period for |n_i| <= N
@@ -274,21 +267,9 @@ def nonlinearity(factors: list[SpectralState], k: int | None = None) -> Spectral
     return SpectralState(d, N, np.fft.ifftn(spec)[sl].copy())
 
 
-def resonance_offset(n, tuple_modes, k: int | None = None) -> int:
-    """Omega = |n|^2 - sum_j zeta_j |n_j|^2 for the (2k+1)-tuple."""
-    n = np.atleast_1d(np.asarray(n, dtype=int))
-    modes = np.atleast_2d(np.asarray(tuple_modes, dtype=int))
-    if k is not None and modes.shape[0] != 2 * k + 1:
-        raise ConfigError(f"need {2 * k + 1} tuple modes, got {modes.shape[0]}")
-    if modes.shape[0] % 2 == 0:
-        raise ConfigError("tuple length must be odd")
-    zeta = np.where(np.arange(1, modes.shape[0] + 1) % 2 == 1, 1, -1)
-    return int(np.dot(n, n) - np.sum(zeta * np.sum(modes * modes, axis=1)))
-
-
 def save_state_csv(state: SpectralState, filename) -> None:
     """Rows "n_1,...,n_d,re,im", zero modes omitted; JSON sidecar {"d","N"}."""
-    modes = mode_grid(state.d, state.N).reshape(-1, state.d)
+    modes = _cube_modes(state.d, -state.N, state.N)
     flat = state.coeffs.ravel()
     keep = flat != 0
     data = np.column_stack([modes[keep], flat[keep].real, flat[keep].imag])
@@ -300,11 +281,16 @@ def save_state_csv(state: SpectralState, filename) -> None:
 
 
 def load_state_csv(filename) -> SpectralState:
+    """Read save_state_csv's rows; the sidecar's box is checked and priced first."""
     sidecar = Path(str(filename)).with_suffix(".json")
     if not sidecar.exists():
         raise ConfigError(f"missing sidecar {sidecar}")
     meta = json.loads(sidecar.read_text())
-    d, N = int(meta["d"]), int(meta["N"])
+    if not isinstance(meta, dict) or not {"d", "N"} <= meta.keys():
+        raise ConfigError(f"sidecar {sidecar} must be a JSON object with 'd' and 'N'")
+    d, N = meta["d"], meta["N"]
+    _check_box(d, N)
+    _refuse_oversized("memory", (2 * N + 1) ** d, "state coefficients")
     st = zero_state(d, N)
     body = [ln for ln in Path(str(filename)).read_text().splitlines()[1:] if ln.strip()]
     if not body:

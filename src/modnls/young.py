@@ -45,9 +45,9 @@ from scipy.fft import fft, next_fast_len
 
 from .errors import ConfigError
 from .phi import OscillatoryTable
-from .resonance import _range_modes, _zero_sum_scan
-from .spectral import (SpectralState, _check_box, _check_trials, _refuse_oversized,
-                       hs_norm, random_state, walk_phases, zero_state)
+from .resonance import _zero_sum_scan
+from .spectral import (SpectralState, _check_box, _check_trials, _cube_modes,
+                       _refuse_oversized, hs_norm, random_state, walk_phases, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
            "x_norm_estimate"]
@@ -105,7 +105,7 @@ def _tuple_table(d: int, k: int, N: int) -> np.ndarray:
     The j are flat indices into the slot coefficient arrays. Slot 0 of
     the zero-sum scan is the output mode n, so the mu it yields is Omega.
     """
-    modes = _range_modes(-N, N, d)
+    modes = _cube_modes(d, -N, N)
     place = (2 * N + 1) ** np.arange(d - 1, -1, -1)
     blocks = []
     for a, n0, _, omega in _zero_sum_scan([modes] * (2 * k + 1), d):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 from scipy.signal import convolve
 
 from modnls import spectral
+from modnls.errors import ConfigError
 from modnls.spectral import SpectralState
 
 settings.register_profile(
@@ -49,6 +50,23 @@ def gl_phase_integral(path, a_values, s, t, nodes=20, phase_cap=8.0):
             wv = np.interp(tau, grid, vals) + path.offset
             out += half * (np.exp(1j * np.outer(a_values, wv)) @ wq)
     return out if a_values.size > 1 else complex(out[0])
+
+
+def conj_state(state):
+    """Coefficients of the complex conjugate function: conj(phi(-n))."""
+    return SpectralState(state.d, state.N, np.flip(np.conj(state.coeffs)))
+
+
+def resonance_offset(n, tuple_modes, k=None):
+    """Omega = |n|^2 - sum_j zeta_j |n_j|^2 for the (2k+1)-tuple."""
+    n = np.atleast_1d(np.asarray(n, dtype=int))
+    modes = np.atleast_2d(np.asarray(tuple_modes, dtype=int))
+    if k is not None and modes.shape[0] != 2 * k + 1:
+        raise ConfigError(f"need {2 * k + 1} tuple modes, got {modes.shape[0]}")
+    if modes.shape[0] % 2 == 0:
+        raise ConfigError("tuple length must be odd")
+    zeta = np.where(np.arange(1, modes.shape[0] + 1) % 2 == 1, 1, -1)
+    return int(np.dot(n, n) - np.sum(zeta * np.sum(modes * modes, axis=1)))
 
 
 def duhamel_x_oracle(path, s, t, states, nodes=20):

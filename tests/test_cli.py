@@ -494,6 +494,44 @@ def test_oversized_input_refused_before_allocating(tmp_path, capsys, monkeypatch
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("sidecar,argv,error,needle", [
+    ('{"d": 3, "N": 30000}', None, "NumericsError", "memory budget"),
+    ('{"d": 1, "N": 2.9}', None, "ConfigError", "got 2.9"),
+    ("[1]", None, "ConfigError", "must be a JSON object"),
+    ("{}", None, "ConfigError", "must be a JSON object with 'd' and 'N'"),
+    (None, ["verify-estimates", "--which", "counting", "--d", "2", "--k", "1",
+            "--N", "9" * 400], "NumericsError", "e+3202 candidate tuples exceed"),
+], ids=["sidecar-3-PiB", "sidecar-float-N", "sidecar-list", "sidecar-empty",
+        "counting-400-digits"])
+def test_bad_sizes_refused_in_one_line(tmp_path, capsys, sidecar, argv, error, needle):
+    # an init file's sidecar is checked as a JSON object, its d and N are
+    # taken as given (2.9 is not truncated) and its cube is priced before
+    # it is allocated (3.07 PiB here); a size past float range is refused
+    # in the budget's words
+    if argv is None:
+        init = tmp_path / "init.csv"
+        init.write_text("n_1,re,im\n0,0.02,0\n")
+        init.with_suffix(".json").write_text(sidecar + "\n")
+        argv = ["solve", "--config",
+                write_config(tmp_path, init={"type": "file", "file": str(init)})]
+    tracemalloc.start()
+    try:
+        rc = run_command(argv + ["--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == (2 if error == "ConfigError" else 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0], parse_constant=_reject_constant)
+    assert diag["error"] == error
+    assert needle in diag["message"]
+    assert peak < 2 ** 20
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_must_be_a_positive_integer(tmp_path, capsys, threads):
     # a count below 1 is refused, not raised to 1, and nothing is written

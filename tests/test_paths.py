@@ -1,20 +1,16 @@
-"""Sample path constructors, evaluation, and CSV round trips."""
+"""Sample path constructors, validation, and CSV round trips."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from modnls.errors import ConfigError
 from modnls.paths import (
     SamplePath,
-    eval_path,
     load_path_csv,
     make_constant_path,
     make_fbm_path,
     make_linear_path,
     make_modulated_path,
-    modulation_value,
     save_path_csv,
 )
 
@@ -32,22 +28,6 @@ def test_constant_path_level_lives_in_offset():
     path = make_constant_path(1.7, 1.0, 4)
     assert path.offset == 1.7
     np.testing.assert_array_equal(path.values, 0.0)
-    for t in (0.0, 0.3, 1.0):
-        assert modulation_value(path, t) == pytest.approx(1.7, abs=0)
-        assert eval_path(path, t) == 0.0
-    np.testing.assert_array_equal(modulation_value(path, [0.1, 0.9]), 1.7)
-
-
-def test_eval_path_interpolates_linearly():
-    path = SamplePath(t_grid=[0.0, 1.0, 2.0], values=[0.0, 1.0, 0.5],
-                      kind="test", offset=0.25)
-    assert eval_path(path, 0.5) == pytest.approx(0.5)
-    assert eval_path(path, 1.5) == pytest.approx(0.75)
-    assert modulation_value(path, 0.5) == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        eval_path(path, 2.5)
-    with pytest.raises(ValueError):
-        eval_path(path, -0.1)
 
 
 def test_path_validation_rejects_bad_grids():
@@ -141,8 +121,9 @@ def test_csv_round_trip_preserves_modulation(tmp_path, make):
     back = load_path_csv(fn)
     np.testing.assert_allclose(back.t_grid, path.t_grid, atol=1e-15)
     ts = np.linspace(0, path.T, 37)
-    np.testing.assert_allclose(modulation_value(back, ts),
-                               modulation_value(path, ts), atol=1e-12)
+    np.testing.assert_allclose(np.interp(ts, back.t_grid, back.values) + back.offset,
+                               np.interp(ts, path.t_grid, path.values) + path.offset,
+                               atol=1e-12)
 
 
 def test_load_path_csv_rejects_bad_shape(tmp_path):
@@ -150,9 +131,3 @@ def test_load_path_csv_rejects_bad_shape(tmp_path):
     fn.write_text("t,w,extra\n0,0,0\n1,1,1\n")
     with pytest.raises(ConfigError):
         load_path_csv(fn)
-
-
-@given(t=st.floats(min_value=0.0, max_value=1.0))
-def test_linear_path_eval_property(t):
-    path = make_linear_path(1.0, 64)
-    assert eval_path(path, t) == pytest.approx(t, abs=1e-12)

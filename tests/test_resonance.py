@@ -20,10 +20,12 @@ from modnls.phi import build_phi_table
 from modnls.resonance import (
     EstimateReport,
     ResonanceTuple,
+    _block_lhs,
+    _block_mus,
+    _block_rhs,
     _dyadic_setup,
     _eq21_weight,
     _shell_witnesses,
-    block_ratio_once,
     dyadic_block_ratio,
     enumerate_A,
     eq21_ratio,
@@ -73,7 +75,7 @@ def alt_sum_stats(tup):
 
 def test_resonance_tuple_membership_recheck():
     good = ResonanceTuple(modes=np.array([[1], [1], [0], [0]]), mu=0)
-    assert good.d == 1 and good.k == 1
+    assert good.modes.shape == (4, 1)  # 2k + 2 = 4 slots in d = 1
     with pytest.raises(ConfigError):
         ResonanceTuple(modes=np.array([[1], [0], [0], [0]]), mu=0)
     with pytest.raises(ConfigError):
@@ -351,9 +353,9 @@ def test_eq21_and_eq27_do_not_depend_on_worker_count(monkeypatch):
     assert (Q // 2 + 1) % 10 != 0
     monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 10 * P ** d)
     kernel = resonance._eq21_kernel(d, k, N, rho)
-    blocks = (2, 2, 1, 1)
+    _, Bmax, nsq, masks = _dyadic_setup((2, 2, 1, 1), 2, 1)
     rng = np.random.default_rng(9)
-    shells = [resonance._shell_profile(rng, m) for m in _dyadic_setup(blocks, 2, 1)[3]]
+    shells = [resonance._shell_profile(rng, m) for m in masks]
     log = record_phase_ffts(monkeypatch)
     monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
     out = []
@@ -361,7 +363,7 @@ def test_eq21_and_eq27_do_not_depend_on_worker_count(monkeypatch):
         _runtime.set_workers(workers)
         log.clear()
         out.append((resonance._eq21_phase(slots, d, *kernel),
-                    block_ratio_once("eq27", shells, blocks, None, 2, 1, 0.1)))
+                    _block_lhs(shells, nsq, Bmax, 2, 1, None)))
         assert {w for _, w in log} == {1}
     (t1, eq27_1), (t2, eq27_2) = out
     assert np.array_equal(t1, t2)
@@ -374,11 +376,6 @@ def test_non_finite_profiles_rejected(bad):
     p[2, 3] = bad
     with pytest.raises(ConfigError, match="finite"):
         eq21_ratio([p] * 3, 2, 1, 1.0, 0.3, 0.0, 1)
-    blocks = (1, 1, 1, 1)
-    psis = [np.ones((3, 3)) for _ in blocks]
-    psis[2][1, 1] = bad  # n = 0 lies on the N_j = 1 shell
-    with pytest.raises(ConfigError, match="finite"):
-        block_ratio_once("eq27", psis, blocks, None, 2, 1, 0.1)
 
 
 def test_estimate_ratio_eq21_guards():
@@ -450,6 +447,26 @@ def test_ratio_growth_study_rows_match_the_estimate(tmp_path, monkeypatch):
         float(rows[1]["ratio"]) / float(rows[0]["ratio"]), rel=1e-15)
 
 
+@pytest.mark.parametrize("script,args,header", [
+    ("irregularity_study.py", ["--hurst", "0.5", "--seeds", "1", "--M", "256"],
+     ["H", "seed", "rho_max", "predicted"]),
+    ("sewing_rate_study.py", ["--lams", "0.5", "--M", "64"],
+     ["lam", "fitted_rate", "predicted_floor"]),
+], ids=["irregularity", "sewing-rate"])
+def test_study_scripts_write_one_finite_row(tmp_path, monkeypatch, script, args, header):
+    # a smoke run at the smallest size: a library change that breaks a
+    # study script fails here
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    out = tmp_path / "study.csv"
+    monkeypatch.setattr(sys, "argv", [str(path), *args, "--out", str(out)])
+    runpy.run_path(str(path), run_name="__main__")
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    assert len(rows) == 2
+    assert all(np.isfinite(float(v)) for v in rows[1])
+
+
 def test_estimate_report_json_keys():
     rep = EstimateReport("eq21", {"d": 2}, 1.0, 2.0, 0.5, 3, 0.5)
     assert set(rep.to_json_dict()) == {
@@ -480,14 +497,14 @@ def brute_block_lhs(psis, mu, d, k):
 
 @pytest.mark.parametrize("estimate,mu", [("eq27", None), ("eq26", 0), ("eq26", 2)])
 def test_block_ratio_once_matches_enumeration(estimate, mu):
+    # one trial of the block probes: _block_lhs over _block_rhs
     rng = np.random.default_rng(7)
     blocks = (1, 1, 1, 1)
-    masks_side = 3  # Bmax = isqrt(4 - 2) = 1 so the cube is [-1, 1]^2
-    psis = [np.abs(rng.standard_normal((masks_side, masks_side)))
-            for _ in range(4)]
-    nsq = np.add.outer(np.arange(-1, 2) ** 2, np.arange(-1, 2) ** 2)
-    psis = [p * (nsq <= 2) for p in psis]
-    lhs, rhs, ratio = block_ratio_once(estimate, psis, blocks, mu, 2, 1, s=0.1)
+    _, Bmax, nsq, _ = _dyadic_setup(blocks, 2, 1)  # Bmax = isqrt(4 - 2) = 1: [-1, 1]^2
+    psis = [np.abs(rng.standard_normal(nsq.shape)) * (nsq <= 2) for _ in range(4)]
+    lhs, = _block_lhs(psis, nsq, Bmax, 2, 1, _block_mus(estimate, mu))
+    rhs = _block_rhs(blocks, 0.1, psis)
+    ratio = lhs / rhs
     expected = brute_block_lhs(psis, mu, 2, 1)
     assert lhs == pytest.approx(expected, rel=1e-12)
     norms = np.prod([np.sqrt((p ** 2).sum()) for p in psis])
@@ -519,12 +536,14 @@ def test_dyadic_block_ratio_witness_trials(monkeypatch):
     # odd trials take the closed-form witness floor and draw no random
     # numbers; over budget the sweep has no witness and every trial draws
     blocks, mu, s = (2, 2, 1, 1), 0, 0.1
-    masks = _dyadic_setup(blocks, 2, 1)[3]
+    _, Bmax, nsq, masks = _dyadic_setup(blocks, 2, 1)
     rng = np.random.default_rng(3)
-    draws = [block_ratio_once("eq26", [resonance._shell_profile(rng, m)
-                                       for m in masks], blocks, mu, 2, 1, s)[2]
-             for _ in range(2)]
-    floor = 1.0 / resonance._block_rhs(blocks, s)
+    draws = []
+    for _ in range(2):
+        psis = [resonance._shell_profile(rng, m) for m in masks]
+        lhs, = _block_lhs(psis, nsq, Bmax, 2, 1, [mu])
+        draws.append(lhs / _block_rhs(blocks, s, psis))
+    floor = 1.0 / _block_rhs(blocks, s)
     rep = dyadic_block_ratio("eq26", blocks, mu, 2, 1, s, trials=3, seed=3)
     assert rep.max_ratio_over_trials == max(floor, *draws)
 

@@ -13,14 +13,10 @@ from modnls.phi import build_phi_table
 from modnls.solver import (
     SolverConfig,
     Trajectory,
-    c0lambda_distance,
-    holder_norm,
-    holder_seminorm,
     plane_wave_exact,
     reference_split_step,
     solve_euler_young,
     solve_picard,
-    sup_norm,
     uniform_partition,
     young_integral,
 )
@@ -116,26 +112,29 @@ def test_picard_fixed_point_is_euler_trajectory():
     assert picard.meta["iterations"] == len(residuals)
 
 
-def test_picard_residual_builds_one_gram_matrix(monkeypatch):
-    calls = {"pairs": 0, "distance": 0}
-    pair_norms, distance = solver._pair_norms, solver._distance
+def test_picard_residual_is_the_c0lambda_norm(monkeypatch):
+    # every sweep's residual is the sup plus Holder norm of the iterate
+    # difference, here recomputed pair by pair from hs_norm instead of
+    # from one Gram matrix
+    seen = []
+    distance = solver._distance
 
-    def counted_pairs(*args):
-        calls["pairs"] += 1
-        return pair_norms(*args)
+    def recorded(a, b, times, lam, s):
+        seen.append(([x.coeffs - y.coeffs for x, y in zip(a, b)], times, lam, s))
+        return distance(a, b, times, lam, s)
 
-    def counted_distance(*args):
-        calls["distance"] += 1
-        return distance(*args)
-
-    monkeypatch.setattr(solver, "_pair_norms", counted_pairs)
-    monkeypatch.setattr(solver, "_distance", counted_distance)
+    monkeypatch.setattr(solver, "_distance", recorded)
     path = make_fbm_path(0.5, 0.5, 16, seed=12)
     cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 16))
     traj = solve_picard(cfg, random_state(1, 2, cfg.s, seed=4, scale=0.05),
                         table_for(cfg, path))
-    assert calls["distance"] == traj.meta["iterations"] >= 2
-    assert calls["pairs"] == calls["distance"]
+    assert len(seen) == traj.meta["iterations"] >= 2
+    for res, (diff, times, lam, s) in zip(traj.meta["residuals"], seen):
+        norms = [hs_norm(SpectralState(1, 2, c), s) for c in diff]
+        semi = max(hs_norm(SpectralState(1, 2, diff[i] - diff[j]), s)
+                   / (times[j] - times[i]) ** lam
+                   for i in range(len(diff)) for j in range(i + 1, len(diff)))
+        assert res == pytest.approx(max(norms) + semi, rel=1e-12)
 
 
 def test_picard_non_convergence_reports_residuals():
@@ -163,26 +162,17 @@ def test_euler_blow_up_guard():
 
 
 def test_holder_norms_on_two_point_trajectory():
+    # _distance(a, b) is the C^{0,lambda} norm of a - b: sup norm 2, and
+    # seminorm 2 / 0.25^lambda = 4, which a constant trajectory leaves out
     times = np.array([0.0, 0.25])
     a = zero_state(1, 1)
     b = unit_mode(1, 1, 0, amplitude=2.0)
-    traj = Trajectory(times=times, states=[a, b])
+    zeros = [a, a]
     lam = 0.5
-    assert sup_norm(traj, 0.0) == pytest.approx(2.0, abs=0)
-    assert holder_seminorm(traj, lam, 0.0) == pytest.approx(2.0 / 0.25 ** lam, abs=1e-14)
-    assert holder_norm(traj, lam, 0.0) == pytest.approx(2.0 + 4.0, abs=1e-13)
-
-
-def test_c0lambda_distance():
-    times = np.array([0.0, 1.0])
-    sa = [zero_state(1, 1), unit_mode(1, 1, 0, amplitude=1.0)]
-    sb = [zero_state(1, 1), unit_mode(1, 1, 0, amplitude=1.0)]
-    ta, tb = Trajectory(times, sa), Trajectory(times, sb)
-    assert c0lambda_distance(ta, tb, 0.5, 0.0) == 0.0
-    tc = Trajectory(np.array([0.0, 0.5, 1.0]),
-                    [zero_state(1, 1)] * 3)
-    with pytest.raises(ConfigError):
-        c0lambda_distance(ta, tc, 0.5, 0.0)
+    assert solver._distance([b, b], zeros, times, lam, 0.0) == pytest.approx(2.0, abs=0)
+    assert solver._distance([a, b], zeros, times, lam, 0.0) == pytest.approx(2.0 + 4.0,
+                                                                           abs=1e-13)
+    assert solver._distance([a, b], [a, b], times, lam, 0.0) == 0.0
 
 
 def test_young_integral_splits():

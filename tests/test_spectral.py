@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from modnls.errors import ConfigError
 from modnls.spectral import (
     SpectralState,
+    _cube_modes,
     apply_U,
-    conj_state,
     hs_norm,
     load_state_csv,
-    mode_grid,
     nonlinearity,
     random_state,
-    resonance_offset,
     save_state_csv,
     unit_mode,
     zero_state,
 )
-from tests.conftest import direct_nonlinearity
+from tests.conftest import conj_state, direct_nonlinearity, resonance_offset
 
 
 def physical_nonlinearity(factors, k):
@@ -50,10 +48,12 @@ def test_zero_and_unit_mode():
 
 
 def test_mode_grid_layout():
-    grid = mode_grid(2, 2)
-    assert grid.shape == (5, 5, 2)
+    modes = _cube_modes(2, -2, 2)
+    assert modes.shape == (25, 2)
+    grid = modes.reshape(5, 5, 2)
     np.testing.assert_array_equal(grid[2, 2], [0, 0])
     np.testing.assert_array_equal(grid[0, 4], [-2, 2])
+    assert _cube_modes(2, 1, 0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("n,s", [(0, 1.0), (2, 0.5), (-3, 2.0)])

@@ -14,8 +14,8 @@ from modnls.paths import (SamplePath, make_constant_path, make_fbm_path,
                           make_linear_path, make_modulated_path)
 from modnls.phi import build_phi_table
 from modnls.solver import SolverConfig, uniform_partition
-from modnls.spectral import (SpectralState, conj_state, hs_norm, nonlinearity,
-                             random_state, resonance_offset, unit_mode, zero_state)
+from modnls.spectral import (SpectralState, hs_norm, nonlinearity, random_state, unit_mode,
+                             zero_state)
 from modnls.young import (
     YoungKernelConfig,
     _phase_grid,
@@ -24,7 +24,8 @@ from modnls.young import (
     x_increment,
     x_norm_estimate,
 )
-from tests.conftest import duhamel_x_oracle, record_phase_ffts, x_increment_direct
+from tests.conftest import (conj_state, duhamel_x_oracle, record_phase_ffts, resonance_offset,
+                            x_increment_direct)
 
 
 def make_kernel(d, k, N, path):
