@@ -141,10 +141,13 @@ def fold_dense(slots: list[Slot], d: int) -> FoldResult:
     return FoldResult(acc, acc_qlo, acc_R, d)
 
 
-def fft_grid(m: int, d: int, N: int) -> tuple[int, int]:
-    """(Q, P) of an m-slot fft fold; NumericsError past the phase-grid budget."""
+def fft_grid(m: int, d: int, N: int, rows: int | None = None) -> tuple[int, int]:
+    """(Q, P) of an m-slot fft fold; NumericsError when its phase grid, or only
+    its first `rows` rows if given, exceeds the memory budget."""
     Q, P = next_fast_len(m * d * N * N + 1), next_fast_len(2 * m * N + 1)
-    _refuse_oversized("memory", Q * P ** d, f"fft fold phase-grid entries ({Q} x {P}^{d})")
+    rows = Q if rows is None else rows
+    _refuse_oversized("memory", rows * P ** d,
+                      f"fft fold phase-grid entries ({rows} x {P}^{d})")
     return Q, P
 
 
@@ -154,7 +157,7 @@ def map_phase_chunks(slots: list[Slot], d: int, reduce, n: int | None = None):
     for l < n or by default every l fold_fft inverts (l <= Q/2 for real
     slots, whose F_{Q-l} is conj(F_l); else l < Q)."""
     N, m = _cutoff(slots, d), len(slots)
-    Q, P = fft_grid(m, d, N)
+    Q, P = fft_grid(m, d, N, n)  # priced by the rows it walks when n is given
     real = all(np.isrealobj(sl.values) for sl in slots)
     # a sign -1 slot is the conjugate field of its conjugated values; real
     # values are their own conjugate, so slots sharing an array share a transform

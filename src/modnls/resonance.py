@@ -10,10 +10,13 @@ eq26 on its q-bucketed table), and report the worst observed LHS/RHS
 ratio. They probe boundedness; they prove nothing.
 
 Every enumeration (enumerate_A, verify_counting_partition, the eq26
-witness scan) has one size rule: the product of its slot mode counts,
-the number of candidate tuples it visits, must fit spectral's
-enumeration budget. It is priced from the box bounds or shell counts,
-and refused with NumericsError before any mode list is built.
+witness scan and young's tuple table) is one in-box zero-sum scan,
+_zero_sum_scan: n_0 is forced by the linear constraint, and the scan
+yields only the tuples whose n_0 lies in slot 0's box, as index rows
+into the other slots' mode lists. Each has one size rule: the product of
+its slot mode counts, the number of candidate tuples it visits, must fit
+spectral's enumeration budget. It is priced from the box bounds or shell
+counts, and refused with NumericsError before any mode list is built.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .spectral import (_check_box, _check_trials, _cube_modes, _is_int, _refuse_
                        _sq_norms)
 
 __all__ = [
-    "ResonanceTuple",
     "CountingReport",
     "EstimateReport",
     "enumerate_A",
@@ -42,28 +44,6 @@ __all__ = [
     "dyadic_block_ratio",
     "eq26_mu_sweep",
 ]
-
-
-def _alt_signs(k: int) -> np.ndarray:
-    return np.array([1 if i % 2 == 0 else -1 for i in range(2 * k + 2)])
-
-
-@dataclass
-class ResonanceTuple:
-    """One member of A(mu); both defining constraints re-checked on build."""
-
-    modes: np.ndarray
-    mu: int
-
-    def __post_init__(self):
-        self.modes = np.asarray(self.modes, dtype=int)
-        if self.modes.ndim != 2 or self.modes.shape[0] % 2 or self.modes.shape[0] < 4:
-            raise ConfigError("modes must have shape (2k+2, d) with k >= 1")
-        sig = _alt_signs(self.modes.shape[0] // 2 - 1)
-        if np.any(sig @ self.modes != 0):
-            raise ConfigError("tuple violates the alternating zero-sum constraint")
-        if int(sig @ (self.modes ** 2).sum(axis=1)) != self.mu:
-            raise ConfigError("tuple violates the alternating square-sum constraint")
 
 
 def _normalize_box(box, k: int) -> list[tuple[int, int]]:
@@ -101,52 +81,62 @@ def _priced_modes(bounds, d: int) -> tuple[list[np.ndarray], int]:
     return [_cube_modes(d, lo, hi) for lo, hi in bounds], total
 
 
-def _zero_sum_scan(frees: list[np.ndarray], d: int):
-    """Walk the zero-sum tuples over mode lists for slots 1..2k+1.
+def _zero_sum_scan(frees: list[np.ndarray], d: int, box0):
+    """Walk the zero-sum tuples over mode lists for slots 1..2k+1 whose forced
+    mode n_0 = n_1 - n_2 + ... + n_{2k+1} lies in slot 0's box (lo, hi).
 
     Slot 1 is a loop over its modes a; slots 2..2k+1 broadcast, slot i
-    carrying sign (-1)^i. Yields (a, n0, n0sq, mu): the forced mode
-    n_0 = n_1 - n_2 + ... + n_{2k+1}, its |n_0|^2 and the alternating
-    square sum mu, each on the broadcast shape of slots 2..2k+1.
+    carrying sign (-1)^i. Yields (a, rows, n0, mu) for the in-box tuples:
+    rows indexes slots 2..2k+1 in C order of their broadcast shape, n0 is
+    (count, d) and mu the alternating square sum of each tuple.
     """
+    lo0, hi0 = box0
     rest = frees[1:]
-    shape = tuple(f.shape[0] for f in rest)
-    sum_rest = np.zeros(shape + (d,), dtype=np.int64)
-    sq_rest = np.zeros(shape, dtype=np.int64)
+    # coordinate-major (d, *shape): the in-box test reduces over contiguous planes
+    sum_rest = np.zeros((d,) + tuple(f.shape[0] for f in rest), dtype=np.int64)
+    sq_rest = np.zeros(sum_rest.shape[1:], dtype=np.int64)
     for j, f in enumerate(rest):
         sgn = 1 if j % 2 == 0 else -1
         view = (1,) * j + (f.shape[0],) + (1,) * (len(rest) - 1 - j)
-        sum_rest = sum_rest + sgn * f.reshape(view + (d,))
+        sum_rest = sum_rest + sgn * f.T.reshape((d,) + view)
         sq_rest = sq_rest + sgn * (f ** 2).sum(axis=1).reshape(view)
     f1 = frees[0]
     sq1 = (f1 ** 2).sum(axis=1)
     for a in range(f1.shape[0]):
-        n0 = f1[a] - sum_rest
-        n0sq = (n0 ** 2).sum(axis=-1)
-        yield a, n0, n0sq, n0sq - sq1[a] + sq_rest
+        n0 = f1[a].reshape((d,) + (1,) * len(rest)) - sum_rest
+        rows = np.nonzero(np.all((n0 >= lo0) & (n0 <= hi0), axis=0))
+        n0 = n0[(slice(None),) + rows]
+        yield a, rows, n0.T, (n0 ** 2).sum(axis=0) - sq1[a] + sq_rest[rows]
 
 
-def _scanned_modes(n0, frees, a: int, row) -> np.ndarray:
-    """Modes (n_0, ..., n_{2k+1}) of the scanned tuple at broadcast index row."""
-    row = tuple(row)
-    return np.array([n0[row], frees[0][a]]
-                    + [f[r] for f, r in zip(frees[1:], row)])
+def _checked_class(modes: np.ndarray, mu: int) -> np.ndarray:
+    """modes, a (count, 2k+2, d) integer array, after checking every row is in A(mu)."""
+    modes = np.asarray(modes, dtype=int)
+    if modes.ndim != 3 or modes.shape[1] % 2 or modes.shape[1] < 4:
+        raise ConfigError("modes must have shape (2k+2, d) with k >= 1")
+    sig = np.where(np.arange(modes.shape[1]) % 2, -1, 1)
+    if np.any(np.einsum("s,tsd->td", sig, modes)):
+        raise ConfigError("tuple violates the alternating zero-sum constraint")
+    if np.any((modes ** 2).sum(axis=2) @ sig != mu):
+        raise ConfigError("tuple violates the alternating square-sum constraint")
+    return modes
 
 
-def enumerate_A(mu: int, box, d: int, k: int):
-    """All tuples of A(mu) inside the box, n_0 eliminated via the linear constraint."""
+def enumerate_A(mu: int, box, d: int, k: int) -> np.ndarray:
+    """The tuples of A(mu) inside the box as a (count, 2k+2, d) array, n_0
+    eliminated via the linear constraint."""
     if int(mu) != mu:
         raise ConfigError(f"mu must be an integer, got {mu}")
     mu = int(mu)
     bounds = _normalize_box(box, k)
     frees, _ = _priced_modes(bounds[1:], d)
-    lo0, hi0 = bounds[0]
-    out = []
-    for a, n0, _, muv in _zero_sum_scan(frees, d):
-        hit = np.all((n0 >= lo0) & (n0 <= hi0), axis=-1) & (muv == mu)
-        for row in np.argwhere(hit):
-            out.append(ResonanceTuple(_scanned_modes(n0, frees, a, row), mu))
-    return out
+    blocks = [np.zeros((0, 2 * k + 2, d), dtype=int)]
+    for a, rows, n0, muv in _zero_sum_scan(frees, d, bounds[0]):
+        hit = muv == mu
+        n0 = n0[hit]
+        blocks.append(np.stack([n0, np.broadcast_to(frees[0][a], n0.shape)]
+                               + [f[r[hit]] for f, r in zip(frees[1:], rows)], axis=1))
+    return _checked_class(np.concatenate(blocks), mu)
 
 
 @dataclass
@@ -188,49 +178,31 @@ class CountingReport:
 def verify_counting_partition(box, d: int, k: int) -> CountingReport:
     """Check every zero-sum tuple lies in exactly one A(mu), non-zero-sum in none.
 
-    Enumerates the full box product (all 2k+2 slots free) within the
-    candidate budget; enumerate_A re-derives the per-mu counts independently
-    as a cross-check, and max_membership counts the checked classes its
-    tuples land in.
+    Prices the full box product (all 2k+2 slots free) against the
+    candidate budget and counts the zero-sum tuples, the scan's in-box
+    rows, per mu; enumerate_A re-derives the counts of a sample of classes
+    independently as a cross-check, and max_membership is the most times
+    any one tuple is listed across the checked classes.
     """
     bounds = _normalize_box(box, k)
     slots_modes, total = _priced_modes(bounds, d)
-    counts: dict[int, int] = {}
-    zero_sum_count = 0
-    if total:
-        for _, n0, _, muv in _zero_sum_scan(slots_modes[1:], d):
-            # slot 0 stays a loop: the tuple is zero-sum iff f0 is the forced n_0
-            for f0 in slots_modes[0]:
-                zero = np.all(n0 == f0, axis=-1)
-                if not zero.any():
-                    continue
-                mu_hit = muv[zero]
-                zero_sum_count += int(zero.sum())
-                vals, cnts = np.unique(mu_hit, return_counts=True)
-                for v, c in zip(vals, cnts):
-                    counts[int(v)] = counts.get(int(v), 0) + int(c)
-    mu_values = np.array(sorted(counts), dtype=int)
-    mu_counts = np.array([counts[v] for v in mu_values], dtype=int)
+    mus = [muv for *_, muv in _zero_sum_scan(slots_modes[1:], d, bounds[0])]
+    mu_values, mu_counts = np.unique(np.concatenate([np.zeros(0, dtype=int)] + mus),
+                                     return_counts=True)
     # independent recount of a sample of classes through enumerate_A
     if mu_values.size <= 40:
-        check_mus = list(mu_values)
+        picks = np.arange(mu_values.size)
     else:
-        pick = np.linspace(0, mu_values.size - 1, 25).astype(int)
-        check_mus = list(mu_values[np.unique(pick)])
-    # membership: the most checked classes any one enumerated tuple lands in
-    ok = True
-    classes_of: dict[bytes, int] = {}
-    for mu in check_mus:
-        found = enumerate_A(int(mu), bounds, d, k)
-        ok = ok and len(found) == counts[int(mu)]
-        for key in {t.modes.tobytes() for t in found}:
-            classes_of[key] = classes_of.get(key, 0) + 1
-    max_membership = max(classes_of.values(), default=0)
+        picks = np.unique(np.linspace(0, mu_values.size - 1, 25).astype(int))
+    found = [enumerate_A(int(mu_values[i]), bounds, d, k) for i in picks]
+    ok = all(len(f) == mu_counts[i] for f, i in zip(found, picks))
+    listed = np.concatenate([np.zeros((0, 2 * k + 2, d), dtype=int)] + found)
+    _, times = np.unique(listed, axis=0, return_counts=True)
     return CountingReport(
         d=d, k=k, bounds=bounds, total_tuples=total,
-        zero_sum_count=zero_sum_count, mu_values=mu_values,
-        mu_counts=mu_counts, max_membership=max_membership,
-        cross_checked=len(check_mus), cross_check_ok=ok)
+        zero_sum_count=int(mu_counts.sum()), mu_values=mu_values,
+        mu_counts=mu_counts, max_membership=int(times.max(initial=0)),
+        cross_checked=len(picks), cross_check_ok=ok)
 
 
 @dataclass
@@ -472,13 +444,14 @@ def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> set:
                       "candidate tuples")
     modes_cube = _cube_modes(d, -Bmax, Bmax)
     frees = [modes_cube[m.ravel()] for m in masks[1:]]
-    # the |n_0|^2 window alone puts n_0 on its shell: each coordinate is
-    # at most isqrt(4 N_0^2 - 2) <= Bmax, so n_0 lies inside the cube
+    # every shell lies inside the cube, so an in-cube n_0 is on its shell
+    # iff |n_0|^2 is in the shell's window
     shell0 = nsq[masks[0]]
-    lo0, hi0 = shell0.min(), shell0.max()
+    sq_lo, sq_hi = shell0.min(), shell0.max()
     found = set()
-    for _, _, n0sq, muv in _zero_sum_scan(frees, d):
-        found.update(np.unique(muv[(n0sq >= lo0) & (n0sq <= hi0)]).tolist())
+    for _, _, n0, muv in _zero_sum_scan(frees, d, (-Bmax, Bmax)):
+        n0sq = (n0 ** 2).sum(axis=-1)
+        found.update(np.unique(muv[(n0sq >= sq_lo) & (n0sq <= sq_hi)]).tolist())
     return found
 
 

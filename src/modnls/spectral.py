@@ -300,8 +300,15 @@ def load_state_csv(filename) -> SpectralState:
         raise ConfigError(f"state file has {data.shape[1]} columns, expected {d + 2}")
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"state file {filename} holds non-finite values")
-    idx = tuple(data[:, i].astype(int) + N for i in range(d))
-    if any(a.min() < 0 or a.max() >= 2 * N + 1 for a in idx):
+    modes = data[:, :d]
+    if np.any(modes != np.rint(modes)):
+        raise ConfigError(f"state file {filename} holds a non-integer mode")
+    if np.any(np.abs(modes) > N):
         raise ConfigError("mode indices outside the declared cube")
-    st.coeffs[idx] = data[:, d] + 1j * data[:, d + 1]
+    modes = modes.astype(int)
+    seen, times = np.unique(modes, axis=0, return_counts=True)
+    if times.max() > 1:
+        mode = tuple(int(c) for c in seen[times > 1][0])
+        raise ConfigError(f"state file {filename} repeats mode {mode}")
+    st.coeffs[tuple((modes + N).T)] = data[:, d] + 1j * data[:, d + 1]
     return st

@@ -10,7 +10,9 @@ and Omega = |n|^2 - sum_j zeta_j |n_j|^2. Phi increments come from a
 precomputed OscillatoryTable. Two exact paths evaluate the sum:
 
   * tuples: the in-box interaction tuples (n; n_1..n_{2k+1}) are listed
-    once per kernel config as int32 rows (slot indices, output index,
+    once per kernel config by resonance's in-box zero-sum scan, with the
+    output mode n as its forced slot 0 and the box priced against the
+    enumeration budget, as int32 rows (slot indices, output index,
     Omega); each call gathers Phi increments and slot values and sums
     them into the output modes with np.bincount.
   * phases: for an output mode in the box the integer Omega lies in
@@ -45,9 +47,9 @@ from scipy.fft import fft, next_fast_len
 
 from .errors import ConfigError
 from .phi import OscillatoryTable
-from .resonance import _zero_sum_scan
-from .spectral import (SpectralState, _check_box, _check_trials, _cube_modes,
-                       _refuse_oversized, hs_norm, random_state, walk_phases, zero_state)
+from .resonance import _priced_modes, _zero_sum_scan
+from .spectral import (SpectralState, _check_box, _check_trials, _refuse_oversized,
+                       hs_norm, random_state, walk_phases, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
            "x_norm_estimate"]
@@ -105,14 +107,11 @@ def _tuple_table(d: int, k: int, N: int) -> np.ndarray:
     The j are flat indices into the slot coefficient arrays. Slot 0 of
     the zero-sum scan is the output mode n, so the mu it yields is Omega.
     """
-    modes = _cube_modes(d, -N, N)
+    frees, _ = _priced_modes([(-N, N)] * (2 * k + 1), d)
     place = (2 * N + 1) ** np.arange(d - 1, -1, -1)
-    blocks = []
-    for a, n0, _, omega in _zero_sum_scan([modes] * (2 * k + 1), d):
-        hit = np.nonzero(np.all(np.abs(n0) <= N, axis=-1))
-        blocks.append(np.stack([np.full(hit[0].size, a), *hit,
-                                (n0[hit] + N) @ place, omega[hit]]).astype(np.int32))
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate([
+        np.stack([np.full(n0.shape[0], a), *rows, (n0 + N) @ place, omega]).astype(np.int32)
+        for a, rows, n0, omega in _zero_sum_scan(frees, d, (-N, N))], axis=1)
 
 
 def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralState:

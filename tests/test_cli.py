@@ -365,6 +365,56 @@ def test_init_state_non_finite_rejected(tmp_path, capsys):
     assert "non-finite" in diag["message"]
 
 
+@pytest.mark.parametrize("rows,needle", [
+    ("0.7,0.02,0\n", "non-integer mode"),
+    ("0,0.02,0\n-2,0.1,0\n0,0.5,0\n", "repeats mode (0,)"),
+], ids=["non-integer", "repeated"])
+def test_init_state_bad_modes_rejected(tmp_path, capsys, rows, needle):
+    # a truncated or repeated mode would load as some other state without a word
+    init = tmp_path / "init.csv"
+    init.write_text("n_1,re,im\n" + rows)
+    init.with_suffix(".json").write_text('{"d": 1, "N": 2}\n')
+    cfg = write_config(tmp_path, init={"type": "file", "file": str(init)})
+    rc = run_command(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError"
+    assert needle in diag["message"]
+
+
+@pytest.mark.parametrize("blocks,limit_mb", [(16, 8), (64, 100)])
+def test_eq27_priced_by_its_one_row(tmp_path, capsys, blocks, limit_mb):
+    # eq27 computes only the l = 0 phase row, P^d entries (189^2 at blocks 16,
+    # 768^2 at 64); the whole fold grid, 5775 x 189^2 at 16, is never built
+    argv = ["verify-estimates", "--which", "eq27", "--d", "2", "--k", "1",
+            "--trials", "2", "--out", str(tmp_path / "eq27.json")]
+    assert run_command(argv + ["--blocks", "2,2,2,2"]) == 0  # imports stay untraced
+    tracemalloc.start()
+    try:
+        rc = run_command(argv + ["--blocks", ",".join([str(blocks)] * 4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert read_json(tmp_path / "eq27.json")["parameters"]["blocks"] == [blocks] * 4
+    assert peak < limit_mb * 2 ** 20
+
+
+def test_eq26_refusal_unchanged_at_blocks_16(tmp_path, capsys):
+    # eq26 reads the whole fold table, so its grid is still priced in full
+    rc = run_command(["verify-estimates", "--which", "eq26", "--d", "2", "--k", "1",
+                      "--N", "16", "--out", str(tmp_path / "eq26.json")])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "NumericsError",
+        "message": "2.06e+08 fft fold phase-grid entries (5775 x 189^2) exceed the "
+                   "memory budget 4e+07; shrink the box"}
+
+
 def test_thread_environment_variable_ignored(tmp_path, capsys, monkeypatch):
     # --threads is the only thread setting; the environment cannot fail a run
     monkeypatch.setenv("YNLS_THREADS", "lots")

@@ -19,10 +19,10 @@ from modnls.paths import make_linear_path
 from modnls.phi import build_phi_table
 from modnls.resonance import (
     EstimateReport,
-    ResonanceTuple,
     _block_lhs,
     _block_mus,
     _block_rhs,
+    _checked_class,
     _dyadic_setup,
     _eq21_weight,
     _shell_witnesses,
@@ -74,38 +74,38 @@ def alt_sum_stats(tup):
 
 
 def test_resonance_tuple_membership_recheck():
-    good = ResonanceTuple(modes=np.array([[1], [1], [0], [0]]), mu=0)
-    assert good.modes.shape == (4, 1)  # 2k + 2 = 4 slots in d = 1
-    with pytest.raises(ConfigError):
-        ResonanceTuple(modes=np.array([[1], [0], [0], [0]]), mu=0)
-    with pytest.raises(ConfigError):
-        ResonanceTuple(modes=np.array([[1], [1], [0], [0]]), mu=2)
+    good = _checked_class(np.array([[[1], [1], [0], [0]]]), 0)
+    assert good.shape == (1, 4, 1)  # one tuple of 2k + 2 = 4 slots in d = 1
+    with pytest.raises(ConfigError, match="alternating zero-sum"):
+        _checked_class(np.array([[[1], [0], [0], [0]]]), 0)
+    with pytest.raises(ConfigError, match="alternating square-sum"):
+        _checked_class(np.array([[[1], [1], [0], [0]]]), 2)
 
 
 def test_enumerate_A_reference_example():
     tuples = enumerate_A(0, (0, 1), d=1, k=1)
     assert len(tuples) == 6
-    seen = {tuple(t.modes.ravel()) for t in tuples}
+    seen = {tuple(t.ravel()) for t in tuples}
     assert seen == {(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, 1),
                     (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 1)}
     for t in tuples:
-        lin, quad = alt_sum_stats(list(t.modes))
+        lin, quad = alt_sum_stats(list(t))
         assert np.all(lin == 0) and quad == 0
 
 
 def test_enumerate_A_degenerate_boxes():
     only_zero = enumerate_A(0, (0, 0), d=2, k=1)
     assert len(only_zero) == 1
-    assert not enumerate_A(2, (0, 0), d=2, k=1)
-    assert not enumerate_A(1, (-1, 1), d=1, k=1)  # odd mu is unattainable
-    assert not enumerate_A(100, (-1, 1), d=1, k=1)
-    assert not enumerate_A(0, (1, 0), d=1, k=1)  # empty slot range
+    assert len(enumerate_A(2, (0, 0), d=2, k=1)) == 0
+    assert len(enumerate_A(1, (-1, 1), d=1, k=1)) == 0  # odd mu is unattainable
+    assert len(enumerate_A(100, (-1, 1), d=1, k=1)) == 0
+    assert len(enumerate_A(0, (1, 0), d=1, k=1)) == 0  # empty slot range
 
 
 def test_enumerate_A_sign_flip_bijection():
     for mu in (0, 2, 4):
         tuples = enumerate_A(mu, (-2, 2), d=1, k=1)
-        seen = {tuple(t.modes.ravel()) for t in tuples}
+        seen = {tuple(t.ravel()) for t in tuples}
         flipped = {tuple(-np.asarray(m)) for m in seen}
         assert seen == flipped
 
@@ -119,9 +119,9 @@ def test_enumerate_A_sign_flip_bijection():
 def test_enumerate_A_matches_brute_force(lo, hi, mu, d):
     got = enumerate_A(mu, (lo, hi), d=d, k=1)
     for t in got:
-        lin, quad = alt_sum_stats(list(t.modes))
+        lin, quad = alt_sum_stats(list(t))
         assert np.all(lin == 0) and quad == mu
-        assert np.all(t.modes >= lo) and np.all(t.modes <= hi)
+        assert np.all(t >= lo) and np.all(t <= hi)
     lin, quad = four_slot_sums([cube_modes(lo, hi, d)] * 4, d)
     expected = int(np.count_nonzero(~np.any(lin, axis=-1) & (quad == mu)))
     assert len(got) == expected
@@ -161,8 +161,8 @@ def test_counting_membership_fails_on_shared_tuple(monkeypatch):
 
     def shared(mu, *args, **kwargs):
         found = real(mu, *args, **kwargs)
-        seen.append(found[0])
-        return [seen[0]] + found[1:] if len(seen) == 2 else found
+        seen.append(found[:1])
+        return np.concatenate([seen[0], found[1:]]) if len(seen) == 2 else found
 
     monkeypatch.setattr(resonance, "enumerate_A", shared)
     report = verify_counting_partition((-1, 1), d=1, k=1)
