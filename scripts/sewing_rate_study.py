@@ -26,7 +26,7 @@ def fitted_rate(lam, T, M, N, seed):
         np.sin(np.outer(2.0 ** np.arange(13) * np.pi, grid))
         * 2.0 ** (-0.55 * np.arange(13))[:, None], axis=0)
     wvals[0] = 0.0
-    path = paths.SamplePath(grid, wvals, kind="synthetic")
+    path = paths.SamplePath(grid, wvals)
     table = phi.build_phi_table(path, 4 * N * N)
     cfg = solver.SolverConfig(d=1, k=1, N=N, s=1.0, gamma=0.55,
                               lam=min(lam, 0.549), rho=1.0, T=T,

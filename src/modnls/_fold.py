@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import ifft, irfft, next_fast_len
 
-from .errors import ConfigError
+from .errors import ConfigError, _is_int
 from .spectral import _SIZE_LIMITS, _refuse_oversized, _sq_norms, walk_phases
 
 # table entries per row chunk of FoldResult.contract
@@ -49,7 +49,7 @@ class Slot:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (+1, -1):
+        if not _is_int(self.sign) or self.sign not in (+1, -1):
             raise ConfigError(f"slot sign must be +1 or -1, got {self.sign}")
         self.values = np.asarray(self.values)
         side = self.values.shape[0]

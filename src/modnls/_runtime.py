@@ -8,7 +8,7 @@ not depend on the count. Beyond errors, it imports only the standard library.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from .errors import check_int
 
 _workers = 1
 
@@ -20,6 +20,4 @@ def get_workers() -> int:
 def set_workers(n) -> None:
     """Set the worker count (the phase walker's threads); the one check of --threads."""
     global _workers
-    if int(n) != n or n < 1:
-        raise ConfigError(f"worker count (--threads) must be a positive integer, got {n}")
-    _workers = int(n)
+    _workers = check_int(n, "worker count (--threads)")

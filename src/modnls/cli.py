@@ -153,8 +153,8 @@ def _path_from_spec(spec):
     from . import paths
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("path spec must be an object with a 'kind'")
-    _check_spec(spec, "path spec", ints=("seed",),
-                reals=("T", "M", "H", "c", "eps"), other=("kind", "profile", "file"))
+    _check_spec(spec, "path spec", ints=("seed", "M"),
+                reals=("T", "H", "c", "eps"), other=("kind", "profile", "file"))
     kind = spec["kind"]
     try:
         if kind == "linear":
@@ -215,8 +215,8 @@ def _load_experiment(args):
         raise ConfigError(f"cannot read config {args.config}: {e}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {args.config} must be a JSON object")
-    _check_spec(raw, "config", ints=("d", "k", "N", "max_iter"),
-                reals=("s", "gamma", "lambda", "rho", "T", "M", "tol"),
+    _check_spec(raw, "config", ints=("d", "k", "N", "M", "max_iter"),
+                reals=("s", "gamma", "lambda", "rho", "T", "tol"),
                 other=("scheme", "path", "init"))
     path = _path_from_spec(raw.get("path"))
     try:

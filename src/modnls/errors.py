@@ -1,13 +1,36 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer rule.
 
 ConfigError maps to CLI exit code 2, NumericsError (and subclasses) to 3.
+
+The integer rule: an integer input (a dimension, power, cutoff, grid size,
+box bound, block, resonance offset, count or sign) is a Python or numpy
+integer. Bools, numpy's included, and floats, integral ones included, are
+refused with ConfigError, never truncated; check_int applies it.
 """
 
 from __future__ import annotations
 
+import operator
+
 
 class ConfigError(ValueError):
     """A configuration value violates a validated precondition."""
+
+
+def _is_int(v) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    try:
+        return not isinstance(v, bool) and operator.index(v) == v
+    except TypeError:
+        return False
+
+
+def check_int(value, what: str, lo: int | None = 1) -> int:
+    """value as an int; ConfigError unless it is an integer >= lo (1, 0 or None for any)."""
+    if not _is_int(value) or (lo is not None and value < lo):
+        kind = {1: "a positive integer", 0: "a nonnegative integer", None: "an integer"}[lo]
+        raise ConfigError(f"{what} must be {kind}, got {value}")
+    return operator.index(value)
 
 
 class NumericsError(RuntimeError):

@@ -13,12 +13,11 @@ profile m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
-from .spectral import _is_int
+from .errors import ConfigError, NumericsError, check_int
 
 __all__ = [
     "SamplePath",
@@ -37,9 +36,7 @@ class SamplePath:
 
     t_grid: np.ndarray
     values: np.ndarray
-    kind: str
     offset: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, dtype=float)
@@ -70,15 +67,14 @@ def make_linear_path(T: float, M: int) -> SamplePath:
     """The identity clock w(t) = t on a uniform grid of M segments."""
     _check_T_M(T, M)
     t = np.linspace(0.0, T, M + 1)
-    return SamplePath(t_grid=t, values=t.copy(), kind="linear")
+    return SamplePath(t_grid=t, values=t.copy())
 
 
 def make_constant_path(c: float, T: float, M: int) -> SamplePath:
     """Frozen clock at level c; the level is stored as offset, values are 0."""
     _check_T_M(T, M)
     t = np.linspace(0.0, T, M + 1)
-    return SamplePath(t_grid=t, values=np.zeros(M + 1), kind="constant",
-                      offset=float(c))
+    return SamplePath(t_grid=t, values=np.zeros(M + 1), offset=float(c))
 
 
 def make_fbm_path(H: float, T: float, M: int, seed: int) -> SamplePath:
@@ -97,8 +93,7 @@ def make_fbm_path(H: float, T: float, M: int, seed: int) -> SamplePath:
     values = np.concatenate([[0.0], np.cumsum(fgn)]) * (T / M) ** H
     values[0] = 0.0
     t = np.linspace(0.0, T, M + 1)
-    return SamplePath(t_grid=t, values=values, kind="fbm",
-                      meta={"H": H, "seed": seed})
+    return SamplePath(t_grid=t, values=values)
 
 
 def _fgn_unit_step(H: float, n: int, rng) -> np.ndarray:
@@ -160,8 +155,7 @@ def make_modulated_path(profile, eps: float, T: float, M: int) -> SamplePath:
     t = np.linspace(0.0, T, M + 1)
     values = eps * antiderivative(t / (eps * eps))
     values[0] = 0.0
-    return SamplePath(t_grid=t, values=values, kind="modulated",
-                      meta={"eps": eps, "profile_size": P})
+    return SamplePath(t_grid=t, values=values)
 
 
 def save_path_csv(path: SamplePath, filename) -> None:
@@ -182,12 +176,10 @@ def load_path_csv(filename) -> SamplePath:
     t_grid = data[:, 0]
     values = data[:, 1]
     offset = float(values[0])
-    return SamplePath(t_grid=t_grid, values=values - offset, kind="external",
-                      offset=offset)
+    return SamplePath(t_grid=t_grid, values=values - offset, offset=offset)
 
 
 def _check_T_M(T: float, M: int) -> None:
     if not (T > 0 and np.isfinite(T)):
         raise ConfigError(f"horizon T must be positive and finite, got {T}")
-    if not _is_int(M) or M < 1:
-        raise ConfigError(f"grid size M must be a positive integer, got {M}")
+    check_int(M, "grid size M")

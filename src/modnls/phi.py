@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .paths import SamplePath
 
 __all__ = [
@@ -126,9 +126,7 @@ def build_phi_table(path: SamplePath, mu_max: int) -> OscillatoryTable:
     Only mu >= 0 is computed; negative frequencies follow from
     Phi(-mu) = conj(Phi(mu)) since w is real.
     """
-    if int(mu_max) != mu_max or mu_max < 0:
-        raise ConfigError(f"mu_max must be a nonnegative integer, got {mu_max}")
-    mu_max = int(mu_max)
+    mu_max = check_int(mu_max, "mu_max", 0)
     t_grid = path.t_grid.copy()
     pos = _phi_at_times(path, np.arange(mu_max + 1), t_grid).T  # (n_t, mu_max+1)
     values = np.concatenate([np.conj(pos[:, :0:-1]), pos], axis=1)
@@ -175,7 +173,7 @@ def default_a_grid(a_max: float) -> np.ndarray:
 
 def default_pairs(path: SamplePath, per_scale: int = 8) -> np.ndarray:
     """Dyadic family of (s, t) node pairs spanning T down to a few grid steps."""
-    M = path.M
+    M, per_scale = path.M, check_int(per_scale, "pairs per scale")
     scales = max(1, int(np.floor(np.log2(max(2, M)))) - 1)
     pairs = set()
     for level in range(scales):

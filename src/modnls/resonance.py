@@ -22,7 +22,7 @@ counts, and refused with NumericsError before any mode list is built.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from math import isqrt, prod
 
@@ -30,9 +30,8 @@ import numpy as np
 
 from ._fold import (alternating_slots, fft_grid, fold, fold_dense, map_phase_chunks,
                     prefers_dense)
-from .errors import ConfigError, NumericsError
-from .spectral import (_check_box, _check_trials, _cube_modes, _is_int, _refuse_oversized,
-                       _sq_norms)
+from .errors import ConfigError, NumericsError, _is_int, check_int
+from .spectral import _check_box, _cube_modes, _refuse_oversized, _sq_norms
 
 __all__ = [
     "CountingReport",
@@ -46,39 +45,24 @@ __all__ = [
 ]
 
 
-def _normalize_box(box, k: int) -> list[tuple[int, int]]:
-    """Per-slot (lo, hi) coordinate ranges; int b means [-b, b] everywhere.
-
-    A (lo, hi) pair applies to every slot; a length-(2k+2) sequence
-    gives each slot its own int or pair. lo > hi denotes an empty slot.
-    """
-    slots = 2 * k + 2
-
-    def one(spec):
-        if np.isscalar(spec):
-            b = int(spec)
-            if b < 0:
-                raise ConfigError(f"box half-width must be >= 0, got {b}")
-            return (-b, b)
-        lo, hi = (int(v) for v in spec)
-        return (lo, hi)
-
-    if np.isscalar(box):
-        return [one(box)] * slots
-    box = list(box)
-    if len(box) == 2 and all(np.isscalar(v) for v in box):
-        return [one(tuple(box))] * slots
-    if len(box) != slots:
-        raise ConfigError(f"need one range per slot ({slots}), got {len(box)}")
-    return [one(spec) for spec in box]
+def _box_range(box, d: int, k: int) -> tuple[int, int]:
+    """The (lo, hi) coordinate range of every slot, once d and k are checked: a box
+    is a half-width b >= 0, meaning (-b, b), or one (lo, hi) pair; lo > hi is empty."""
+    check_int(d, "dimension d")
+    check_int(k, "nonlinearity index k")
+    if isinstance(box, (tuple, list)) and len(box) == 2:
+        return tuple(check_int(v, "box bound", None) for v in box)
+    b = check_int(box, "box half-width", 0)
+    return -b, b
 
 
-def _priced_modes(bounds, d: int) -> tuple[list[np.ndarray], int]:
-    """The mode list of each slot's (lo, hi) and their product, the candidate count,
-    which is priced against the enumeration budget before any list is built."""
-    total = prod(max(0, hi - lo + 1) ** d for lo, hi in bounds)
+def _priced_modes(box, slots: int, d: int) -> tuple[list[np.ndarray], int]:
+    """The mode list of the range box = (lo, hi), once per slot, and the candidate
+    count (hi - lo + 1)^(d slots), priced against the enumeration budget first."""
+    lo, hi = box
+    total = max(0, hi - lo + 1) ** (d * slots)
     _refuse_oversized("enumeration", total, "candidate tuples")
-    return [_cube_modes(d, lo, hi) for lo, hi in bounds], total
+    return [_cube_modes(d, lo, hi)] * slots, total
 
 
 def _zero_sum_scan(frees: list[np.ndarray], d: int, box0):
@@ -123,15 +107,13 @@ def _checked_class(modes: np.ndarray, mu: int) -> np.ndarray:
 
 
 def enumerate_A(mu: int, box, d: int, k: int) -> np.ndarray:
-    """The tuples of A(mu) inside the box as a (count, 2k+2, d) array, n_0
-    eliminated via the linear constraint."""
-    if int(mu) != mu:
-        raise ConfigError(f"mu must be an integer, got {mu}")
-    mu = int(mu)
-    bounds = _normalize_box(box, k)
-    frees, _ = _priced_modes(bounds[1:], d)
+    """The tuples of A(mu) inside the box (a half-width or one (lo, hi) pair) as a
+    (count, 2k+2, d) array, n_0 eliminated via the linear constraint."""
+    mu = check_int(mu, "mu", None)
+    box = _box_range(box, d, k)
+    frees, _ = _priced_modes(box, 2 * k + 1, d)
     blocks = [np.zeros((0, 2 * k + 2, d), dtype=int)]
-    for a, rows, n0, muv in _zero_sum_scan(frees, d, bounds[0]):
+    for a, rows, n0, muv in _zero_sum_scan(frees, d, box):
         hit = muv == mu
         n0 = n0[hit]
         blocks.append(np.stack([n0, np.broadcast_to(frees[0][a], n0.shape)]
@@ -184,9 +166,9 @@ def verify_counting_partition(box, d: int, k: int) -> CountingReport:
     independently as a cross-check, and max_membership is the most times
     any one tuple is listed across the checked classes.
     """
-    bounds = _normalize_box(box, k)
-    slots_modes, total = _priced_modes(bounds, d)
-    mus = [muv for *_, muv in _zero_sum_scan(slots_modes[1:], d, bounds[0])]
+    box = _box_range(box, d, k)
+    slots_modes, total = _priced_modes(box, 2 * k + 2, d)
+    mus = [muv for *_, muv in _zero_sum_scan(slots_modes[1:], d, box)]
     mu_values, mu_counts = np.unique(np.concatenate([np.zeros(0, dtype=int)] + mus),
                                      return_counts=True)
     # independent recount of a sample of classes through enumerate_A
@@ -194,12 +176,12 @@ def verify_counting_partition(box, d: int, k: int) -> CountingReport:
         picks = np.arange(mu_values.size)
     else:
         picks = np.unique(np.linspace(0, mu_values.size - 1, 25).astype(int))
-    found = [enumerate_A(int(mu_values[i]), bounds, d, k) for i in picks]
+    found = [enumerate_A(mu_values[i], box, d, k) for i in picks]
     ok = all(len(f) == mu_counts[i] for f, i in zip(found, picks))
     listed = np.concatenate([np.zeros((0, 2 * k + 2, d), dtype=int)] + found)
     _, times = np.unique(listed, axis=0, return_counts=True)
     return CountingReport(
-        d=d, k=k, bounds=bounds, total_tuples=total,
+        d=d, k=k, bounds=[box] * (2 * k + 2), total_tuples=total,
         zero_sum_count=int(mu_counts.sum()), mu_values=mu_values,
         mu_counts=mu_counts, max_membership=int(times.max(initial=0)),
         cross_checked=len(picks), cross_check_ok=ok)
@@ -218,15 +200,7 @@ class EstimateReport:
     max_ratio_over_trials: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate_id": self.estimate_id,
-            "parameters": self.parameters,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "trials": self.trials,
-            "max_ratio_over_trials": self.max_ratio_over_trials,
-        }
+        return asdict(self)
 
 
 def _weighted_norm(vals: np.ndarray, nsq: np.ndarray, sigma: float) -> float:
@@ -268,7 +242,8 @@ def eq21_ratio(psis: list[np.ndarray], d: int, k: int, rho: float, s: float,
     truncated: the lhs norm runs over the full fold extent (2k+1)N.
     Dense-fold inputs (prefers_dense) keep the table; others use K from `kernel()` if given.
     """
-    m = 2 * k + 1
+    check_int(d, "dimension d")
+    m = 2 * check_int(k, "nonlinearity index k") + 1
     if len(psis) != m:
         raise ConfigError(f"need {m} test sequences, got {len(psis)}")
     if not _is_int(q) or not 1 <= q <= m:
@@ -345,7 +320,7 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
     """Max LHS/RHS ratio of the eq21 bound over random nonnegative sequences."""
     _check_box(d, N, k)
     fft_grid(2 * k + 1, d, N)  # trial 0 has full support and runs on phases
-    _check_trials(trials)
+    check_int(trials, "trials")
     if (d, k) == (1, 1):
         raise ConfigError("(d, k) = (1, 1) is outside the proven range")
     if not 0.0 <= rho <= 1.0:
@@ -375,12 +350,12 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
 
 def _dyadic_setup(blocks, d: int, k: int):
     """Validated blocks, Bmax, |n|^2 on the (2 Bmax + 1)^d cube (priced first), shells."""
-    blocks = tuple(int(b) for b in blocks)
+    blocks = tuple(check_int(b, "dyadic block N_j") for b in blocks)
     if len(blocks) != 2 * k + 2:
         raise ConfigError(f"need {2 * k + 2} dyadic blocks, got {len(blocks)}")
     for b in blocks:
-        if b < 1 or b & (b - 1):
-            raise ConfigError(f"blocks must be powers of two >= 1, got {b}")
+        if b & (b - 1):
+            raise ConfigError(f"blocks must be powers of two, got {b}")
     Bmax = isqrt(4 * max(blocks) ** 2 - 2)
     _check_box(d, Bmax, k)
     _refuse_oversized("memory", (2 * Bmax + 1) ** d, "dyadic block cube entries")
@@ -393,14 +368,12 @@ def _dyadic_setup(blocks, d: int, k: int):
 
 
 def _block_mus(estimate: str, mu) -> list[int] | None:
-    """The mus argument of _block_lhs: None for eq27, [mu] for eq26 with an integer mu."""
+    """The mus argument of _block_lhs: None for eq27, [mu] for eq26, which needs a mu."""
     if estimate not in ("eq26", "eq27"):
         raise ConfigError(f"unknown estimate id {estimate!r}")
-    if estimate == "eq27":
-        return None
-    if mu is None or int(mu) != mu:
+    if estimate == "eq26" and mu is None:
         raise ConfigError("eq26 needs an integer mu")
-    return [int(mu)]
+    return None if estimate == "eq27" else [mu]
 
 
 def _block_lhs(psis, nsq: np.ndarray, Bmax: int, d: int, k: int, mus) -> list[float]:
@@ -471,8 +444,9 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
     witness scan finds one, so sweeps over mu share a common floor. Other
     trials, and all eq27 trials, use |Gaussian| shell profiles.
     """
+    mu = None if mu is None else check_int(mu, "mu", None)
     mus = _block_mus(estimate, mu)
-    _check_trials(trials)
+    check_int(trials, "trials")
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     rng = np.random.default_rng(seed)
     witness = False
@@ -491,7 +465,7 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
             ratio = lhs / rhs
         if ratio > best[0]:
             best = (ratio, lhs, rhs)
-    params = {"blocks": list(blocks), "mu": None if mu is None else int(mu),
+    params = {"blocks": list(blocks), "mu": mu,
               "d": d, "k": k, "s": s, "seed": seed}
     return EstimateReport(estimate, params, best[1], best[2], best[0],
                           trials, best[0])
@@ -506,7 +480,7 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     their max/min spread. A witness scan above the enumeration budget
     raises its NumericsError.
     """
-    _check_trials(trials)
+    trials = check_int(trials, "trials")
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     attained = sorted(_shell_witnesses(masks, nsq, Bmax, d, k))
     if not attained:
@@ -526,5 +500,5 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
         "ratios": ratios,
         "spread": float(ratios.max() / ratios.min()),
         "floor": floor,
-        "trials": int(trials),
+        "trials": trials,
     }

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import BlowUpError, ConfigError, NonConvergenceError
+from .errors import BlowUpError, ConfigError, NonConvergenceError, _is_int, check_int
 from .phi import OscillatoryTable
-from .spectral import SpectralState, _sq_norms, hs_norm, unit_mode, zero_state
+from .spectral import SpectralState, _check_box, _sq_norms, hs_norm, unit_mode, zero_state
 from .young import YoungKernelConfig, check_kernel_box, x_increment
 
 __all__ = [
@@ -42,9 +42,9 @@ _BLOWUP_FACTOR = 1e6
 
 
 def uniform_partition(T: float, M: int) -> np.ndarray:
-    if T <= 0 or int(M) != M or M < 1:
-        raise ConfigError(f"need T > 0 and integer M >= 1, got T={T}, M={M}")
-    return np.linspace(0.0, T, int(M) + 1)
+    if not T > 0:  # NaN fails too
+        raise ConfigError(f"need T > 0, got T={T}")
+    return np.linspace(0.0, T, check_int(M, "grid size M") + 1)
 
 
 @dataclass
@@ -69,14 +69,15 @@ class SolverConfig:
             raise ConfigError(
                 "Holder exponents must satisfy 0 < lambda < gamma <= 1 and "
                 f"gamma + lambda > 1; got gamma={self.gamma}, lambda={self.lam}")
-        if self.rho <= 0:
+        if not self.rho > 0:  # NaN fails too, here and for T and tol
             raise ConfigError(f"rho must be positive, got {self.rho}")
-        if self.T <= 0:
+        if not self.T > 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.scheme not in ("euler_young", "picard"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.tol <= 0 or int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise ConfigError("need tol > 0 and integer max_iter >= 1")
+        if not self.tol > 0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
+        check_int(self.max_iter, "max_iter")
         self.partition = np.asarray(self.partition, dtype=float)
         p = self.partition
         if p.ndim != 1 or p.size < 2 or p[0] != 0.0 or not np.all(np.diff(p) > 0):
@@ -114,7 +115,7 @@ def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
                    table: OscillatoryTable) -> SpectralState:
     """Left-point Riemann sum sum_j X_{t_j;t_{j+1}}(g(t_j)) over the partition."""
     p = cfg.partition
-    if not 0 <= s_idx <= t_idx <= p.size - 1:
+    if not (_is_int(s_idx) and _is_int(t_idx) and 0 <= s_idx <= t_idx <= p.size - 1):
         raise ConfigError(f"indices ({s_idx}, {t_idx}) outside the partition")
     kc = cfg.kernel(table)
     acc = zero_state(cfg.d, cfg.N)
@@ -205,9 +206,10 @@ def reference_split_step(phi0: SpectralState, T: float, dt: float,
     truncation), so the padded mass in meta is conserved to rounding;
     output states are the central [-N, N]^d crop.
     """
+    _check_box(d, N, k)
     if (phi0.d, phi0.N) != (d, N):
         raise ConfigError("phi0 does not match the declared box")
-    if T <= 0 or dt <= 0:
+    if not (T > 0 and dt > 0):  # NaN fails too
         raise ConfigError("need T > 0 and dt > 0")
     steps = max(1, int(round(T / dt)))
     h = T / steps
@@ -248,6 +250,5 @@ def plane_wave_exact(c: complex, m, path, t: float, k: int, N: int) -> SpectralS
     """
     if path is not None and not 0.0 <= t <= path.T * (1 + 1e-12):
         raise ConfigError(f"t={t} outside the path horizon")
-    m = np.atleast_1d(np.asarray(m, dtype=int))
-    amp = c * np.exp(-1j * abs(c) ** (2 * k) * t)
-    return unit_mode(m.size, N, m, amp)
+    amp = c * np.exp(-1j * abs(c) ** (2 * check_int(k, "nonlinearity index k")) * t)
+    return unit_mode(np.size(m), N, m, amp)

@@ -19,7 +19,6 @@ Young kernel and the fold's phase spectra both reduce its chunks.
 from __future__ import annotations
 
 import json
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
@@ -30,7 +29,7 @@ import numpy as np
 from scipy.fft import fftn, ifftn, next_fast_len
 
 from ._runtime import get_workers
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, _is_int, check_int
 
 __all__ = [
     "SpectralState",
@@ -45,28 +44,13 @@ __all__ = [
 ]
 
 
-def _is_int(v) -> bool:
-    """True for Python and numpy integers; False for bools, floats and the rest."""
-    try:
-        return not isinstance(v, (bool, np.bool_)) and operator.index(v) == v
-    except TypeError:
-        return False
-
-
 def _check_box(d: int, N: int, k: int | None = None) -> None:
     """Validate the dimension d, the mode cutoff N and, if given, the index k."""
     if not _is_int(d) or d not in (1, 2, 3):
         raise ConfigError(f"dimension d must be 1, 2 or 3, got {d}")
-    if k is not None and (not _is_int(k) or k < 1):
-        raise ConfigError(f"nonlinearity index k must be a positive integer, got {k}")
-    if not _is_int(N) or N < 1:
-        raise ConfigError(f"mode cutoff N must be a positive integer, got {N}")
-
-
-def _check_trials(trials) -> None:
-    """ConfigError unless the trial count of a random probe is a positive integer."""
-    if not _is_int(trials) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials}")
+    if k is not None:
+        check_int(k, "nonlinearity index k")
+    check_int(N, "mode cutoff N")
 
 
 # the package's size budgets: array entries of a phase grid or the dyadic block
@@ -136,8 +120,12 @@ def walk_phases(sources, conj, L: int, P: int, crop, reduce, rows=None, n=None):
 
 
 def _mode_index(n, d: int, N: int, error=ConfigError) -> tuple[int, ...]:
-    """Array index of mode n on the (2N+1)^d cube; `error` when it is off the cube."""
-    mode = tuple(int(c) for c in np.atleast_1d(n))
+    """Array index of mode n (an integer or a sequence of them) on the (2N+1)^d cube;
+    `error` when a component is no integer or the mode is off the cube."""
+    mode = tuple(n) if np.ndim(n) else (n,)
+    if not all(map(_is_int, mode)):
+        raise error(f"mode {n} must have integer components")
+    mode = tuple(map(int, mode))  # numpy integers print as plain ints
     if len(mode) != d:
         raise error(f"mode index needs {d} components")
     if any(abs(c) > N for c in mode):
@@ -240,7 +228,7 @@ def _check_factors(factors, k: int | None):
         if len(factors) % 2 == 0:
             raise ConfigError(f"need an odd number 2k+1 of factors, got {len(factors)}")
         k = (len(factors) - 1) // 2
-    if len(factors) != 2 * k + 1:
+    if len(factors) != 2 * check_int(k, "nonlinearity index k") + 1:
         raise ConfigError(f"need 2k+1 = {2 * k + 1} factors, got {len(factors)}")
     d, N = factors[0].d, factors[0].N
     for st in factors:

@@ -45,11 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, next_fast_len
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .phi import OscillatoryTable
 from .resonance import _priced_modes, _zero_sum_scan
-from .spectral import (SpectralState, _check_box, _check_trials, _refuse_oversized,
-                       hs_norm, random_state, walk_phases, zero_state)
+from .spectral import (SpectralState, _check_box, _refuse_oversized, hs_norm, random_state,
+                       walk_phases, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
            "x_norm_estimate"]
@@ -68,6 +68,7 @@ def check_kernel_box(d: int, k: int, N: int) -> None:
 
 def table_mu_max(d: int, k: int, N: int) -> int:
     """The Phi-table size rule: a kernel table on the box holds |mu| <= R."""
+    _check_box(d, N, k)
     return _phase_grid(d, k, N)[0]
 
 
@@ -107,7 +108,7 @@ def _tuple_table(d: int, k: int, N: int) -> np.ndarray:
     The j are flat indices into the slot coefficient arrays. Slot 0 of
     the zero-sum scan is the output mode n, so the mu it yields is Omega.
     """
-    frees, _ = _priced_modes([(-N, N)] * (2 * k + 1), d)
+    frees, _ = _priced_modes((-N, N), 2 * k + 1, d)
     place = (2 * N + 1) ** np.arange(d - 1, -1, -1)
     return np.concatenate([
         np.stack([np.full(n0.shape[0], a), *rows, (n0 + N) @ place, omega]).astype(np.int32)
@@ -182,7 +183,7 @@ def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,
     is a deterministic function of the seed, so enlarging `trials`
     extends (never reshuffles) the sampled set.
     """
-    _check_trials(trials)
+    check_int(trials, "trials")
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
     rng = np.random.default_rng(seed)

@@ -145,7 +145,7 @@ def test_c05_sewing_rate():
             2.0 ** (-0.55 * octs)[:, None]
             * np.sin(np.outer(2.0 ** octs * np.pi, grid)), axis=0)
         wvals[0] = 0.0
-        path = paths.SamplePath(grid, wvals, kind="synthetic")
+        path = paths.SamplePath(grid, wvals)
         table = phi.build_phi_table(path, 16)
         cfg = solver.SolverConfig(
             d=1, k=1, N=2, s=1.0, gamma=0.55, lam=0.5, rho=1.0, T=T,

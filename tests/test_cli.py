@@ -448,7 +448,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys, where, overrides, key):
 ], ids=["fbm", "linear"])
 def test_integral_float_grid_size_rejected(tmp_path, capsys, spec):
     # a grid size must be a real integer; 16.0 used to reach the path
-    # generators and end in a TypeError traceback
+    # generators and end in a TypeError traceback. M is an integer key of
+    # the path spec, so the spec check names it
     argv = ["solve", "--config", write_config(tmp_path, path=spec),
             "--out", str(tmp_path / "x")]
     assert run_command(argv) == 2
@@ -456,7 +457,19 @@ def test_integral_float_grid_size_rejected(tmp_path, capsys, spec):
     assert len(lines) == 1
     diag = json.loads(lines[0])
     assert diag["error"] == "ConfigError"
-    assert "grid size M" in diag["message"]
+    assert diag["message"] == "path spec key 'M' must be an integer, got 16.0"
+
+
+def test_integral_float_config_grid_size_rejected(tmp_path, capsys):
+    # the config's own M is an integer key as well; 8.0 used to solve
+    argv = ["solve", "--config", write_config(tmp_path, M=8.0),
+            "--out", str(tmp_path / "x")]
+    assert run_command(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError", "message": "config key 'M' must be an integer, got 8.0"}
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "xnorm", "eq21"])

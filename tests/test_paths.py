@@ -32,13 +32,13 @@ def test_constant_path_level_lives_in_offset():
 
 def test_path_validation_rejects_bad_grids():
     with pytest.raises(ConfigError):
-        SamplePath(t_grid=[0.0, 1.0, 1.0], values=[0.0, 0.0, 0.0], kind="bad")
+        SamplePath(t_grid=[0.0, 1.0, 1.0], values=[0.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
-        SamplePath(t_grid=[0.5, 1.0], values=[0.0, 0.0], kind="bad")
+        SamplePath(t_grid=[0.5, 1.0], values=[0.0, 0.0])
     with pytest.raises(ConfigError):
-        SamplePath(t_grid=[0.0, 1.0], values=[0.3, 0.0], kind="bad")
+        SamplePath(t_grid=[0.0, 1.0], values=[0.3, 0.0])
     with pytest.raises(ConfigError):
-        SamplePath(t_grid=[0.0], values=[0.0], kind="bad")
+        SamplePath(t_grid=[0.0], values=[0.0])
     with pytest.raises(ConfigError):
         make_linear_path(-1.0, 4)
     with pytest.raises(ConfigError):

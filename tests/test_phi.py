@@ -87,7 +87,7 @@ def test_phi_against_quadrature_oracle():
 
 
 ONE_SEGMENT = SamplePath(t_grid=np.array([0.0, 0.7]),
-                         values=np.array([0.0, -1.3]), kind="file", offset=0.2)
+                         values=np.array([0.0, -1.3]), offset=0.2)
 STEP = FBM.T / FBM.M
 
 

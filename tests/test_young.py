@@ -257,7 +257,7 @@ def test_window_table_drives_both_paths(d, k, N):
 
 
 def _negated(path):
-    return SamplePath(path.t_grid, -path.values, path.kind, offset=-path.offset)
+    return SamplePath(path.t_grid, -path.values, offset=-path.offset)
 
 
 # one box per kernel path: (1, 1, 3) takes tuples, (2, 1, 2) phases
