@@ -28,9 +28,13 @@ def fitted_rate(lam, T, M, N, seed):
     wvals[0] = 0.0
     path = paths.SamplePath(grid, wvals)
     table = phi.build_phi_table(path, 4 * N * N)
-    cfg = solver.SolverConfig(d=1, k=1, N=N, s=1.0, gamma=0.55,
-                              lam=min(lam, 0.549), rho=1.0, T=T,
-                              partition=grid)
+    # the solver's lambda sets only the C^{0,lambda} metric, which the defect
+    # never reads: it is clamped into the admitted (1 - gamma, gamma), so a
+    # trajectory rougher or smoother than the theory admits is still measured
+    gamma = 0.55
+    cfg = solver.SolverConfig(d=1, k=1, N=N, s=1.0, gamma=gamma,
+                              lam=min(max(lam, 1.001 - gamma), 0.999 * gamma),
+                              rho=1.0, T=T, partition=grid)
     psi0 = spectral.random_state(1, N, 1.0, seed=seed, scale=0.8)
     factor = 1.0 + 0.25 * weierstrass(grid, lam)
     states = [spectral.SpectralState(1, N, c * psi0.coeffs) for c in factor]

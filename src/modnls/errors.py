@@ -3,7 +3,7 @@
 ConfigError maps to CLI exit code 2, NumericsError (and subclasses) to 3.
 
 The integer rule: an integer input (a dimension, power, cutoff, grid size,
-box bound, block, resonance offset, count or sign) is a Python or numpy
+box bound, block, resonance offset, count, sign or seed) is a Python or numpy
 integer. Bools, numpy's included, and floats, integral ones included, are
 refused with ConfigError, never truncated; check_int applies it.
 """

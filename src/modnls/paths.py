@@ -88,7 +88,7 @@ def make_fbm_path(H: float, T: float, M: int, seed: int) -> SamplePath:
         raise ConfigError(f"Hurst index must lie in (0, 1), got {H}")
     if M & (M - 1) != 0:
         raise ConfigError(f"fbm grid size M must be a power of two, got {M}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     fgn = _fgn_unit_step(H, M, rng)
     values = np.concatenate([[0.0], np.cumsum(fgn)]) * (T / M) ** H
     values[0] = 0.0

@@ -12,6 +12,19 @@ anywhere in this module, only splitting logic. An OscillatoryTable holds
 Phi at the path's own nodes for the integer frequencies the kernel reads;
 it lives in memory only.
 
+The frequencies are walked in increasing |a| (Phi(-a) = conj Phi(a)),
+one row at a time, holding per segment G = e^{i a (w0 + dw/2)} and
+H = e^{i a dw/2}; the amplitude is dt Im(H) / (a dw/2), and dt where
+dw = 0. When the gap g to the previous frequency recurs in the grid
+(1/32 and 1/16 in default_a_grid, 1 in build_phi_table), the row is two
+complex multiplies by e^{i g (w0 + dw/2)} and e^{i g dw/2}, precomputed
+once per gap, instead of a cos and a sin. Every 64th row, every row whose
+gap does not recur, and a = 0 are anchors evaluated in closed form, so
+rounding grows over at most 64 steps (at most about 64 ulp per segment)
+and an arbitrary grid is all anchors. For |a dw| < pi both terms of
+Im(H e^{i g dw/2}) have the sign of dw (g <= a), so the amplitude keeps
+its relative accuracy as a dw -> 0 without a Taylor branch.
+
 The (rho, gamma)-irregularity norm
 
     sup_a sup_{s<t} (1+|a|)^rho |Phi_t(a) - Phi_s(a)| / (t-s)^gamma
@@ -44,17 +57,18 @@ __all__ = [
 ]
 
 
-# (frequency, segment) entries per chunk of _phi_at_times: its float64
-# temporaries stay in cache whatever the number of segments or frequencies
-_PHI_BLOCK_ENTRIES = 2 ** 16
+# rows of the frequency walk between closed-form anchors, and the most
+# distinct frequency gaps it keeps per-segment step factors for
+_WALK_ANCHOR_EVERY = 64
+_WALK_GAPS = 4
 
 
-def _segments(a, dt, w0, dw):
-    """(Re, Im) of dt e^{i a (w0 + dw/2)} sinc(a dw / 2pi), the integral of
-    e^{i a w} over linear segments (dt, w0 -> w0 + dw); `a` broadcasts."""
-    phase = a * (w0 + 0.5 * dw)
-    amp = np.sinc(a * dw / (2.0 * np.pi)) * dt
-    return amp * np.cos(phase), amp * np.sin(phase)
+def _cis(x):
+    """e^{ix} for a real array x."""
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def phi_increment(path: SamplePath, a: float, s: float, t: float) -> complex:
@@ -72,7 +86,8 @@ def _phi_at_times(path: SamplePath, a_values, times):
 
     Exact: the requested times are merged into the node grid so every
     segment is integrated in closed form; only the block sums between
-    consecutive requested times are accumulated.
+    consecutive requested times are accumulated. The distinct |a| are
+    walked upwards, one row per frequency (module docstring).
     """
     t_req = np.asarray(times, dtype=float)
     if t_req.size == 0:
@@ -89,15 +104,35 @@ def _phi_at_times(path: SamplePath, a_values, times):
     bounds = np.unique(np.concatenate([[0], pos]))
     at = np.searchsorted(bounds, pos)
     a = np.atleast_1d(np.asarray(a_values, dtype=float))
-    out = np.zeros((a.size, t_req.size), dtype=complex)
-    rows = max(1, _PHI_BLOCK_ENTRIES // max(1, dt.size))
-    for lo in range(0, a.size, rows):
-        re, im = _segments(a[lo:lo + rows, None], dt, w[:-1], dw)
-        acc = np.zeros((re.shape[0], bounds.size), dtype=complex)
-        acc.real[:, 1:] = np.add.reduceat(re, bounds[:-1], axis=1)
-        acc.imag[:, 1:] = np.add.reduceat(im, bounds[:-1], axis=1)
-        out[lo:lo + rows] = np.cumsum(acc, axis=1)[:, at]
-    return out
+    # w is real, so Phi(-a) = conj(Phi(a)): only the distinct |a| are computed
+    freqs, inv = np.unique(np.abs(a), return_inverse=True)
+    mid, half = w[:-1] + 0.5 * dw, 0.5 * dw
+    # dt sin(x)/x = Im e^{ix} (dt / half) / a at x = a half; flat segments take dt
+    flat = np.flatnonzero(half == 0)
+    scale = np.divide(dt, half, out=np.zeros_like(dt), where=half != 0)
+    gaps = np.diff(freqs)
+    vals, counts = np.unique(gaps, return_counts=True)
+    steps = {vals[i]: (_cis(vals[i] * mid), _cis(vals[i] * half))
+             for i in np.argsort(-counts, kind="stable")[:_WALK_GAPS] if counts[i] > 1}
+    sums = np.zeros((freqs.size, bounds.size), dtype=complex)
+    for j, f in enumerate(freqs):
+        step = steps.get(gaps[j - 1]) if j % _WALK_ANCHOR_EVERY else None
+        if step is None:
+            G, H = _cis(f * mid), _cis(f * half)
+        else:
+            G *= step[0]
+            H *= step[1]
+        amp, div = dt, 1.0  # a = 0: x = 0 on every segment
+        if f:
+            amp, div = H.imag * scale, f
+            amp[flat] = f * dt[flat]
+        sums[j, 1:] = np.add.reduceat(G * amp, bounds[:-1]) / div
+    phi = np.cumsum(sums, axis=1, out=sums)[:, at]
+    if freqs.size == a.size and np.array_equal(freqs, a):
+        return phi
+    phi = phi[inv]
+    np.conjugate(phi, out=phi, where=(a < 0)[:, None])
+    return phi
 
 
 @dataclass
@@ -162,8 +197,8 @@ def default_a_grid(a_max: float) -> np.ndarray:
     Only a >= 0 appears: |Phi(-a)| = |Phi(a)|, so the negative half-axis
     adds nothing to the norm.
     """
-    if a_max <= 0:
-        raise ConfigError(f"a_max must be positive, got {a_max}")
+    if not 0 < a_max < np.inf:  # NaN too
+        raise ConfigError(f"a_max must be positive and finite, got {a_max}")
     ints = np.arange(0.0, np.floor(a_max) + 1)
     frac = np.append(np.arange(1.0, 16.0) / 16, 1 / 32)
     units = np.arange(0.0, np.ceil(a_max))
@@ -223,7 +258,7 @@ def estimate_irregularity(path: SamplePath, gamma: float, a_max: float, *,
         # step 0.1 keeps the 0.05 slope threshold decisive at both ends
         rho_grid = np.arange(0.0, 1.501, 0.1)
     rho_grid = np.asarray(rho_grid, dtype=float)
-    if np.any(rho_grid < 0):
+    if not np.all(rho_grid >= 0):  # NaN too
         raise ConfigError(f"rho must be nonnegative, got {rho_grid.min()}")
     if a_grid is None:
         a_grid = default_a_grid(a_max)

@@ -321,6 +321,7 @@ def estimate_ratio_eq21(d: int, k: int, rho: float, s: float, s_prime: float,
     _check_box(d, N, k)
     fft_grid(2 * k + 1, d, N)  # trial 0 has full support and runs on phases
     check_int(trials, "trials")
+    seed = check_int(seed, "seed", 0)
     if (d, k) == (1, 1):
         raise ConfigError("(d, k) = (1, 1) is outside the proven range")
     if not 0.0 <= rho <= 1.0:
@@ -447,6 +448,7 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
     mu = None if mu is None else check_int(mu, "mu", None)
     mus = _block_mus(estimate, mu)
     check_int(trials, "trials")
+    seed = check_int(seed, "seed", 0)
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     rng = np.random.default_rng(seed)
     witness = False
@@ -480,7 +482,7 @@ def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     their max/min spread. A witness scan above the enumeration budget
     raises its NumericsError.
     """
-    trials = check_int(trials, "trials")
+    trials, seed = check_int(trials, "trials"), check_int(seed, "seed", 0)
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
     attained = sorted(_shell_witnesses(masks, nsq, Bmax, d, k))
     if not attained:

@@ -214,7 +214,8 @@ def random_state(d: int, N: int, s: float, seed, scale: float = 1.0,
     integer or an existing numpy Generator.
     """
     _check_box(d, N)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(check_int(seed, "seed", 0)))
     if decay is None:
         decay = s + d / 2 + 0.01
     shape = (2 * N + 1,) * d

@@ -186,7 +186,7 @@ def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,
     check_int(trials, "trials")
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     t_grid = cfg.table.t_grid
     if t_grid.size < 2:
         raise ConfigError("table grid needs at least two times")

@@ -76,6 +76,25 @@ def test_irregularity_report_keys(tmp_path):
                             "pair_count", "trend"}
 
 
+@pytest.mark.parametrize("flag,value", [("--amax", "nan"), ("--amax", "0"), ("--amax", "inf"),
+                                        ("--amax", "-inf"), ("--rho", "nan"), ("--rho", "-1")])
+def test_irregularity_bad_real_is_one_json_line(tmp_path, capsys, flag, value):
+    pcsv = tmp_path / "lin.csv"
+    assert run_command(["gen-path", "--kind", "linear", "--T", "1.0",
+                        "--M", "8", "--out", str(pcsv)]) == 0
+    capsys.readouterr()
+    flags = {"--gamma": "0.5", "--rho": "0.5", "--amax": "4", "--pairs": "4", flag: value}
+    rc = run_command(["irregularity", "--path", str(pcsv), "--out", str(tmp_path / "irr.json")]
+                     + [f"{f}={v}" for f, v in flags.items()])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0], parse_constant=_reject_constant)
+    assert diag["error"] == "ConfigError"
+    assert ("a_max" if flag == "--amax" else "rho") in diag["message"]
+    assert not (tmp_path / "irr.json").exists()
+
+
 def test_solve_happy_path(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"

@@ -37,6 +37,19 @@ def young_sum(s_idx, t_idx):
     return young_integral(cfg, traj, s_idx, t_idx, TABLE)
 
 
+# every seed handed to numpy's default_rng: a Generator is still taken where
+# random_state documents it, -1 and None are refused besides bools and floats
+SEEDS = {
+    "fbm_path-seed": (lambda v: make_fbm_path(0.5, 1.0, 4, v), 0),
+    "random_state-seed": (lambda v: random_state(1, 2, 1.0, v), 0),
+    "x_norm-seed": (lambda v: x_norm_estimate(YoungKernelConfig(1, 1, 2, TABLE),
+                                              0.5, 1.0, 1, v), 0),
+    "eq21-seed": (lambda v: estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, 2, 1, v), 0),
+    "dyadic-seed": (lambda v: dyadic_block_ratio("eq27", (2, 2, 2, 2), None, 2, 1,
+                                                 0.1, 1, v), 0),
+    "eq26_sweep-seed": (lambda v: eq26_mu_sweep((2, 2, 1, 1), 2, 1, 0.1, 1, v), 0),
+}
+
 # each was truncated, accepted or ended in a bare TypeError before the rule
 REFUSED = {
     "enumerate_A-half-width-2.5": lambda: enumerate_A(0, 2.5, d=1, k=1),
@@ -65,6 +78,8 @@ REFUSED = {
     "SolverConfig-rho-nan": lambda: solver_cfg(rho=NAN),
     "SolverConfig-tol-nan": lambda: solver_cfg(tol=NAN),
     "uniform_partition-T-nan": lambda: uniform_partition(NAN, 4),
+    **{f"{name}-{v}": (lambda call=call, v=v: call(v))
+       for name, (call, _) in SEEDS.items() for v in (-1, None)},
 }
 
 
@@ -127,6 +142,7 @@ SITES = {
     "eq26_sweep-trials": (lambda v: eq26_mu_sweep((2, 2, 1, 1), 2, 1, 0.1, v, 0), 1),
     "set_workers": (lambda v: _runtime.set_workers(v), 2),
     "Slot-sign": (lambda v: _fold.Slot(np.ones(3), v), 1),
+    **SEEDS,
 }
 
 
@@ -142,6 +158,11 @@ def test_bools_and_floats_are_refused(call, value):
 def test_numpy_integers_pass(call, valid):
     call(np.int64(valid))
     call(np.int32(valid))
+
+
+def test_random_state_takes_a_generator():
+    a = random_state(1, 2, 1.0, np.random.default_rng(7))
+    np.testing.assert_array_equal(a.coeffs, random_state(1, 2, 1.0, 7).coeffs)
 
 
 def test_check_int_wording_and_value():

@@ -14,7 +14,6 @@ from modnls.paths import SamplePath, make_fbm_path, make_linear_path
 from modnls.phi import (
     IrregularityReport,
     _phi_at_times,
-    _segments,
     build_phi_table,
     default_a_grid,
     default_pairs,
@@ -26,6 +25,7 @@ from modnls.phi import (
 from tests.conftest import gl_phase_integral
 
 FBM = make_fbm_path(0.5, 1.0, 64, seed=3)
+WALK_RTOL = 64 * np.finfo(float).eps
 
 
 def test_linear_path_closed_form():
@@ -40,21 +40,20 @@ def test_linear_path_closed_form():
         assert phi_increment(path, a, s, t) == pytest.approx(expected, abs=1e-13)
 
 
-def _unit_segment(x):
-    """(e^{ix} - 1)/(ix): the segment primitive with dt = 1, w0 = 0, dw = x."""
-    re, im = _segments(1.0, 1.0, 0.0, np.array([x]))
-    return complex(re[0], im[0])
-
-
-def test_cis_ratio_against_taylor_and_direct():
-    # (e^{ix} - 1) / (ix), both branches of the evaluation
-    for x in (1e-9, -3e-6, 1e-4, 2e-3):
-        terms = sum((1j * x) ** m / math.factorial(m + 1) for m in range(8))
-        assert _unit_segment(x) == pytest.approx(terms, abs=1e-15)
-    for x in (0.5, -3.7, 120.0):
-        direct = (np.exp(1j * x) - 1) / (1j * x)
-        assert _unit_segment(x) == pytest.approx(direct, abs=1e-14)
-    assert _unit_segment(0.0) == pytest.approx(1.0, abs=0)
+@pytest.mark.parametrize("dw", [0.0, 1e-300, 1e-12])
+def test_tiny_segment_slopes_against_closed_form(dw):
+    # one segment of slope dw, cut in two at t = 0.35, on a walked grid
+    # (steps 0.5 and 1, a = 0 included): dt sin(x)/x keeps its relative
+    # accuracy as x = a dw / 2 -> 0 and dw == 0 takes dt, with no Taylor branch
+    path = SamplePath(t_grid=np.array([0.0, 1.0]), values=np.array([0.0, dw]))
+    a = np.concatenate([np.arange(0.0, 40.0, 0.5), np.arange(40.0, 200.0)])
+    got = _phi_at_times(path, a, [0.35, 1.0])
+    for j, t in enumerate((0.35, 1.0)):
+        x = a * dw * t  # Phi_t(a) = t (e^{ix} - 1) / (ix), the Taylor sum at |x| < 1e-9
+        closed = t * sum((1j * x) ** m / math.factorial(m + 1) for m in range(4))
+        # relative, both parts: at most 64 walked steps of one rounding each
+        np.testing.assert_allclose(got[:, j].real, closed.real, rtol=WALK_RTOL, atol=0)
+        np.testing.assert_allclose(got[:, j].imag, closed.imag, rtol=WALK_RTOL, atol=0)
 
 
 @given(
@@ -135,22 +134,72 @@ def test_phi_at_times_against_two_exponential_cumsum():
     np.testing.assert_allclose(table.values[:, 40:], old.T, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("entries", [3 * 64, 5 * 64 + 17, 1])
-def test_phi_at_times_chunks_agree(monkeypatch, entries):
-    # 23 frequencies over 64 segments: rows of 3, 5 and 1, ragged last chunk
-    a = np.linspace(-30.0, 30.0, 23)
+@pytest.mark.parametrize("every", [3 * 64, 5 * 64 + 17, 1])
+def test_phi_at_times_chunks_agree(monkeypatch, every):
+    # 500 rows of |a| in steps of 1/4, walked in chunks of 192 and 337
+    # rows between anchors (ragged last chunk) or all anchors, against the
+    # default chunking; negative frequencies are conjugated walked rows
+    a = np.concatenate([np.arange(500) * 0.25, -np.arange(1, 500, 13) * 0.25])
     times = [0.5, 0.0, 1.0, 0.25 + 0.5 * STEP]
     whole = _phi_at_times(FBM, a, times)
-    monkeypatch.setattr(phi_module, "_PHI_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(phi_module, "_WALK_ANCHOR_EVERY", every)
     np.testing.assert_allclose(_phi_at_times(FBM, a, times), whole,
                                rtol=0, atol=1e-14)
 
 
-def test_phi_at_times_working_set_is_bounded():
-    # the irregularity shape: 1089 frequencies, 16384 segments, 151 times
+def _irregularity_shape():
+    """The irregularity workload's _phi_at_times call: 1089 frequencies,
+    16384 segments, 151 times."""
     path = make_fbm_path(0.5, 1.0, 2 ** 14, seed=3)
-    a = default_a_grid(64.0)
-    times = np.unique(default_pairs(path).ravel())
+    return path, default_a_grid(64.0), np.unique(default_pairs(path).ravel())
+
+
+def test_walked_rows_equal_anchor_rows(monkeypatch):
+    path, a, times = _irregularity_shape()
+    calls = []
+    cis = phi_module._cis
+    monkeypatch.setattr(phi_module, "_cis", lambda x: calls.append(1) or cis(x))
+    walked = _phi_at_times(path, a, times)
+    # 18 anchors (every 64th row) and the factors of the two gaps, 1/32 and 1/16
+    assert len(calls) == 2 * (18 + 2)
+    monkeypatch.setattr(phi_module, "_WALK_ANCHOR_EVERY", 1)
+    np.testing.assert_allclose(walked, _phi_at_times(path, a, times),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("path,times", [
+    (FBM, [0.0, 0.25, 1.0, 0.125, 0.25]),
+    (ONE_SEGMENT, [0.0, 0.35, 0.7, 0.1]),
+])
+def test_walked_rows_against_quadrature(path, times):
+    # three gaps (0.25, 0.5, 3) reused; unsorted, duplicated and negative
+    # frequencies and a = 0 all land on walked rows of |a|
+    rows = np.concatenate([np.arange(0.0, 20.0, 0.25), np.arange(20.0, 45.0, 0.5),
+                           np.arange(45.0, 75.0, 3.0)])
+    a = np.random.default_rng(5).permutation(
+        np.concatenate([rows, -rows[::7], rows[5:9], [0.0, -0.0]]))
+    got = _phi_at_times(path, a, times)
+    for j, t in enumerate(times):
+        oracle = np.atleast_1d(gl_phase_integral(path, a, 0.0, t))
+        np.testing.assert_allclose(got[:, j], oracle, rtol=0, atol=1e-12)
+
+
+def test_walk_to_the_largest_table_frequency():
+    # table_mu_max(1, 2, 103) = 31827 integer frequencies on a 256-step
+    # clock, against the two-exponential form on the top rows and every
+    # 97th; the walk restarts every 64 rows, so its rounding stays that
+    # of the closed form's phase a w, about 1e-16 |a w| per segment
+    path = make_fbm_path(0.5, 1.0, 256, seed=4)
+    a = np.arange(31828.0)
+    times = path.t_grid[::32]
+    got = _phi_at_times(path, a, times)
+    rows = np.concatenate([np.arange(0, a.size, 97), np.arange(a.size - 130, a.size)])
+    np.testing.assert_allclose(got[rows], _phi_two_exponentials(path, a[rows], times),
+                               rtol=0, atol=1e-13)
+
+
+def test_phi_at_times_working_set_is_bounded():
+    path, a, times = _irregularity_shape()
     tracemalloc.start()
     try:
         _phi_at_times(path, a, times)
@@ -191,8 +240,9 @@ def test_default_a_grid_shape():
     assert grid.max() == 16.0
     assert np.all(np.diff(grid) > 0)
     assert np.all(np.isin(np.arange(17.0), grid))
-    with pytest.raises(ConfigError):
-        default_a_grid(0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="a_max"):
+            default_a_grid(bad)
 
 
 def test_default_pairs_on_grid():
@@ -261,6 +311,9 @@ def test_irregularity_validation():
     with pytest.raises(ConfigError):
         estimate_irregularity(FBM, gamma=0.5, a_max=4.0, rho_grid=[0.5],
                               a_grid=grid, pairs=np.array([[0.25, np.nan]]))
+    with pytest.raises(ConfigError, match="rho"):
+        estimate_irregularity(FBM, gamma=0.5, a_max=4.0, rho_grid=[0.5, np.nan],
+                              a_grid=grid, pairs=pairs)
     for times in ([0.5, np.nan], [-0.1], [1.5]):
         with pytest.raises(ValueError):
             _phi_at_times(FBM, grid, times)

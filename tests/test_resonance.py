@@ -467,6 +467,19 @@ def test_study_scripts_write_one_finite_row(tmp_path, monkeypatch, script, args,
     assert all(np.isfinite(float(v)) for v in rows[1])
 
 
+def test_sewing_rate_study_runs_its_default_lambdas(tmp_path, monkeypatch):
+    # lambda 0.3 lies below 1 - gamma: the script clamps the solver's lambda
+    # and still writes a row for each default lambda
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sewing_rate_study.py"
+    out = tmp_path / "study.csv"
+    monkeypatch.setattr(sys, "argv", [str(path), "--M", "64", "--out", str(out)])
+    runpy.run_path(str(path), run_name="__main__")
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["lam"]) for row in rows] == [0.3, 0.5, 0.7, 0.9]
+    assert all(np.isfinite(float(row["fitted_rate"])) for row in rows)
+
+
 def test_estimate_report_json_keys():
     rep = EstimateReport("eq21", {"d": 2}, 1.0, 2.0, 0.5, 3, 0.5)
     assert set(rep.to_json_dict()) == {
