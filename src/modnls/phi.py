@@ -10,7 +10,7 @@ Phi at a list of times sums the segments between consecutive requested
 times and accumulates only those block sums. There is no quadrature error
 anywhere in this module, only splitting logic. An OscillatoryTable holds
 Phi at the path's own nodes for the integer frequencies the kernel reads;
-it lives in memory only.
+it lives in memory only, with the clock at those nodes.
 
 The frequencies are walked in increasing |a| (Phi(-a) = conj Phi(a)),
 one row at a time, holding per segment G = e^{i a (w0 + dw/2)} and
@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, check_int
 from .paths import SamplePath
+from .spectral import _refuse_oversized
 
 __all__ = [
     "OscillatoryTable",
@@ -137,11 +138,12 @@ def _phi_at_times(path: SamplePath, a_values, times):
 
 @dataclass
 class OscillatoryTable:
-    """Phi_{t_i}(mu) for integer frequencies |mu| <= mu_max on a time grid."""
+    """Phi_{t_i}(mu) for integer frequencies |mu| <= mu_max on the path's nodes t_i."""
 
     t_grid: np.ndarray
     mu_max: int
     values: np.ndarray  # shape (len(t_grid), 2*mu_max+1), column index mu + mu_max
+    clock: np.ndarray  # w(t_i), offset included; linear between nodes
 
     def increment(self, i_s: int, i_t: int) -> np.ndarray:
         """Phi_{t}(mu) - Phi_{s}(mu) over all tabulated mu."""
@@ -165,7 +167,8 @@ def build_phi_table(path: SamplePath, mu_max: int) -> OscillatoryTable:
     t_grid = path.t_grid.copy()
     pos = _phi_at_times(path, np.arange(mu_max + 1), t_grid).T  # (n_t, mu_max+1)
     values = np.concatenate([np.conj(pos[:, :0:-1]), pos], axis=1)
-    return OscillatoryTable(t_grid=t_grid, mu_max=mu_max, values=values)
+    return OscillatoryTable(t_grid=t_grid, mu_max=mu_max, values=values,
+                            clock=path.values + path.offset)
 
 
 @dataclass
@@ -199,6 +202,8 @@ def default_a_grid(a_max: float) -> np.ndarray:
     """
     if not 0 < a_max < np.inf:  # NaN too
         raise ConfigError(f"a_max must be positive and finite, got {a_max}")
+    _refuse_oversized("memory", 17 * np.ceil(a_max) + 1,
+                      f"frequency grid points (a_max {a_max})")
     ints = np.arange(0.0, np.floor(a_max) + 1)
     frac = np.append(np.arange(1.0, 16.0) / 16, 1 / 32)
     units = np.arange(0.0, np.ceil(a_max))

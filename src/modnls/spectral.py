@@ -12,8 +12,10 @@ The nonlinearity of degree 2k+1 is the signed convolution
 with zeta_j = +1 for odd j, -1 for even j, and J_j conjugating even
 slots, evaluated by zero-padded FFT.
 
-walk_phases is the one loop over phase rows e^{-2 pi i l |n|^2 / L}: the
-Young kernel and the fold's phase spectra both reduce its chunks.
+walk_phases is the one loop over phase rows e^{-i theta_l |n|^2}: the Young
+kernel and the fold's phase spectra both reduce its chunks. The fold walks the
+L equispaced turns theta_l = 2 pi l / L; the kernel walks those or a step's
+window nodes.
 """
 
 from __future__ import annotations
@@ -88,23 +90,36 @@ def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarr
     return fftn(prod, axes=axes, norm="forward", workers=1)[crop]
 
 
-def walk_phases(sources, conj, L: int, P: int, crop, reduce, rows=None, n=None):
-    """Yield reduce(l, phases, F) for each chunk of `rows` rows l < n (default L), in
-    order: phases[i] = e^{-2 pi i l_i |m|^2 / L} on the source cube, gathered from L
-    roots of unity by (l |m|^2) mod L, and F = _phase_products(...). Chunks form
+def walk_phases(sources, conj, turns, P: int, crop, reduce, rows=None, n=None):
+    """Yield reduce(l, phases, F) for each chunk of `rows` rows l < n, in order:
+    phases[i] = e^{-i theta_{l_i} |m|^2} on the source cube and F =
+    _phase_products(...). `turns` is an integer L, for theta_l = 2 pi l / L gathered
+    from the L roots of unity by (l |m|^2) mod L (n defaults to L), or an array of
+    angles theta, gathered over the distinct |m|^2 (n is its length). Chunks form
     tasks of about _PHASE_TASK_ENTRIES entries (one chunk by default), run on
     get_workers() threads if there are two or more, else inline; each task's results
     are yielded once it and those before it finish, whatever the thread count."""
     sq = _sq_norms(sources[0].ndim, (sources[0].shape[0] - 1) // 2)
-    n = L if n is None else n
     task_rows = max(1, _PHASE_TASK_ENTRIES // P ** sq.ndim)
     rows = task_rows if rows is None else rows
     span = max(1, task_rows // rows) * rows
-    roots = np.exp(-2j * np.pi / L * np.arange(L))
+    if np.ndim(turns):
+        n = len(turns)
+        q, at = np.unique(sq, return_inverse=True)
+        at = at.reshape(sq.shape)
+
+        def phase_rows(l):
+            return np.exp(-1j * np.multiply.outer(turns[l], q))[:, at]
+    else:
+        L, n = turns, turns if n is None else n
+        roots = np.exp(-2j * np.pi / L * np.arange(L))
+
+        def phase_rows(l):
+            return roots[np.multiply.outer(l, sq) % L]
 
     def chunk(a):
         l = np.arange(a, min(a + rows, n))
-        phases = roots[np.multiply.outer(l, sq) % L]
+        phases = phase_rows(l)
         return reduce(l, phases, _phase_products(sources, conj, phases, P, crop))
 
     def task(lo):

@@ -6,36 +6,47 @@ For factors psi_1..psi_{2k+1} the output coefficient at n is
                     [Phi_t(Omega) - Phi_s(Omega)] prod_j (J_j psi_j)(n_j)
 
 with zeta_j = +/-1 alternating (odd slots +), J conjugating even slots,
-and Omega = |n|^2 - sum_j zeta_j |n_j|^2. Phi increments come from a
-precomputed OscillatoryTable. Two exact paths evaluate the sum:
+and Omega = |n|^2 - sum_j zeta_j |n_j|^2. For an output mode in the box
+the integer Omega lies in [-R, R], R = (k+1) d N^2. Two paths evaluate
+the sum:
 
-  * tuples: the in-box interaction tuples (n; n_1..n_{2k+1}) are listed
-    once per kernel config by resonance's in-box zero-sum scan, with the
-    output mode n as its forced slot 0 and the box priced against the
-    enumeration budget, as int32 rows (slot indices, output index,
-    Omega); each call gathers Phi increments and slot values and sums
-    them into the output modes with np.bincount.
-  * phases: for an output mode in the box the integer Omega lies in
-    [-R, R], R = (k+1) d N^2, so on that range the Phi increment is
-    exactly a sum of L >= 2R + 1 equispaced phases e^{i theta_l Omega},
-    theta_l = 2 pi l / L, with the DFT of the increments as weights.
-    Each phase is one free-Schroedinger conjugation
-    U^{-theta} N(U^{theta} psi_1, ..., U^{theta} psi_{2k+1}): the slot
-    product is taken in physical space on a padded P^d grid,
-    P >= (2k+2) N + 1, and cropped to |n_i| <= N; the sum is one reduction
-    over spectral.walk_phases, shared with the fold, so no table is kept.
+  * tuples (d = 1, k = 1): the in-box interaction tuples
+    (n; n_1..n_{2k+1}) are listed once per kernel config by resonance's
+    in-box zero-sum scan, with the output mode n as its forced slot 0 and
+    the box priced against the enumeration budget, as int32 rows (slot
+    indices, output index, Omega); each call gathers Phi increments from
+    the precomputed OscillatoryTable and slot values, and sums them into
+    the output modes with np.bincount.
+  * phases (every other box): the Phi increment is a sum of phases,
+    dPhi(Omega) = sum_l c_l e^{i theta_l Omega}, and each phase is one
+    free-Schroedinger conjugation U^{-theta} N(U^{theta} psi_1, ...,
+    U^{theta} psi_{2k+1}): the slot product is taken in physical space on
+    a padded P^d grid, P >= (2k+2) N + 1, and cropped to |n_i| <= N; the
+    sum is one reduction over spectral.walk_phases, shared with the fold,
+    so no table of phases is kept. One rule gives the step's phases:
+      - window nodes. On the step the clock stays in [a, b] = [min w,
+        max w], so e^{i Omega theta} is interpolated at p Chebyshev points
+        theta_l of [a, b], with c_l = int_s^t ell_l(w(r)) dr for the
+        Lagrange basis ell_l, integrated exactly by Gauss-Legendre on each
+        linear segment of the clock. By Jacobi-Anger and
+        |J_j(x)| <= (x/2)^j / j!, the error on every |Omega| <= R is at
+        most (t - s) 4 sum_{j >= p} |J_j(x)| <= (t - s) 8 (x/2)^p / p!
+        for p > x = R (b - a) / 2; p is the smallest count that puts this
+        bound at eps = 1e-16 (t - s) or below.
+      - equispaced turns, when p >= L = next_fast_len(2R + 1): theta_l =
+        2 pi l / L, with the DFT of the table's Phi increments as weights,
+        exact to rounding whatever the clock does on the step.
 
 The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
 is admitted iff the phase path's L x P^d entries fit spectral's memory
 budget, shared with the fft fold. The rule depends on (d, k, N) alone,
 so the solver and the CLI apply it through check_kernel_box before any
 Phi table is built; the largest admitted N is 134, 103, 23 and 8 for
-(d, k) = (1, 1), (1, 2), (2, 1), (3, 1). A Phi table needs the window
-|mu| <= R. d=1, k=1 boxes contract tuples, the faster path there; every
-other box sums phases.
+(d, k) = (1, 1), (1, 2), (2, 1), (3, 1). A Phi table needs |mu| <= R.
 
-With w identically zero every Phi increment equals t - s and X_{s;t}
-collapses to -i (t - s) times the plain nonlinearity.
+A clock frozen at c on the step needs one window node: all of t - s sits
+at c, and X_{s;t} = -i (t - s) U^{-c} N(U^{c} psi_1, ...); for c = 0 that
+is -i (t - s) times the plain nonlinearity.
 """
 
 from __future__ import annotations
@@ -57,6 +68,10 @@ __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment
 # phase-product entries per summation chunk of the phase path: 2^14 complex
 # entries are 256 KB, so a chunk's few arrays stay in a 2 MB L2 cache
 _PHASE_CHUNK_ENTRIES = 1 << 14
+# the window rule's error bound on |dPhi(Omega)|, relative to t - s
+_WINDOW_EPS = 1e-16
+# p -> (Chebyshev points, barycentric weights, Gauss-Legendre points and weights)
+_WINDOW_NODES: dict[int, tuple] = {}
 
 
 def check_kernel_box(d: int, k: int, N: int) -> None:
@@ -131,15 +146,18 @@ def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralS
     out = zero_state(cfg.d, cfg.N)
     if i_s == i_t:
         return out
-    dphi = cfg.table.increment(i_s, i_t)
     # written in place, not re-validated: an overflow to inf or NaN is
     # left for the solver's blow-up guard to report
     if cfg._tuples is None:
-        out.coeffs[...] = -1j * _phase_sum(cfg, dphi, states)
+        # the step's window nodes when they are fewer than L, else the L turns
+        R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
+        rule = (_window_rule(cfg.table, i_s, i_t, R, L)
+                or (L, _turn_weights(cfg.table, i_s, i_t, R, L)))
+        out.coeffs[...] = -1j * _phase_sum(cfg, states, *rule)
         return out
     *slot_idx, out_idx, omega = cfg._tuples
     # np.take: fancy indexing with int32 indices runs about 2x slower
-    terms = np.take(dphi, omega + cfg.table.mu_max)
+    terms = np.take(cfg.table.increment(i_s, i_t), omega + cfg.table.mu_max)
     for j, (st, idx) in enumerate(zip(states, slot_idx)):
         vals = st.coeffs.ravel() if j % 2 == 0 else np.conj(st.coeffs).ravel()
         terms *= np.take(vals, idx)
@@ -150,25 +168,121 @@ def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralS
     return out
 
 
-def _phase_sum(cfg: YoungKernelConfig, dphi: np.ndarray, states) -> np.ndarray:
-    """sum_l c_l e^{i theta_l |n|^2} [prod_j slot_j(theta_l)]^(n) on |n_i| <= N.
+def _turn_weights(table: OscillatoryTable, i_s: int, i_t: int, R: int, L: int) -> np.ndarray:
+    """c with dPhi(Omega) = sum_l c_l e^{2 pi i l Omega / L} on every |Omega| <= R.
 
-    w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L give
-    dPhi(Omega) = sum_l c_l e^{i theta_l Omega} on every in-box Omega.
-    Slot j at theta is the field of U^{theta} psi_j, conjugated on even
-    slots; the terms are summed in walk_phases chunk order.
+    w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L, from
+    the table: exact to rounding whatever the clock does on the step.
     """
-    d, N, mu = cfg.d, cfg.N, cfg.table.mu_max
-    R, L, P = _phase_grid(d, cfg.k, N)
+    dphi, mu = table.increment(i_s, i_t), table.mu_max
     w = np.zeros(L, dtype=complex)
     w[:R + 1] = dphi[mu:mu + R + 1]
     w[L - R:] = dphi[mu - R:mu]
-    c = fft(w) / L
+    return fft(w) / L
+
+
+def _window_size(x: float, L: int) -> int:
+    """Smallest p < L with p > x and 8 (x/2)^p / p! <= _WINDOW_EPS, else L.
+
+    |J_j(x)| <= (x/2)^j / j!, and for p > x each term of the tail
+    sum_{j >= p} is at most half the one before, so the Chebyshev
+    interpolation error 4 sum_{j >= p} |J_j(x)| is at most 8 (x/2)^p / p!.
+    """
+    if not x / 2 > 0:
+        return 1
+    p = np.arange(1, L)
+    log_bound = np.log(8.0) + p * np.log(x / 2) - np.cumsum(np.log(p))
+    ok = np.flatnonzero((p > x) & (log_bound <= np.log(_WINDOW_EPS)))
+    return int(p[ok[0]]) if ok.size else L
+
+
+def _window_nodes(p: int):
+    """(x, lam, u, g): p Chebyshev points of the first kind on [-1, 1] with
+    their barycentric weights, and the ceil(p/2)-point Gauss-Legendre rule."""
+    if p not in _WINDOW_NODES:
+        j = np.arange(p)
+        angle = (2 * j + 1) * np.pi / (2 * p)
+        _WINDOW_NODES[p] = (np.cos(angle), (-1.0) ** j * np.sin(angle),
+                            *_gauss_legendre((p + 1) // 2))
+    return _WINDOW_NODES[p]
+
+
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre points and weights on [-1, 1], by Newton's
+    method on the Legendre recurrence (numpy's leggauss calls LAPACK, whose
+    first call adds about 1 MB of resident memory to a solve)."""
+    u = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(u), u
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * u * p1 - (j - 1) * p0) / j
+        dp = n * (u * p1 - p0) / (u * u - 1)  # P_n'(u)
+        step = p1 / dp
+        if np.abs(step).max() <= 1e-15:
+            break
+        u = u - step
+    return u, 2 / ((1 - u * u) * dp * dp)
+
+
+def _window_rule(table: OscillatoryTable, i_s: int, i_t: int, R: int, L: int):
+    """(theta, c) of the window rule on the step between nodes i_s < i_t, or
+    None when it needs p >= L nodes.
+
+    The clock stays in [a, b] on the step, so for |Omega| <= R
+    e^{i Omega theta} is interpolated at p Chebyshev points theta_l of [a, b]
+    to within _WINDOW_EPS (_window_size at x = R (b - a) / 2), and
+    c_l = int_s^t ell_l(w(r)) dr with ell_l the Lagrange basis.
+    """
+    w = table.clock[i_s:i_t + 1]
+    mid, half = (w.max() + w.min()) / 2, (w.max() - w.min()) / 2
+    p = _window_size(R * half, L)
+    if p >= L:
+        return None
+    if p == 1:  # constant interpolant: all of t - s on the midpoint
+        return np.array([mid]), np.array([table.t_grid[i_t] - table.t_grid[i_s]])
+    nodes = _window_nodes(p)
+    xi = (w - mid) / half  # the clock in window coordinates, in [-1, 1]
+    dt = np.diff(table.t_grid[i_s:i_t + 1])
+    c = np.zeros(p)
+    seg = max(1, _PHASE_CHUNK_ENTRIES // (p * nodes[2].size))  # segments per block
+    for lo in range(0, dt.size, seg):
+        c += _segment_weights(xi[lo:lo + seg + 1], dt[lo:lo + seg], *nodes)
+    return mid + half * nodes[0], c
+
+
+def _segment_weights(xi, dt, x, lam, u, g) -> np.ndarray:
+    """sum over segments of dt int_0^1 ell_l(xi(r)) dr for xi linear on each.
+
+    ell_l(xi(r)) is a polynomial of degree p - 1 in r, so Gauss-Legendre
+    at the ceil(p/2) points u integrates it exactly. ell_l is evaluated in
+    barycentric form, [lam_l / (xi - x_l)] / sum_k lam_k / (xi - x_k), and
+    as the indicator of its node at a point that falls on one.
+    """
+    diff = ((xi[:-1, None] + xi[1:, None]) / 2
+            + np.multiply.outer(np.diff(xi) / 2, u)).reshape(-1, 1) - x
+    weights = np.multiply.outer(dt / 2, g).ravel()
+    hit = diff == 0
+    on = hit.any(axis=1)
+    diff[on] = np.inf
+    inv = np.reciprocal(diff, out=diff)
+    share = np.divide(weights, inv @ lam, out=np.zeros_like(weights), where=~on)
+    return lam * (share @ inv) + weights[on] @ hit[on]
+
+
+def _phase_sum(cfg: YoungKernelConfig, states, turns, c: np.ndarray) -> np.ndarray:
+    """sum_l c_l e^{i theta_l |n|^2} [prod_j slot_j(theta_l)]^(n) on |n_i| <= N.
+
+    turns is L for theta_l = 2 pi l / L or the array of angles theta_l.
+    Slot j at theta is the field of U^{theta} psi_j, conjugated on even
+    slots; the terms are summed in walk_phases chunk order.
+    """
+    d, N = cfg.d, cfg.N
+    P = _phase_grid(d, cfg.k, N)[2]
     # mode n sits at index n + N of the padded input and, because the
     # product holds one more plain than conjugate field, of the output
     crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
     sources, conj = [st.coeffs for st in states], [j % 2 for j in range(len(states))]
-    return sum(walk_phases(sources, conj, L, P, crop,
+    return sum(walk_phases(sources, conj, turns, P, crop,
                            lambda l, phases, F: np.tensordot(c[l], np.conj(phases) * F, axes=1),
                            rows=max(1, _PHASE_CHUNK_ENTRIES // P ** d)))
 

@@ -69,35 +69,48 @@ def resonance_offset(n, tuple_modes, k=None):
     return int(np.dot(n, n) - np.sum(zeta * np.sum(modes * modes, axis=1)))
 
 
-def duhamel_x_oracle(path, s, t, states, nodes=20):
-    """First-principles Duhamel evaluation of the Young kernel, d=1 only.
+def duhamel_x_oracle(path, s, t, states, nodes=20, chunk=1 << 20):
+    """First-principles Duhamel evaluation of the Young kernel on any T^d.
 
     Enumerates every interaction tuple, integrates each oscillatory phase
     by Gauss-Legendre quadrature, and accumulates
-    -i sum Phi_inc(Omega) prod_j (J_j psi_j)(n_j) on the output box.
+    -i sum Phi_inc(Omega) prod_j (J_j psi_j)(n_j) on the output box. The
+    tuples are visited in blocks of slot-1 modes of about `chunk` tuples.
     """
-    m = len(states)
+    m, d, N = len(states), states[0].d, states[0].N
     assert m % 2 == 1
-    N = states[0].N
-    modes = np.arange(-N, N + 1)
-    grids = np.meshgrid(*([modes] * m), indexing="ij")
-    nout = np.zeros_like(grids[0])
-    omega = np.zeros_like(grids[0])
-    prod = np.ones_like(grids[0], dtype=complex)
-    for j, g in enumerate(grids):
-        sign = 1 if j % 2 == 0 else -1
-        nout = nout + sign * g
-        omega = omega - sign * g * g
-        coeff = states[j].coeffs if sign == 1 else np.conj(states[j].coeffs)
-        prod = prod * coeff[g + N]
-    omega = omega + nout * nout
-    keep = np.abs(nout) <= N
-    uniq, inv = np.unique(omega[keep], return_inverse=True)
-    phi_vals = gl_phase_integral(path, uniq, s, t, nodes=nodes)
-    phi_vals = np.atleast_1d(phi_vals)
-    out = np.zeros(2 * N + 1, dtype=complex)
-    np.add.at(out, nout[keep] + N, prod[keep] * phi_vals[inv])
-    return -1j * out
+    side, zeta = 2 * N + 1, [1 - 2 * (j % 2) for j in range(m)]
+    # the box and Omega split over the d components, so the attained Omega
+    # are the d-fold sums of those of one component
+    one = np.meshgrid(*([np.arange(-N, N + 1)] * m), indexing="ij", sparse=True)
+    n_one = sum(z * g for z, g in zip(zeta, one))
+    omega_one = (n_one * n_one - sum(z * g * g for z, g in zip(zeta, one)))[np.abs(n_one) <= N]
+    uniq = np.zeros(1, dtype=int)
+    for _ in range(d):
+        uniq = np.unique(np.add.outer(uniq, np.unique(omega_one)))
+    phi = np.atleast_1d(gl_phase_integral(path, uniq, s, t, nodes=nodes))
+    size = side ** d
+    comps = [a.ravel() for a in np.meshgrid(*([np.arange(-N, N + 1, dtype=np.int32)] * d),
+                                            indexing="ij")]
+    sq = sum(c * c for c in comps)
+    step = max(1, chunk // size ** (m - 1))
+    out = np.zeros(size, dtype=complex)
+    for lo in range(0, size, step):
+        # the slots' flat mode indices on an open grid
+        grids = np.meshgrid(np.arange(lo, min(lo + step, size), dtype=np.int32),
+                            *([np.arange(size, dtype=np.int32)] * (m - 1)),
+                            indexing="ij", sparse=True)
+        nout = [sum(z * c[g] for z, g in zip(zeta, grids)) for c in comps]
+        keep = np.all([np.abs(n) <= N for n in nout], axis=0)
+        omega = (sum(n * n for n in nout) - sum(z * sq[g] for z, g in zip(zeta, grids)))[keep]
+        prod = np.ones(keep.shape, dtype=complex)
+        for j, g in enumerate(grids):
+            coeff = states[j].coeffs.ravel()
+            coeff = coeff if zeta[j] > 0 else np.conj(coeff)
+            prod = prod * coeff[np.broadcast_to(g, keep.shape)]
+        flat = sum((n[keep] + N) * side ** (d - 1 - c) for c, n in enumerate(nout))
+        np.add.at(out, flat, prod[keep] * phi[np.searchsorted(uniq, omega)])
+    return -1j * out.reshape((side,) * d)
 
 
 def direct_nonlinearity(factors, k):

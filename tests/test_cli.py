@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modnls import _runtime, cli, paths, phi, spectral, young
+from modnls import _runtime, cli, paths, spectral, young
 from modnls.cli import run_command
 from modnls.errors import NumericsError
 from modnls.paths import load_path_csv, make_linear_path, save_path_csv
@@ -544,19 +544,21 @@ _HUGE_BLOCKS = ["--d", "2", "--k", "1", "--blocks", "1099511627776,4,2,2"]
      "ConfigError"),
     (["gen-path", "--kind", "linear", "--T", "1", "--M", "10000000000000"],
      (paths, "make_linear_path"), "MemoryError"),
-    (["irregularity", "--path", "{path}", "--gamma", "0.55", "--rho", "0.5",
-      "--amax", "1e14", "--pairs", "4"], (phi, "default_a_grid"), "MemoryError"),
+    *[(["irregularity", "--path", "{path}", "--gamma", "0.55", "--rho", "0.5",
+        "--amax", amax, "--pairs", "4"], None, "NumericsError")
+      for amax in ("1e14", "1e300", "1e7")],
 ], ids=["counting", "eq26-cube", "eq27-cube", "eq21-overflow", "levels", "gen-path",
-        "irregularity"])
+        "irregularity", "irregularity-1e300", "irregularity-1e7"])
 def test_oversized_input_refused_before_allocating(tmp_path, capsys, monkeypatch,
                                                    argv, loader, error):
-    # each of these inputs asks for terabytes or more. The counting box and
-    # the dyadic cube are priced from their bounds and --levels against M,
-    # so the small peak shows nothing was allocated first; an N too large
-    # for a machine integer overflows before any allocation. gen-path and
-    # irregularity have no size rule: their loader's MemoryError is stood in
-    # for, never provoked, since an overcommitting host kills such a process
-    # instead of refusing its request. Each exits with one JSON line
+    # each of these inputs asks for gigabytes or more. The counting box, the
+    # dyadic cube and the irregularity frequency grid (about 17 a_max points)
+    # are priced from their bounds and --levels against M, so the small peak
+    # shows nothing was allocated first; an N too large for a machine
+    # integer overflows before any allocation. gen-path has no size rule:
+    # its loader's MemoryError is stood in for, never provoked, since an
+    # overcommitting host kills such a process instead of refusing its
+    # request. Each exits with one JSON line
     pcsv = tmp_path / "lin.csv"
     save_path_csv(make_linear_path(1.0, 8), pcsv)
     fill = {"{config}": write_config(tmp_path), "{path}": str(pcsv)}

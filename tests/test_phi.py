@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modnls import phi as phi_module
-from modnls.errors import ConfigError
+from modnls.errors import ConfigError, NumericsError
 from modnls.paths import SamplePath, make_fbm_path, make_linear_path
 from modnls.phi import (
     IrregularityReport,
@@ -243,6 +243,13 @@ def test_default_a_grid_shape():
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="a_max"):
             default_a_grid(bad)
+    # priced as 17 ceil(a_max) + 1 points before allocating: c03's grid
+    # holds 1089, and 1e7 asks for 1.7e8 against the 4e7 memory budget
+    assert default_a_grid(64.0).size == 1089
+    for a_max in (0.3, 1.0, 16.0, 64.5):
+        assert default_a_grid(a_max).size <= 17 * np.ceil(a_max) + 1
+    with pytest.raises(NumericsError, match="memory budget"):
+        default_a_grid(1e7)
 
 
 def test_default_pairs_on_grid():

@@ -1,12 +1,13 @@
 """Young kernel increments: worked example, oracles, and structure."""
 
+import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from scipy.fft import next_fast_len
+from scipy.fft import fft, next_fast_len
 
 from modnls import _fold, _runtime, spectral, young
 from modnls.errors import ConfigError, NumericsError
@@ -87,18 +88,40 @@ def _brute_tuple_count(d, k, N):
     return int(np.all(np.abs(total) <= N, axis=-1).sum())
 
 
+def _spy_walks(monkeypatch) -> list:
+    """Log each kernel walk as ("window", p) for p window nodes or ("turns", L)."""
+    walks = []
+
+    def spy(sources, conj, turns, *args, **kwargs):
+        walks.append(("window", len(turns)) if np.ndim(turns) else ("turns", turns))
+        return spectral.walk_phases(sources, conj, turns, *args, **kwargs)
+
+    monkeypatch.setattr(young, "walk_phases", spy)
+    return walks
+
+
+def _stated_window_size(x):
+    """The smallest p > x with 8 (x/2)^p / p! <= 1e-16, by lgamma."""
+    p = math.floor(x) + 1
+    while x and math.log(8) + p * math.log(x / 2) - math.lgamma(p + 1) > math.log(1e-16):
+        p += 1
+    return p
+
+
 @pytest.mark.parametrize("d,k,N,path_name", [
     (1, 1, 2, "tuples"), (1, 1, 16, "tuples"), (1, 1, 32, "tuples"),
     (1, 2, 2, "phases"), (2, 1, 2, "phases"), (2, 1, 4, "phases"),
     (3, 1, 2, "phases"),
 ])
 def test_kernel_path_selection(d, k, N, path_name, monkeypatch):
-    path = make_linear_path(1.0, 2)
+    # on the clock w(t) = t, one short step spans 1/64 of [0, 4] and walks
+    # its p < L window nodes; the whole clock needs p >= L and walks the L
+    # equispaced turns
+    path = make_linear_path(4.0, 256)
     cfg = make_kernel(d, k, N, path)
-    walks = []
-    monkeypatch.setattr(young, "walk_phases",
-                        lambda *a, **kw: walks.append(a[2]) or spectral.walk_phases(*a, **kw))
-    x_increment(cfg, 0.0, 1.0, [unit_mode(d, N, [0] * d)] * (2 * k + 1))
+    walks = _spy_walks(monkeypatch)
+    for s, t in ((0.0, path.t_grid[4]), (0.0, 4.0)):
+        x_increment(cfg, s, t, [unit_mode(d, N, [0] * d)] * (2 * k + 1))
     if path_name == "tuples":
         assert cfg._tuples is not None
         assert cfg._tuples.dtype == np.int32
@@ -106,7 +129,10 @@ def test_kernel_path_selection(d, k, N, path_name, monkeypatch):
         assert walks == []
     else:
         assert cfg._tuples is None
-        assert walks == [_phase_grid(d, k, N)[1]]
+        R, L, _ = _phase_grid(d, k, N)
+        p = _stated_window_size(R * path.t_grid[4] / 2)
+        assert 1 < p < L <= _stated_window_size(R * 4.0 / 2)
+        assert walks == [("window", p), ("turns", L)]
 
 
 def _clock(kind):
@@ -356,6 +382,205 @@ def test_mass_orthogonality():
     inner = np.vdot(psi.coeffs, out.coeffs)
     scale = hs_norm(psi, 0.0) * hs_norm(out, 0.0)
     assert abs(inner.real) <= 1e-14 * max(1.0, scale)
+
+
+def _window_clock(kind):
+    """Clocks for the window rule: fBm, fBm with flat and 1e-13 segments, fBm off 0."""
+    path = make_fbm_path(0.5, 0.25, 64, seed=3)
+    if kind == "fbm":
+        return path
+    if kind == "offset":
+        return SamplePath(path.t_grid, path.values, offset=2.5)
+    v = path.values.copy()
+    v[1::4] = v[0:-1:4]
+    v[3::4] = v[2::4] + 1e-13
+    return SamplePath(path.t_grid, v)
+
+
+def _rule_sums(cfg, i, j, states):
+    """The phase sum on the step i..j by the window rule and by the L turns."""
+    R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
+    window = young._window_rule(cfg.table, i, j, R, L)
+    assert window is not None
+    turns = (L, young._turn_weights(cfg.table, i, j, R, L))
+    return young._phase_sum(cfg, states, *window), young._phase_sum(cfg, states, *turns)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33, 300])
+def test_gauss_legendre_rule(n):
+    # the window weights' rule: numpy's nodes, and T_j integrated exactly
+    # for every degree j < 2n (int_{-1}^{1} T_j = 2 / (1 - j^2), j even)
+    u, g = young._gauss_legendre(n)
+    np.testing.assert_allclose(np.sort(u), np.polynomial.legendre.leggauss(n)[0], atol=1e-15)
+    j = np.arange(2 * n)
+    exact = np.zeros(2 * n)
+    exact[::2] = 2 / (1 - j[::2] ** 2.0)
+    np.testing.assert_allclose(np.cos(np.outer(j, np.arccos(u))) @ g, exact, atol=1e-13)
+
+
+@pytest.mark.parametrize("clock", ["fbm", "flats", "offset"])
+@pytest.mark.parametrize("span", [1, 4, 64])
+def test_window_rule_against_turns(span, clock):
+    # the window rule is exact to 1e-16 (t - s) on every in-box Omega, and
+    # its weights to rounding on flat, tiny and ordinary segments alike;
+    # the L turns are exact whatever the clock, so the two agree to rounding
+    path = _window_clock(clock)
+    cfg = make_kernel(2, 1, 3, path)
+    rng = np.random.default_rng(span)
+    states = [random_state(2, 3, 0.5, seed=rng) for _ in range(3)]
+    for i in sorted({0, min(6, 64 - span), 64 - span}):
+        window, turns = _rule_sums(cfg, i, i + span, states)
+        _assert_rel(window, turns, 1e-13)
+
+
+@pytest.mark.parametrize("clock", ["fbm", "flats"])
+@pytest.mark.parametrize("span", [1, 4, 64])
+def test_window_weights_integrate_polynomials_exactly(span, clock):
+    # the weights reproduce int_s^t T_j(xi(r)) dr for every j < p, xi the
+    # clock in window coordinates: against numpy's 64-point Gauss-Legendre
+    # rule on each linear segment, exact for these degrees (p < L = 75)
+    path = _window_clock(clock)
+    cfg = make_kernel(2, 1, 3, path)
+    R, L, _ = _phase_grid(2, 1, 3)
+    u, g = np.polynomial.legendre.leggauss(64)
+    for i in sorted({0, min(8, 64 - span), 64 - span}):
+        w, t = cfg.table.clock[i:i + span + 1], cfg.table.t_grid[i:i + span + 1]
+        theta, c = young._window_rule(cfg.table, i, i + span, R, L)
+        if c.size == 1:  # a flat or 1e-13 step: all of t - s on one node
+            assert c[0] == t[-1] - t[0]
+            continue
+        xi = (w - (w.max() + w.min()) / 2) / ((w.max() - w.min()) / 2)
+        points = (xi[:-1, None] + xi[1:, None]) / 2 + np.multiply.outer(np.diff(xi) / 2, u)
+        weights = np.multiply.outer(np.diff(t) / 2, g)
+        x = young._window_nodes(c.size)[0]
+        for j in range(c.size):
+            T = np.polynomial.Chebyshev.basis(j)
+            assert abs(c @ T(x) - np.sum(weights * T(points))) <= 1e-13 * (t[-1] - t[0])
+
+
+def test_window_weights_with_a_point_on_a_node():
+    # a flat segment whose clock sits exactly on a Chebyshev node puts all
+    # of its Gauss-Legendre points there, where ell_l is the node's indicator
+    d, k, N = 2, 1, 3
+    R, L, _ = _phase_grid(d, k, N)
+    p = young._window_size(R * 0.25, L)
+    x = young._window_nodes(p)[0]
+    on = [w for w in 0.25 + 0.25 * x if (w - 0.25) / 0.25 in x]
+    assert on
+    path = SamplePath(np.linspace(0.0, 0.3, 4), [0.0, on[0], on[0], 0.5])
+    cfg = make_kernel(d, k, N, path)
+    rng = np.random.default_rng(3)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(3)]
+    window, turns = _rule_sums(cfg, 0, 3, states)
+    _assert_rel(window, turns, 1e-13)
+
+
+@pytest.mark.parametrize("clock", ["linear", "fbm-0.3", "fbm-0.5"])
+@pytest.mark.parametrize("d,k,N", [(2, 1, 4), (1, 2, 8), (3, 1, 3)])
+def test_window_rule_against_duhamel_oracle(d, k, N, clock, monkeypatch):
+    # steps of three segments walk their window nodes; the oracle
+    # enumerates the tuples and integrates each phase by quadrature
+    if clock == "linear":
+        path = make_linear_path(0.5, 64)
+    else:
+        path = make_fbm_path(float(clock[4:]), 0.5, 64, seed=7)
+    cfg = make_kernel(d, k, N, path)
+    walks = _spy_walks(monkeypatch)
+    rng = np.random.default_rng(10 * d + k)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
+    s, t = path.t_grid[20], path.t_grid[23]
+    got = x_increment(cfg, s, t, states).coeffs
+    assert walks[0][0] == "window" and walks[0][1] < _phase_grid(d, k, N)[1]
+    _assert_rel(got, duhamel_x_oracle(path, s, t, states), 1e-12)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.7])
+@pytest.mark.parametrize("d,k,N", [(2, 1, 3), (1, 2, 3)])
+def test_frozen_clock_walks_one_window_node(d, k, N, level, monkeypatch):
+    # a clock frozen at c gives dPhi(Omega) = (t - s) e^{i Omega c}: one node
+    # at c carries all of t - s, and X = -i (t - s) U^{-c} N(U^{c} psi)
+    path = make_constant_path(level, 1.0, 16)
+    cfg = make_kernel(d, k, N, path)
+    walks = _spy_walks(monkeypatch)
+    rng = np.random.default_rng(30)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
+    s, t = path.t_grid[2], path.t_grid[13]
+    got = x_increment(cfg, s, t, states).coeffs
+    assert walks == [("window", 1)]
+    plain = nonlinearity([spectral.apply_U(st, level) for st in states], k)
+    want = -1j * (t - s) * spectral.apply_U(plain, level, "inverse").coeffs
+    _assert_rel(got, want, 1e-13)
+
+
+def _equispaced_x(cfg, s, t, states):
+    """X_{s;t} by the L equispaced turns alone, as the kernel computed it
+    before window nodes: c = fft(w) / L of the table's increments."""
+    d, N, mu = cfg.d, cfg.N, cfg.table.mu_max
+    R, L, P = _phase_grid(d, cfg.k, N)
+    dphi = cfg.table.increment(cfg.table.index_of_time(s), cfg.table.index_of_time(t))
+    w = np.zeros(L, dtype=complex)
+    w[:R + 1] = dphi[mu:mu + R + 1]
+    w[L - R:] = dphi[mu - R:mu]
+    c = fft(w) / L
+    crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
+    sources, conj = [st.coeffs for st in states], [j % 2 for j in range(len(states))]
+    return -1j * sum(spectral.walk_phases(
+        sources, conj, L, P, crop,
+        lambda l, phases, F: np.tensordot(c[l], np.conj(phases) * F, axes=1),
+        rows=max(1, young._PHASE_CHUNK_ENTRIES // P ** d)))
+
+
+@pytest.mark.parametrize("d,k,N", [(2, 1, 2), (1, 2, 2), (2, 1, 4)])
+def test_turns_step_is_the_equispaced_sum_bit_for_bit(d, k, N, monkeypatch):
+    # on the whole rough clock p >= L, and the kernel walks the L turns
+    # exactly as the equispaced rule alone does
+    path = make_fbm_path(0.3, 2.0, 64, seed=12)
+    cfg = make_kernel(d, k, N, path)
+    walks = _spy_walks(monkeypatch)
+    rng = np.random.default_rng(2)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
+    got = x_increment(cfg, 0.0, path.T, states).coeffs
+    assert walks == [("turns", _phase_grid(d, k, N)[1])]
+    np.testing.assert_array_equal(got, _equispaced_x(cfg, 0.0, path.T, states))
+
+
+@pytest.mark.parametrize("rule", ["window", "turns"])
+@pytest.mark.parametrize("d,k,N", [(2, 1, 2), (1, 2, 2)])
+def test_invariants_under_each_rule(d, k, N, rule, monkeypatch):
+    # gauge, reflection, conjugation, additivity and multilinearity hold
+    # whichever rule sums the phases: the window rule on a clock narrow
+    # enough for p < L on every step, the L turns with the window rule off
+    path = make_fbm_path(0.4, 0.5, 32, seed=19)
+    if rule == "window":
+        path = SamplePath(path.t_grid, 0.1 * path.values)
+    else:
+        monkeypatch.setattr(young, "_window_rule", lambda *args: None)
+    cfg, neg = make_kernel(d, k, N, path), make_kernel(d, k, N, _negated(path))
+    walks = _spy_walks(monkeypatch)
+    rng = np.random.default_rng(31)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
+    t0, t1, t2 = path.t_grid[4], path.t_grid[17], path.t_grid[27]
+    base = x_increment(cfg, t0, t2, states).coeffs
+    scale = np.abs(base).max()
+    a = 0.83
+    gauged = [SpectralState(d, N, np.exp(1j * a) * st.coeffs) for st in states]
+    np.testing.assert_allclose(x_increment(cfg, t0, t2, gauged).coeffs,
+                               np.exp(1j * a) * base, atol=1e-13 * scale)
+    flipped = [SpectralState(d, N, np.flip(st.coeffs)) for st in states]
+    np.testing.assert_allclose(x_increment(cfg, t0, t2, flipped).coeffs,
+                               np.flip(base), atol=1e-13 * scale)
+    want = conj_state(SpectralState(d, N, x_increment(neg, t0, t2, states).coeffs))
+    got = x_increment(cfg, t0, t2, [conj_state(st) for st in states]).coeffs
+    np.testing.assert_allclose(got, -want.coeffs, atol=1e-13 * scale)
+    split = x_increment(cfg, t0, t1, states).coeffs + x_increment(cfg, t1, t2, states).coeffs
+    np.testing.assert_allclose(base, split, atol=1e-14)
+    alpha = 0.7 - 1.3j
+    for j, factor in ((0, alpha), (1, np.conj(alpha))):
+        scaled = list(states)
+        scaled[j] = SpectralState(d, N, alpha * states[j].coeffs)
+        np.testing.assert_allclose(x_increment(cfg, t0, t2, scaled).coeffs,
+                                   factor * base, atol=1e-13)
+    assert {kind for kind, _ in walks} == {rule}
 
 
 def test_off_grid_times_rejected():
