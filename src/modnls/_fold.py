@@ -18,6 +18,11 @@ Two backends produce identical tables:
     products of free-Schroedinger phased slot fields; fold_fft inverts them
     over l.
 
+Every tuple has q = sum_j zeta_j |n_j|^2 = |n|^2 (mod 2), as m^2 = m and
+-m = m (mod 2), so T[q, n] vanishes at every q of the other parity. Q is
+even, and F_{l+Q/2}(n) = (-1)^{|n|^2} F_l(n): half the phases determine
+the rest.
+
 map_phase_chunks maps the F_l through the caller's reduction a chunk of l
 at a time on spectral.walk_phases, the kernel's phase walker, so no output
 depends on the thread count.
@@ -142,9 +147,10 @@ def fold_dense(slots: list[Slot], d: int) -> FoldResult:
 
 
 def fft_grid(m: int, d: int, N: int, rows: int | None = None) -> tuple[int, int]:
-    """(Q, P) of an m-slot fft fold; NumericsError when its phase grid, or only
-    its first `rows` rows if given, exceeds the memory budget."""
-    Q, P = next_fast_len(m * d * N * N + 1), next_fast_len(2 * m * N + 1)
+    """(Q, P) of an m-slot fft fold, Q even and above the m d N^2 + 1 values of q;
+    NumericsError when its phase grid, or only its first `rows` rows if given,
+    exceeds the memory budget."""
+    Q, P = 2 * next_fast_len(m * d * N * N // 2 + 1), next_fast_len(2 * m * N + 1)
     rows = Q if rows is None else rows
     _refuse_oversized("memory", rows * P ** d,
                       f"fft fold phase-grid entries ({rows} x {P}^{d})")
@@ -154,8 +160,9 @@ def fft_grid(m: int, d: int, N: int, rows: int | None = None) -> tuple[int, int]
 def map_phase_chunks(slots: list[Slot], d: int, reduce, n: int | None = None):
     """reduce(l, F_l) for each walk_phases chunk (one task) of l, in order, where
     F_l(n) = sum_q T[q, n] e^{-2 pi i l q / Q} on the (2mN+1)^d output cube,
-    for l < n or by default every l fold_fft inverts (l <= Q/2 for real
-    slots, whose F_{Q-l} is conj(F_l); else l < Q)."""
+    for l < n or by default every l that determines the rest by
+    F_{l+Q/2}(n) = (-1)^{|n|^2} F_l(n): l <= Q/4 for real slots, whose
+    F_{Q-l} is conj(F_l), else l < Q/2."""
     N, m = _cutoff(slots, d), len(slots)
     Q, P = fft_grid(m, d, N, n)  # priced by the rows it walks when n is given
     real = all(np.isrealobj(sl.values) for sl in slots)
@@ -166,16 +173,22 @@ def map_phase_chunks(slots: list[Slot], d: int, reduce, n: int | None = None):
     # output mode n sits at index (n + (#plus - #minus) N) mod P
     idx = (np.arange(-m * N, m * N + 1) + sum(sl.sign for sl in slots) * N) % P
     crop = (slice(None),) + np.ix_(*[idx] * d)
-    n = (Q // 2 + 1 if real else Q) if n is None else n
+    n = (Q // 4 + 1 if real else Q // 2) if n is None else n
     return walk_phases(sources, conj, Q, P, crop, lambda l, phases, F: reduce(l, F), n=n)
 
 
 def fold_fft(slots: list[Slot], d: int) -> FoldResult:
-    """The phase spectra F_l of map_phase_chunks, inverted over l."""
+    """The phase spectra F_l of map_phase_chunks, completed by parity and
+    inverted over l."""
     N, m = _cutoff(slots, d), len(slots)
     Q, _ = fft_grid(m, d, N)
     real = all(np.isrealobj(sl.values) for sl in slots)
     spec = np.concatenate(list(map_phase_chunks(slots, d, lambda l, F: F)))
+    parity = 1 - 2 * (_sq_norms(d, m * N) % 2)  # (-1)^{|n|^2}
+    if real:  # l in (Q/4, Q/2]: F_l = (-1)^{|n|^2} conj(F_{Q/2-l})
+        spec = np.concatenate([spec, parity * np.conj(spec[Q // 2 - Q // 4 - 1::-1])])
+    else:  # l in [Q/2, Q): F_l = (-1)^{|n|^2} F_{l-Q/2}
+        spec = np.concatenate([spec, parity * spec])
     q_lo = -d * N * N * sum(sl.sign < 0 for sl in slots)
     # e^{2 pi i l q_lo / Q} moves row 0 of the inverse to q = q_lo
     ls = np.arange(len(spec)).reshape((-1,) + (1,) * d)

@@ -203,7 +203,7 @@ def default_a_grid(a_max: float) -> np.ndarray:
     if not 0 < a_max < np.inf:  # NaN too
         raise ConfigError(f"a_max must be positive and finite, got {a_max}")
     _refuse_oversized("memory", 17 * np.ceil(a_max) + 1,
-                      f"frequency grid points (a_max {a_max})")
+                      f"frequency grid points (a_max {a_max})", "lower a_max (--amax)")
     ints = np.arange(0.0, np.floor(a_max) + 1)
     frac = np.append(np.arange(1.0, 16.0) / 16, 1 / 32)
     units = np.arange(0.0, np.ceil(a_max))

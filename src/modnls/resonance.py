@@ -215,21 +215,31 @@ def _eq21_weight(d: int, k: int, N: int, rho: float):
 
 
 def _eq21_kernel(d: int, k: int, N: int, rho: float):
-    """K[l, i] = (c_l / Q) sum_q W(r_i - q) e^{2 pi i l q / Q} for l <= Q/2 (c_l = 1
-    at l = 0, Q/2, else 2) over the distinct |n|^2 = r_i of the cube; where[n] = i."""
+    """K[l, i] = (2 c_l / Q) sum_{q = r_i (mod 2)} W(r_i - q) e^{2 pi i l q / Q} for
+    l <= Q/4 (c_l = 1 at l = 0, Q/4, else 2) over the distinct |n|^2 = r_i of the
+    cube, those with r_i + offset odd last; where[n] = i. T[q, n] vanishes off
+    q = |n|^2 (mod 2), so K is a length-Q/2 transform on that sublattice."""
     weight, offset = _eq21_weight(d, k, N, rho)
     Q, _ = fft_grid(2 * k + 1, d, N)
     r, where = np.unique(_sq_norms(d, (2 * k + 1) * N), return_inverse=True)
-    # row j holds W(r - q) at q = offset - j, the weight index r - q + offset
-    win = np.lib.stride_tricks.sliding_window_view(weight, r[-1] + 1)[:, r]
-    K = np.fft.rfft(win, Q, axis=0)
+    b = (r + offset) % 2
+    order = np.argsort(b, kind="stable")
+    r, b, where = r[order], b[order], np.argsort(order)[where]
+    # row u holds W(r - q) at q = offset - b - 2u, the weight index r + b + 2u,
+    # which has the parity of offset
+    cols = (r + b - offset % 2) // 2
+    win = np.lib.stride_tricks.sliding_window_view(
+        weight[offset % 2::2], cols.max() + 1)[:Q // 2, cols]
+    K = np.fft.rfft(win, Q // 2, axis=0)
     l = np.arange(len(K))[:, None]
-    K *= (2.0 - (l == 0) - (2 * l == Q)) / Q * np.exp(2j * np.pi / Q * (l * offset % Q))
+    K *= (2.0 - (l == 0) - (4 * l == Q)) * 2 / Q * np.exp(2j * np.pi / Q * (l * offset % Q))
+    K[:, np.count_nonzero(b == 0):] *= np.exp(-2j * np.pi / Q * l)  # e^{-2 pi i l b / Q}
     return K, where.reshape((2 * (2 * k + 1) * N + 1,) * d)
 
 
 def _eq21_phase(slots, d: int, K: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """t_rho(n) = Re sum_{l <= Q/2} F_l(n) K[l, |n|^2]; c_l counts F_{Q-l} = conj(F_l)."""
+    """t_rho(n) = Re sum_{l <= Q/4} F_l(n) K[l, |n|^2]: F_l K[l] repeats at l + Q/2,
+    and c_l counts F_{Q/2-l} K[Q/2-l] = conj(F_l K[l])."""
     return sum(map_phase_chunks(
         slots, d, lambda l, F: np.einsum("i...,i...", F, np.take(K[l], where, axis=1)).real))
 

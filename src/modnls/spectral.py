@@ -62,15 +62,17 @@ _SIZE_LIMITS = {"memory": 4e7, "operation": 4e7, "enumeration": 2e7}
 _PHASE_TASK_ENTRIES = 1 << 17
 
 
-def _refuse_oversized(budget: str, size: int, what: str) -> None:
-    """NumericsError when size exceeds its budget in _SIZE_LIMITS, read at call time;
-    every caller prices size from shapes or bounds before it allocates. An integer
-    size past float range is shown through Decimal, so it gets the same message."""
+def _refuse_oversized(budget: str, size: int, what: str,
+                      remedy: str = "shrink the box") -> None:
+    """NumericsError, ending in `remedy`, when size exceeds its budget in
+    _SIZE_LIMITS, read at call time; every caller prices size from shapes or bounds
+    before it allocates. An integer size past float range is shown through Decimal,
+    so it gets the same message."""
     limit = _SIZE_LIMITS[budget]
     if size > limit:
         shown = f"{Decimal(size):.3g}" if size > 1e308 else f"{float(size):.3g}"
         raise NumericsError(f"{shown} {what} exceed the {budget} budget "
-                            f"{limit:.0e}; shrink the box")
+                            f"{limit:.0e}; {remedy}")
 
 
 def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarray:

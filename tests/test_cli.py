@@ -95,6 +95,22 @@ def test_irregularity_bad_real_is_one_json_line(tmp_path, capsys, flag, value):
     assert not (tmp_path / "irr.json").exists()
 
 
+def test_amax_refusal_names_its_remedy(tmp_path, capsys):
+    # the frequency grid grows with a_max alone, so the refusal says to lower it
+    pcsv = tmp_path / "lin.csv"
+    save_path_csv(make_linear_path(1.0, 8), pcsv)
+    rc = run_command(["irregularity", "--path", str(pcsv), "--gamma", "0.5", "--rho", "0.5",
+                      "--amax", "1e7", "--pairs", "4", "--out", str(tmp_path / "irr.json")])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "NumericsError",
+        "message": "1.7e+08 frequency grid points (a_max 10000000.0) exceed the "
+                   "memory budget 4e+07; lower a_max (--amax)"}
+    assert not (tmp_path / "irr.json").exists()
+
+
 def test_solve_happy_path(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -406,7 +422,7 @@ def test_init_state_bad_modes_rejected(tmp_path, capsys, rows, needle):
 @pytest.mark.parametrize("blocks,limit_mb", [(16, 8), (64, 100)])
 def test_eq27_priced_by_its_one_row(tmp_path, capsys, blocks, limit_mb):
     # eq27 computes only the l = 0 phase row, P^d entries (189^2 at blocks 16,
-    # 768^2 at 64); the whole fold grid, 5775 x 189^2 at 16, is never built
+    # 768^2 at 64); the whole fold grid, 5808 x 189^2 at 16, is never built
     argv = ["verify-estimates", "--which", "eq27", "--d", "2", "--k", "1",
             "--trials", "2", "--out", str(tmp_path / "eq27.json")]
     assert run_command(argv + ["--blocks", "2,2,2,2"]) == 0  # imports stay untraced
@@ -430,7 +446,7 @@ def test_eq26_refusal_unchanged_at_blocks_16(tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
         "error": "NumericsError",
-        "message": "2.06e+08 fft fold phase-grid entries (5775 x 189^2) exceed the "
+        "message": "2.07e+08 fft fold phase-grid entries (5808 x 189^2) exceed the "
                    "memory budget 4e+07; shrink the box"}
 
 

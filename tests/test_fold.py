@@ -57,8 +57,14 @@ def _ragged_chunks(monkeypatch, slots, d, rows):
     N = (slots[0].values.shape[0] - 1) // 2
     Q, P = _fold.fft_grid(len(slots), d, N)
     real = all(np.isrealobj(sl.values) for sl in slots)
-    assert (Q // 2 + 1 if real else Q) % rows != 0
+    assert (Q // 4 + 1 if real else Q // 2) % rows != 0
     monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", rows * P ** d)
+
+
+def _off_parity(res):
+    """The entries of a fold table at q of the other parity than |n|^2."""
+    sq = spectral._sq_norms(res.d, res.N_out)
+    return res.table[(res.q_values.reshape((-1,) + (1,) * res.d) - sq) % 2 == 1]
 
 
 # one_array: the same array object fills every slot; rows: phases per
@@ -84,18 +90,22 @@ def test_dense_and_fft_agree(d, N, signs, one_array, rows, monkeypatch):
         _ragged_chunks(monkeypatch, slots, d, rows)
     a = fold_dense(slots, d)
     b = fold_fft(slots, d)
+    # every tuple's q has the parity of |n|^2, for real and complex values alike
+    real = fold_dense([Slot(v.real, sg) for v, sg in zip(values, signs)], d)
+    assert not _off_parity(a).any() and not _off_parity(real).any()
     assert a.q_min == b.q_min
     scale = np.abs(a.table).max()
     np.testing.assert_allclose(b.table, a.table, atol=1e-12 * max(1.0, scale))
 
 
 def test_real_slots_give_real_tables(monkeypatch):
-    # Q = 28, 49, 10, 25 and 28 phases; the last two cases put one array
-    # object in every slot, the last one with a partial last chunk
+    # Q = 28, 50, 10, 28 and 28, so 8, 13, 3, 8 and 8 phases; the last two
+    # cases put one array object in every slot, the last one with a partial
+    # last chunk
     rng = np.random.default_rng(8)
     for d, N, one_array, rows in [(1, 3, False, None), (1, 4, False, None),
                                   (3, 1, False, None), (2, 2, True, None),
-                                  (1, 3, True, 4)]:
+                                  (1, 3, True, 3)]:
         shape = (2 * N + 1,) * d
         values = [np.abs(rng.standard_normal(shape)) for _ in range(3)]
         if one_array:
@@ -128,7 +138,7 @@ def test_one_real_array_is_transformed_once_per_phase_chunk(monkeypatch):
     Q, P = _fold.fft_grid(5, 2, 2)
     monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 8 * P ** 2)
     res = fold_fft(slots, 2)
-    assert len(calls) == -(-(Q // 2 + 1) // 8) > 1
+    assert len(calls) == -(-(Q // 4 + 1) // 8) > 1
     dense = fold_dense(slots, 2)
     np.testing.assert_allclose(res.table, dense.table,
                                atol=1e-12 * np.abs(dense.table).max())
@@ -136,7 +146,7 @@ def test_one_real_array_is_transformed_once_per_phase_chunk(monkeypatch):
 
 @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
 def test_phase_chunks_do_not_depend_on_worker_count(complex_values, monkeypatch):
-    # two-row chunks leave a ragged last chunk; with two workers the tasks
+    # three-row chunks leave a ragged last chunk; with two workers the tasks
     # run on pool threads, each with one FFT worker, and every output is
     # bit for bit the serial one
     rng = np.random.default_rng(11)
@@ -144,7 +154,7 @@ def test_phase_chunks_do_not_depend_on_worker_count(complex_values, monkeypatch)
     if complex_values:
         vals = [v + 1j * rng.standard_normal((5, 5)) for v in vals]
     slots = [Slot(v, sg) for v, sg in zip(vals, (1, -1, 1))]
-    _ragged_chunks(monkeypatch, slots, 2, 2)
+    _ragged_chunks(monkeypatch, slots, 2, 3)
     log = record_phase_ffts(monkeypatch)
     monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
     out = {}
@@ -159,7 +169,7 @@ def test_phase_chunks_do_not_depend_on_worker_count(complex_values, monkeypatch)
     (serial, table1), (pooled, table2) = out[1], out[2]
     Q, _ = _fold.fft_grid(3, 2, 2)
     ls = np.concatenate([l for l, _ in serial])
-    assert ls.tolist() == list(range(Q if complex_values else Q // 2 + 1))
+    assert ls.tolist() == list(range(Q // 2 if complex_values else Q // 4 + 1))
     assert len(serial) == len(pooled) > 2
     for (l1, F1), (l2, F2) in zip(serial, pooled):
         assert np.array_equal(l1, l2) and np.array_equal(F1, F2)

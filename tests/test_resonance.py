@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modnls import _fold, _runtime, resonance, spectral
+from modnls import _fold, _runtime, resonance, spectral, young
 from modnls._fold import alternating_slots, fold
 from modnls.errors import ConfigError, NumericsError
 from modnls.paths import make_linear_path
@@ -192,6 +192,16 @@ def test_counting_report_json_keys():
         assert key in payload
 
 
+@pytest.mark.parametrize("box,d,k", [(2, 2, 1), (4, 1, 1), (2, 1, 2)])
+def test_resonance_classes_are_even(box, d, k):
+    # a zero-sum tuple has mu = sum_j zeta_j |n_j|^2 = sum_i sum_j zeta_j n_ji = 0
+    # (mod 2), as m^2 = m and -m = m (mod 2); the fold's half phase grid rests on it
+    report = verify_counting_partition(box, d, k)
+    assert report.mu_values.size > 1 and not (report.mu_values % 2).any()
+    omega = young._tuple_table(d, k, box)[-1]
+    assert omega.size and not (omega % 2).any()
+
+
 def delta0(d, N):
     arr = np.zeros((2 * N + 1,) * d)
     arr[(N,) * d] = 1.0
@@ -286,7 +296,7 @@ def _eq21_profiles(rng, d, N, m, nnz, identical):
     return vals * m if identical else vals
 
 
-# (d, k, N) -> Q: (2,1,16) 1540, (2,1,8) 385, (3,1,2) 40, (1,2,6) 189;
+# (d, k, N) -> Q: (2,1,16) 1540, (2,1,8) 392, (3,1,2) 40, (1,2,6) 192;
 # rows: phases per chunk, set to leave a partial last chunk
 @pytest.mark.parametrize("d,k,N,nnz,identical,rows", [
     pytest.param(2, 1, 16, 6, False, None, id="2-1-16-even-Q"),
@@ -304,7 +314,7 @@ def test_eq21_phase_matches_dense_fold(d, k, N, nnz, identical, rows, monkeypatc
     slots = alternating_slots(psis)
     Q, P = _fold.fft_grid(2 * k + 1, d, N)
     if rows:
-        assert (Q // 2 + 1) % rows != 0
+        assert (Q // 4 + 1) % rows != 0
         monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", rows * P ** d)
     want = _fold.fold_dense(slots, d).contract(*_eq21_weight(d, k, N, rho))
     got = resonance._eq21_phase(slots, d, *resonance._eq21_kernel(d, k, N, rho))
@@ -314,7 +324,8 @@ def test_eq21_phase_matches_dense_fold(d, k, N, nnz, identical, rows, monkeypatc
 
 def test_eq21_phase_branch_is_lean(monkeypatch):
     # (2, 1, 16): the full-support candidates take the phase branch, which
-    # never builds the (q, n) table, and K is built once per estimate
+    # never builds the (q, n) table, and K is built once per estimate; by
+    # parity it walks l <= Q/4, and K holds those rows only
     def no_table(slots, d):
         raise AssertionError("fold_fft called")
 
@@ -329,11 +340,22 @@ def test_eq21_phase_branch_is_lean(monkeypatch):
     rep = estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, N=16, trials=4, seed=3)
     assert rep.trials == 4 and rep.ratio > 0
     assert len(weights) == 1
+    Q, _ = _fold.fft_grid(3, 2, 16)
+    assert resonance._eq21_kernel(2, 1, 16, 1.0)[0].shape[0] == Q // 4 + 1
+    rows = []
+    products = spectral._phase_products
+
+    def counted_rows(sources, conj, phases, P, crop):
+        rows.append(len(phases))
+        return products(sources, conj, phases, P, crop)
+
+    monkeypatch.setattr(spectral, "_phase_products", counted_rows)
     psis = [np.ones((33, 33))] * 3
     # the pool's tasks hold one chunk each; the bound is the serial one
     monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
     for workers in (1, 2):
         _runtime.set_workers(workers)
+        rows.clear()
         tracemalloc.start()
         try:
             eq21_ratio(psis, d=2, k=1, rho=1.0, s=0.3, s_prime=0.0, q=1)
@@ -341,6 +363,7 @@ def test_eq21_phase_branch_is_lean(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 60e6, workers
+        assert sum(rows) == Q // 4 + 1, workers
 
 
 def test_eq21_and_eq27_do_not_depend_on_worker_count(monkeypatch):
@@ -350,7 +373,7 @@ def test_eq21_and_eq27_do_not_depend_on_worker_count(monkeypatch):
     slots = alternating_slots(_eq21_profiles(np.random.default_rng(5), d, N, 3,
                                              None, False))
     Q, P = _fold.fft_grid(3, d, N)
-    assert (Q // 2 + 1) % 10 != 0
+    assert (Q // 4 + 1) % 10 != 0
     monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 10 * P ** d)
     kernel = resonance._eq21_kernel(d, k, N, rho)
     _, Bmax, nsq, masks = _dyadic_setup((2, 2, 1, 1), 2, 1)
