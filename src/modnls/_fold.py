@@ -27,9 +27,10 @@ map_phase_chunks maps the F_l through the caller's reduction a chunk of l
 at a time on spectral.walk_phases, the kernel's phase walker, so no output
 depends on the thread count.
 
-Internal module for resonance.py: eq26 reads the fold table, eq21 contracts
-each chunk of phase spectra in its task (prefers_dense inputs excepted),
-eq27 takes F_0.
+Internal module for resonance.py: dyadic_block_ratio's eq26 reads the fold
+table (eq26_mu_sweep sums its classes on the shell scan instead), eq21
+contracts each chunk of phase spectra in its task (prefers_dense inputs
+excepted), eq27 takes F_0.
 """
 
 from __future__ import annotations

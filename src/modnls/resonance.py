@@ -6,17 +6,21 @@ sums n_0 - n_1 + ... - n_{2k+1} = 0 and |n_0|^2 - |n_1|^2 + ... -
 estimators here (ids eq21, eq26, eq27) sample nonnegative test
 sequences, evaluate both sides of the corresponding weighted
 convolution bound exactly (eq21 and eq27 on the fold's phase spectra,
-eq26 on its q-bucketed table), and report the worst observed LHS/RHS
-ratio. They probe boundedness; they prove nothing.
+eq26 on its in-shell scan, or on the fold's q-bucketed table in
+dyadic_block_ratio), and report the worst observed LHS/RHS ratio. They
+probe boundedness; they prove nothing.
 
 Every enumeration (enumerate_A, verify_counting_partition, the eq26
-witness scan and young's tuple table) is one in-box zero-sum scan,
+shell scan and young's tuple table) is one in-box zero-sum scan,
 _zero_sum_scan: n_0 is forced by the linear constraint, and the scan
 yields only the tuples whose n_0 lies in slot 0's box, as index rows
 into the other slots' mode lists. Each has one size rule: the product of
 its slot mode counts, the number of candidate tuples it visits, must fit
 spectral's enumeration budget. It is priced from the box bounds or shell
 counts, and refused with NumericsError before any mode list is built.
+The eq26 shell scan also sums every trial's lhs on every class as it
+goes, so eq26_mu_sweep never folds; its arrays grow with the trials and
+are priced against the memory budget before any profile is drawn.
 """
 
 from __future__ import annotations
@@ -417,26 +421,63 @@ def _block_rhs(blocks, s: float, psis=()) -> float:
     return rhs
 
 
-def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int) -> set:
-    """The mu whose class A(mu) has a member with every slot on its shell.
-
-    The scan is priced from the shell sizes, before any mode list is built;
-    NumericsError when it exceeds the enumeration budget.
-    """
+def _price_shell_scan(masks, nsq, trials: int) -> tuple[int, int]:
+    """The dense mu range (mu_lo, mu_hi) that the shells' |n|^2 windows allow, once
+    the in-shell scan is priced: its candidate tuples (the product of the shell
+    counts of slots 1..2k+1) against the enumeration budget, and its arrays of
+    trials + 1 columns (profiles on the cube, one slot-1 row's gather over slots
+    2..2k+1, the per-mu sums) against the memory budget."""
     # Python ints: a product of int64 shell counts can wrap
-    _refuse_oversized("enumeration", prod(int(np.count_nonzero(m)) for m in masks[1:]),
-                      "candidate tuples")
+    counts = [int(np.count_nonzero(m)) for m in masks]
+    _refuse_oversized("enumeration", prod(counts[1:]), "candidate tuples")
+    win = [(int(nsq[m].min()), int(nsq[m].max())) for m in masks]
+    mu_lo = sum(-hi if j % 2 else lo for j, (lo, hi) in enumerate(win))
+    mu_hi = sum(-lo if j % 2 else hi for j, (lo, hi) in enumerate(win))
+    _refuse_oversized("memory", (trials + 1) * max(len(masks) * nsq.size, prod(counts[2:]),
+                                                   mu_hi - mu_lo + 1),
+                      f"eq26 scan entries ({trials} trials + 1 count column)",
+                      "use fewer trials or smaller blocks")
+    return mu_lo, mu_hi
+
+
+def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int, profiles=()):
+    """(mus, lhs): the sorted mu whose class A(mu) has a member with every slot on
+    its shell, and lhs[t, i] = sum prod_j psi_j(n_j) over those members of A(mus[i])
+    for each trial's profiles psi_0..psi_{2k+1} (a (0, classes) array without).
+
+    One in-shell scan, priced by _price_shell_scan before any mode list is
+    built: each slot-1 row gathers the profiles, under a row of ones that
+    counts the members, at n_0 and at every slot's shell index, multiplies
+    them, and bincounts each row into the dense mu range. No tuple is kept.
+    """
+    mu_lo, mu_hi = _price_shell_scan(masks, nsq, len(profiles))
     modes_cube = _cube_modes(d, -Bmax, Bmax)
     frees = [modes_cube[m.ravel()] for m in masks[1:]]
-    # every shell lies inside the cube, so an in-cube n_0 is on its shell
-    # iff |n_0|^2 is in the shell's window
-    shell0 = nsq[masks[0]]
-    sq_lo, sq_hi = shell0.min(), shell0.max()
-    found = set()
-    for _, _, n0, muv in _zero_sum_scan(frees, d, (-Bmax, Bmax)):
-        n0sq = (n0 ** 2).sum(axis=-1)
-        found.update(np.unique(muv[(n0sq >= sq_lo) & (n0sq <= sq_hi)]).tolist())
-    return found
+    # per slot, (1 + trials, entries): ones, then each trial's values; slot 0
+    # on the whole cube, indexed by n_0's flat index, the others on their shells
+    vals = [np.stack([np.ones(np.count_nonzero(m) if j else m.size)]
+                     + [p[j][m] if j else p[j].ravel() for p in profiles])
+            for j, m in enumerate(masks)]
+    strides = (2 * Bmax + 1) ** np.arange(d - 1, -1, -1)
+    on0 = masks[0].ravel()
+    acc = np.zeros((len(vals[0]), mu_hi - mu_lo + 1))
+    for a, rows, n0, muv in _zero_sum_scan(frees, d, (-Bmax, Bmax)):
+        flat = strides @ (n0.T + Bmax)
+        keep = np.flatnonzero(on0[flat])
+        if not keep.size:
+            continue
+        term = vals[0].take(flat[keep], axis=1)
+        term *= vals[1][:, a, None]
+        for v, r in zip(vals[2:], rows):
+            term *= v.take(r[keep], axis=1)
+        muv = muv[keep]
+        lo = muv.min()
+        muv -= lo
+        for row, t in zip(acc, term):
+            part = np.bincount(muv, t)
+            row[lo - mu_lo:lo - mu_lo + len(part)] += part
+    hit = np.flatnonzero(acc[0])
+    return hit + mu_lo, acc[1:, hit]
 
 
 def _shell_profile(rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:
@@ -464,7 +505,7 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
     witness = False
     if mus:
         with suppress(NumericsError):  # over budget: run on without a witness
-            witness = mus[0] in _shell_witnesses(masks, nsq, Bmax, d, k)
+            witness = mus[0] in _shell_witnesses(masks, nsq, Bmax, d, k)[0]
     best = (-1.0, 0.0, 0.0)
     for t in range(trials):
         if witness and t % 2 == 1:
@@ -486,29 +527,28 @@ def dyadic_block_ratio(estimate: str, blocks, mu: int | None, d: int, k: int,
 def eq26_mu_sweep(blocks, d: int, k: int, s: float, trials: int, seed) -> dict:
     """Per-mu max eq26 ratios over all attainable mu on fixed blocks.
 
-    Shares one fold per random trial across the whole mu range; every
-    attainable mu also gets its exact point-mass witness ratio, so the
-    per-mu maxima share a common floor. Returns mu values, ratios, and
-    their max/min spread. A witness scan above the enumeration budget
-    raises its NumericsError.
+    Draws every trial's shell profiles, then one in-shell scan
+    (_shell_witnesses) finds the attainable mu and sums each trial's lhs
+    on every class; nothing is folded. Every attainable mu also gets its
+    exact point-mass witness ratio, so the per-mu maxima share a common
+    floor. Returns mu values, ratios, and their max/min spread. A scan
+    over the enumeration budget, or whose trials' arrays exceed the
+    memory budget, raises its NumericsError before any profile is drawn.
     """
     trials, seed = check_int(trials, "trials"), check_int(seed, "seed", 0)
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
-    attained = sorted(_shell_witnesses(masks, nsq, Bmax, d, k))
-    if not attained:
+    _price_shell_scan(masks, nsq, trials)  # before any profile is drawn
+    rng = np.random.default_rng(seed)
+    profiles = [[_shell_profile(rng, m) for m in masks] for _ in range(trials)]
+    attained, lhs = _shell_witnesses(masks, nsq, Bmax, d, k, profiles)
+    if not attained.size:
         raise ConfigError("no resonant tuples on these blocks")
     # four point masses pin exactly one tuple: lhs = 1, norms = 1
     floor = 1.0 / _block_rhs(blocks, s)
-    best = {mu: floor for mu in attained}
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        psis = [_shell_profile(rng, m) for m in masks]
-        rhs = _block_rhs(blocks, s, psis)
-        for mu, lhs in zip(attained, _block_lhs(psis, nsq, Bmax, d, k, attained)):
-            best[mu] = max(best[mu], lhs / rhs)
-    ratios = np.array([best[mu] for mu in attained])
+    rhs = np.array([_block_rhs(blocks, s, psis) for psis in profiles])
+    ratios = np.maximum(floor, (lhs / rhs[:, None]).max(axis=0))
     return {
-        "mu_values": np.array(attained, dtype=int),
+        "mu_values": attained,
         "ratios": ratios,
         "spread": float(ratios.max() / ratios.min()),
         "floor": floor,

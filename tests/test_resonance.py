@@ -299,9 +299,9 @@ def _eq21_profiles(rng, d, N, m, nnz, identical):
 # (d, k, N) -> Q: (2,1,16) 1540, (2,1,8) 392, (3,1,2) 40, (1,2,6) 192;
 # rows: phases per chunk, set to leave a partial last chunk
 @pytest.mark.parametrize("d,k,N,nnz,identical,rows", [
-    pytest.param(2, 1, 16, 6, False, None, id="2-1-16-even-Q"),
+    pytest.param(2, 1, 16, 6, False, None, id="2-1-16"),
     pytest.param(2, 1, 16, 6, True, None, id="2-1-16-one-array"),
-    pytest.param(2, 1, 8, 30, False, None, id="2-1-8-odd-Q"),
+    pytest.param(2, 1, 8, 30, False, None, id="2-1-8"),
     pytest.param(2, 1, 8, 30, True, 10, id="2-1-8-one-array-ragged-chunk"),
     pytest.param(3, 1, 2, None, False, None, id="3-1-2"),
     pytest.param(3, 1, 2, None, True, 4, id="3-1-2-one-array-ragged-chunk"),
@@ -648,8 +648,57 @@ def brute_shell_mus(masks, nsq, Bmax, d):
     return set(np.unique(quad[~np.any(lin, axis=-1)]).tolist())
 
 
-@pytest.mark.parametrize("blocks,d", [((2, 2, 1, 1), 1), ((4, 4, 2, 2), 2)])
+@pytest.mark.parametrize("blocks,d", [((2, 2, 1, 1), 1), ((4, 4, 2, 2), 2),
+                                      ((2, 2, 2, 2), 2)])
 def test_shell_witnesses_match_brute_force(blocks, d):
     blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, 1)
     want = brute_shell_mus(masks, nsq, Bmax, d)
-    assert _shell_witnesses(masks, nsq, Bmax, d, 1) == want
+    mus, lhs = _shell_witnesses(masks, nsq, Bmax, d, 1)
+    assert mus.tolist() == sorted(want)
+    assert lhs.shape == (0, len(mus))
+
+
+@pytest.mark.parametrize("blocks,d", [
+    ((2, 2, 1, 1), 1), ((4, 4, 2, 2), 2), ((2, 2, 2, 2), 2), ((4, 2, 2, 2), 2),
+    ((2, 2, 1, 1), 3), ((2, 2, 1, 1, 1, 1), 1), ((2, 2, 1, 1, 1, 1), 2),
+])
+def test_shell_scan_lhs_matches_fold(blocks, d):
+    # the fold (_block_lhs) is the oracle: on all-ones shell profiles it
+    # counts each class's in-shell members, on random ones it sums the lhs
+    k = len(blocks) // 2 - 1
+    blocks, Bmax, nsq, masks = _dyadic_setup(blocks, d, k)
+    rng = np.random.default_rng(26)
+    profiles = [[resonance._shell_profile(rng, m) for m in masks] for _ in range(3)]
+    mus, lhs = _shell_witnesses(masks, nsq, Bmax, d, k, profiles)
+    span = range(-(k + 1) * d * Bmax ** 2, (k + 1) * d * Bmax ** 2 + 1)
+    counts = _block_lhs([m.astype(float) for m in masks], nsq, Bmax, d, k, span)
+    assert mus.tolist() == [mu for mu, c in zip(span, counts) if c > 0.5]
+    np.testing.assert_array_equal(_shell_witnesses(masks, nsq, Bmax, d, k)[0], mus)
+    want = [_block_lhs(p, nsq, Bmax, d, k, mus.tolist()) for p in profiles]
+    assert lhs.shape == (3, len(mus))
+    np.testing.assert_allclose(lhs, want, rtol=1e-13, atol=0)
+
+
+def test_eq26_sweep_never_folds(monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("the sweep folded")
+    for target in ("resonance.fold", "resonance.fold_dense", "_fold.fold",
+                   "_fold.fold_dense", "_fold.fold_fft"):
+        monkeypatch.setattr(f"modnls.{target}", no_fold)
+    sweep = eq26_mu_sweep((4, 4, 2, 2), 2, 1, 0.1, trials=4, seed=3)
+    assert len(sweep["mu_values"]) == 55
+
+
+def test_eq26_sweep_prices_its_trials_before_drawing(monkeypatch):
+    # the profiles and the scan's arrays grow with trials: (trials + 1) x
+    # max((2k+2) cube, slots 2..2k+1 shell product, mu range) entries
+    def no_draw(*args):
+        raise AssertionError("a profile was drawn")
+    monkeypatch.setattr(resonance, "_shell_profile", no_draw)
+    # (4, 4, 2, 2), d = 2: slots 2 and 3 hold 36 x 36 shell modes, above 4 x 15^2
+    with pytest.raises(NumericsError, match=r"1\.3e\+09 eq26 scan entries .* memory budget"):
+        eq26_mu_sweep((4, 4, 2, 2), 2, 1, 0.1, trials=10 ** 6, seed=0)
+    # (2, 2, 1, 1), d = 2: a 7^2 cube, so 2 x 4 x 49 entries at one trial
+    monkeypatch.setitem(spectral._SIZE_LIMITS, "memory", 300)
+    with pytest.raises(NumericsError, match=r"392 eq26 scan entries .* memory budget 3e\+02"):
+        eq26_mu_sweep((2, 2, 1, 1), 2, 1, 0.1, trials=1, seed=0)
