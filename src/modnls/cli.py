@@ -301,31 +301,29 @@ def _cmd_converge(rest) -> int:
         raise ConfigError(
             f"M={M} is not divisible by 2^{args.levels - 1}; "
             "choose M with enough factors of two for the levels")
-    trajs = []
+    finals = []  # each level's final state, the only one read
     meshes = []
     for lev in range(args.levels):
         Ml = M >> lev
         c = replace(cfg, partition=solver.uniform_partition(cfg.T, Ml))
-        trajs.append(_run_scheme(c, phi0, table))
+        finals.append(_run_scheme(c, phi0, table).states[-1])
         meshes.append(cfg.T / Ml)
-    finest = trajs[0].states[-1]
-    errors = []
-    ref = spectral.hs_norm(finest, cfg.s)
-    for lev in range(1, args.levels):
-        diff = spectral.SpectralState(
-            cfg.d, cfg.N, trajs[lev].states[-1].coeffs - finest.coeffs)
-        e = spectral.hs_norm(diff, cfg.s)
-        errors.append(e / ref if ref > 0 else e)
+
+    def gap(a, b):  # |u_a - u_b| in H^s between the final states of levels a and b
+        diff = finals[a].coeffs - finals[b].coeffs
+        return spectral.hs_norm(spectral.SpectralState(cfg.d, cfg.N, diff), cfg.s)
+
+    ref = spectral.hs_norm(finals[0], cfg.s)
+    errors = [gap(lev, 0) / (ref if ref > 0 else 1.0) for lev in range(1, args.levels)]
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "convergence.csv")
     with open(csv_path, "w") as fh:
         fh.write("mesh,error,order\n")
-        # coarsest first; order compares against the next finer level
+        # coarsest first; level i's order is log2 |u_i - u_{i-1}| / |u_{i-1} - u_{i-2}|,
+        # from successive differences rather than against the finest level
         for i in range(args.levels - 1, 0, -1):
-            if i > 1 and errors[i - 1] > 0 and errors[i - 2] > 0:
-                order = f"{math.log2(errors[i - 1] / errors[i - 2]):.17g}"
-            else:
-                order = ""
+            num, den = (gap(i, i - 1), gap(i - 1, i - 2)) if i > 1 else (0.0, 0.0)
+            order = f"{math.log2(num / den):.17g}" if num > 0 and den > 0 else ""
             fh.write(f"{meshes[i]:.17g},{errors[i - 1]:.17g},{order}\n")
     print(f"wrote {csv_path}")
     return 0

@@ -10,8 +10,8 @@ eq26 on its in-shell scan, or on the fold's q-bucketed table in
 dyadic_block_ratio), and report the worst observed LHS/RHS ratio. They
 probe boundedness; they prove nothing.
 
-Every enumeration (enumerate_A, verify_counting_partition, the eq26
-shell scan and young's tuple table) is one in-box zero-sum scan,
+Every enumeration (enumerate_A, verify_counting_partition and the eq26
+shell scan) is one in-box zero-sum scan,
 _zero_sum_scan: n_0 is forced by the linear constraint, and the scan
 yields only the tuples whose n_0 lies in slot 0's box, as index rows
 into the other slots' mode lists. Each has one size rule: the product of
@@ -422,7 +422,8 @@ def _block_rhs(blocks, s: float, psis=()) -> float:
 
 
 def _price_shell_scan(masks, nsq, trials: int) -> tuple[int, int]:
-    """The dense mu range (mu_lo, mu_hi) that the shells' |n|^2 windows allow, once
+    """The dense mu range (mu_lo, mu_hi) that the shells' |n|^2 windows allow, each
+    clipped at the largest |n_i|^2 that the zero-sum constraint leaves it, once
     the in-shell scan is priced: its candidate tuples (the product of the shell
     counts of slots 1..2k+1) against the enumeration budget, and its arrays of
     trials + 1 columns (profiles on the cube, one slot-1 row's gather over slots
@@ -431,6 +432,8 @@ def _price_shell_scan(masks, nsq, trials: int) -> tuple[int, int]:
     counts = [int(np.count_nonzero(m)) for m in masks]
     _refuse_oversized("enumeration", prod(counts[1:]), "candidate tuples")
     win = [(int(nsq[m].min()), int(nsq[m].max())) for m in masks]
+    reach = [isqrt(hi) + 1 for _, hi in win]  # |n_i| <= sum_{j != i} |n_j| < sum of reach_j
+    win = [(lo, min(hi, (sum(reach) - r) ** 2)) for (lo, hi), r in zip(win, reach)]
     mu_lo = sum(-hi if j % 2 else lo for j, (lo, hi) in enumerate(win))
     mu_hi = sum(-lo if j % 2 else hi for j, (lo, hi) in enumerate(win))
     _refuse_oversized("memory", (trials + 1) * max(len(masks) * nsq.size, prod(counts[2:]),
@@ -460,7 +463,7 @@ def _shell_witnesses(masks, nsq, Bmax: int, d: int, k: int, profiles=()):
             for j, m in enumerate(masks)]
     strides = (2 * Bmax + 1) ** np.arange(d - 1, -1, -1)
     on0 = masks[0].ravel()
-    acc = np.zeros((len(vals[0]), mu_hi - mu_lo + 1))
+    acc = np.zeros((len(vals[0]), max(0, mu_hi - mu_lo + 1)))  # none if a window is empty
     for a, rows, n0, muv in _zero_sum_scan(frees, d, (-Bmax, Bmax)):
         flat = strides @ (n0.T + Bmax)
         keep = np.flatnonzero(on0[flat])

@@ -6,7 +6,9 @@ iterates whole trajectories psi_{m+1}(t_i) = phi_0 + sum_{j<i}
 X_{t_j;t_{j+1}}(psi_m(t_j)) until successive iterates agree in the
 discrete C^{0,lambda} metric. On a fixed partition the Picard fixed
 point satisfies the Euler recursion exactly, so the two schemes differ
-only while the iteration is still converging.
+only while the iteration is still converging. A Picard sweep's M
+increments read only the previous iterate, so they are one
+young.x_increments call; Euler-Young steps one x_increment at a time.
 
 reference_split_step integrates the unmodulated equation (w(t) = t) by
 Strang splitting on a padded collocation grid and serves as an
@@ -25,7 +27,7 @@ from scipy.fft import next_fast_len
 from .errors import BlowUpError, ConfigError, NonConvergenceError, _is_int, check_int
 from .phi import OscillatoryTable
 from .spectral import SpectralState, _check_box, _sq_norms, hs_norm, unit_mode, zero_state
-from .young import YoungKernelConfig, check_kernel_box, x_increment
+from .young import YoungKernelConfig, check_kernel_box, x_increment, x_increments
 
 __all__ = [
     "SolverConfig",
@@ -117,12 +119,10 @@ def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
     p = cfg.partition
     if not (_is_int(s_idx) and _is_int(t_idx) and 0 <= s_idx <= t_idx <= p.size - 1):
         raise ConfigError(f"indices ({s_idx}, {t_idx}) outside the partition")
-    kc = cfg.kernel(table)
     acc = zero_state(cfg.d, cfg.N)
-    for j in range(s_idx, t_idx):
-        inc = x_increment(kc, float(p[j]), float(p[j + 1]),
-                          [g.states[j]] * (2 * cfg.k + 1))
-        acc.coeffs += inc.coeffs
+    for inc in x_increments(cfg.kernel(table), list(zip(p[s_idx:t_idx], p[s_idx + 1:t_idx + 1])),
+                            [[st] * (2 * cfg.k + 1) for st in g.states[s_idx:t_idx]]):
+        acc.coeffs += inc
     return acc
 
 
@@ -139,18 +139,21 @@ def _march(cfg: SolverConfig, phi0: SpectralState, kc: YoungKernelConfig,
     """Guarded left-point march phi0 + sum_{j<i} X_{t_j;t_{j+1}}(.) on the partition.
 
     The kernel at step j acts on the new state at t_j (Euler-Young) or,
-    when a trajectory `feed` is given, on feed[j] (one Picard sweep).
-    The guard sees the raw coefficients, before any state is built.
+    when a trajectory `feed` is given, on feed[j] (one Picard sweep, one
+    x_increments call). The guard sees the raw coefficients, before any
+    state is built.
     """
-    p = cfg.partition
+    p, m = cfg.partition, 2 * cfg.k + 1
     weight = (1.0 + _sq_norms(cfg.d, cfg.N)) ** cfg.s
     norm0 = hs_norm(phi0, cfg.s)
     limit = _BLOWUP_FACTOR * norm0 if norm0 > 0 else 1.0
     states = [phi0.copy()]
+    incs = None if feed is None else x_increments(kc, list(zip(p[:-1], p[1:])),
+                                                  [[f] * m for f in feed[:-1]])
     for j in range(p.size - 1):
-        src = states[j] if feed is None else feed[j]
-        inc = x_increment(kc, float(p[j]), float(p[j + 1]), [src] * (2 * cfg.k + 1))
-        coeffs = states[j].coeffs + inc.coeffs
+        inc = incs[j] if incs is not None else x_increment(
+            kc, float(p[j]), float(p[j + 1]), [states[j]] * m).coeffs
+        coeffs = states[j].coeffs + inc
         _guard(j + 1, coeffs, weight, limit)
         states.append(SpectralState(cfg.d, cfg.N, coeffs))
     return states

@@ -14,8 +14,8 @@ slots, evaluated by zero-padded FFT.
 
 walk_phases is the one loop over phase rows e^{-i theta_l |n|^2}: the Young
 kernel and the fold's phase spectra both reduce its chunks. The fold walks the
-L equispaced turns theta_l = 2 pi l / L; the kernel walks those or a step's
-window nodes.
+L equispaced turns theta_l = 2 pi l / L; the kernel walks those for one step,
+or the window nodes of many steps, each with its own factors, in one walk.
 """
 
 from __future__ import annotations
@@ -92,19 +92,23 @@ def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarr
     return fftn(prod, axes=axes, norm="forward", workers=1)[crop]
 
 
-def walk_phases(sources, conj, turns, P: int, crop, reduce, rows=None, n=None):
-    """Yield reduce(l, phases, F) for each chunk of `rows` rows l < n, in order:
-    phases[i] = e^{-i theta_{l_i} |m|^2} on the source cube and F =
+def walk_phases(sources, conj, turns, P: int, crop, reduce, rows=None, n=None, steps=None):
+    """Yield reduce(l, phases, F) for each chunk of at most `rows` rows l < n, in
+    order: phases[i] = e^{-i theta_{l_i} |m|^2} on the source cube and F =
     _phase_products(...). `turns` is an integer L, for theta_l = 2 pi l / L gathered
     from the L roots of unity by (l |m|^2) mod L (n defaults to L), or an array of
-    angles theta, gathered over the distinct |m|^2 (n is its length). Chunks form
+    angles theta, gathered over the distinct |m|^2 (n is its length). With `steps`, a
+    nondecreasing step index per row, row l reads sources[j][steps[l]]: the pieces of
+    `rows` rows from each step's start pack in order into chunks, and reduce runs on
+    each step's rows of a chunk, which gathers its steps' sources once. Chunks form
     tasks of about _PHASE_TASK_ENTRIES entries (one chunk by default), run on
     get_workers() threads if there are two or more, else inline; each task's results
     are yielded once it and those before it finish, whatever the thread count."""
-    sq = _sq_norms(sources[0].ndim, (sources[0].shape[0] - 1) // 2)
+    if steps is None:  # one step: each source is a list of one
+        sources = [[f] for f in sources]
+    sq = _sq_norms(sources[0][0].ndim, (sources[0][0].shape[0] - 1) // 2)
     task_rows = max(1, _PHASE_TASK_ENTRIES // P ** sq.ndim)
     rows = task_rows if rows is None else rows
-    span = max(1, task_rows // rows) * rows
     if np.ndim(turns):
         n = len(turns)
         q, at = np.unique(sq, return_inverse=True)
@@ -119,21 +123,37 @@ def walk_phases(sources, conj, turns, P: int, crop, reduce, rows=None, n=None):
         def phase_rows(l):
             return roots[np.multiply.outer(l, sq) % L]
 
-    def chunk(a):
-        l = np.arange(a, min(a + rows, n))
+    steps = np.zeros(n, dtype=int) if steps is None else steps
+    firsts = [0, *np.flatnonzero(np.diff(steps)) + 1]
+    starts = []  # a step's piece opens a new chunk where it would overfill the current one
+    for lo, hi in zip(firsts, firsts[1:] + [n]):
+        for a in range(lo, hi, rows):
+            if not starts or min(a + rows, hi) - starts[-1] > rows:
+                starts.append(a)
+
+    def chunk(a, b):
+        l, s = np.arange(a, b), steps[a:b]
         phases = phase_rows(l)
-        return reduce(l, phases, _phase_products(sources, conj, phases, P, crop))
+        # each source list's value per row: its one step's array, or a gather by row
+        got = {id(f): f[s[0]] if s[0] == s[-1] else np.stack(f[s[0]:s[-1] + 1])[s - s[0]]
+               for f in {id(f): f for f in sources}.values()}
+        F = _phase_products([got[id(f)] for f in sources], conj, phases, P, crop)
+        cuts = [0, *np.flatnonzero(np.diff(s)) + 1, b - a]
+        return [reduce(l[x:y], phases[x:y], F[x:y]) for x, y in zip(cuts, cuts[1:])]
 
-    def task(lo):
-        return [chunk(a) for a in range(lo, min(lo + span, n), rows)]
+    chunks = list(zip(starts, starts[1:] + [n]))
+    per = max(1, task_rows // rows)
+    tasks = [chunks[i:i + per] for i in range(0, len(chunks), per)]
 
-    starts = range(0, n, span)
-    threads = min(get_workers(), len(starts))
+    def task(part):
+        return [out for a, b in part for out in chunk(a, b)]
+
+    threads = min(get_workers(), len(tasks))
     if threads < 2:
-        yield from chain.from_iterable(map(task, starts))
+        yield from chain.from_iterable(map(task, tasks))
         return
     with ThreadPoolExecutor(threads) as pool:
-        yield from chain.from_iterable(pool.map(task, starts))
+        yield from chain.from_iterable(pool.map(task, tasks))
 
 
 def _mode_index(n, d: int, N: int, error=ConfigError) -> tuple[int, ...]:

@@ -7,35 +7,31 @@ For factors psi_1..psi_{2k+1} the output coefficient at n is
 
 with zeta_j = +/-1 alternating (odd slots +), J conjugating even slots,
 and Omega = |n|^2 - sum_j zeta_j |n_j|^2. For an output mode in the box
-the integer Omega lies in [-R, R], R = (k+1) d N^2. Two paths evaluate
-the sum:
+the integer Omega lies in [-R, R], R = (k+1) d N^2. Every box sums phases:
+dPhi(Omega) = sum_l c_l e^{i theta_l Omega}, and each phase is one
+free-Schroedinger conjugation U^{-theta} N(U^{theta} psi_1, ...,
+U^{theta} psi_{2k+1}), the slot product taken in physical space on a padded
+P^d grid, P >= (2k+2) N + 1, and cropped to |n_i| <= N. The sum is one
+reduction over spectral.walk_phases, shared with the fold, so no table of
+phases is kept. One rule gives a step's phases:
 
-  * tuples (d = 1, k = 1): the in-box interaction tuples
-    (n; n_1..n_{2k+1}) are listed once per kernel config by resonance's
-    in-box zero-sum scan, with the output mode n as its forced slot 0 and
-    the box priced against the enumeration budget, as int32 rows (slot
-    indices, output index, Omega); each call gathers Phi increments from
-    the precomputed OscillatoryTable and slot values, and sums them into
-    the output modes with np.bincount.
-  * phases (every other box): the Phi increment is a sum of phases,
-    dPhi(Omega) = sum_l c_l e^{i theta_l Omega}, and each phase is one
-    free-Schroedinger conjugation U^{-theta} N(U^{theta} psi_1, ...,
-    U^{theta} psi_{2k+1}): the slot product is taken in physical space on
-    a padded P^d grid, P >= (2k+2) N + 1, and cropped to |n_i| <= N; the
-    sum is one reduction over spectral.walk_phases, shared with the fold,
-    so no table of phases is kept. One rule gives the step's phases:
-      - window nodes. On the step the clock stays in [a, b] = [min w,
-        max w], so e^{i Omega theta} is interpolated at p Chebyshev points
-        theta_l of [a, b], with c_l = int_s^t ell_l(w(r)) dr for the
-        Lagrange basis ell_l, integrated exactly by Gauss-Legendre on each
-        linear segment of the clock. By Jacobi-Anger and
-        |J_j(x)| <= (x/2)^j / j!, the error on every |Omega| <= R is at
-        most (t - s) 4 sum_{j >= p} |J_j(x)| <= (t - s) 8 (x/2)^p / p!
-        for p > x = R (b - a) / 2; p is the smallest count that puts this
-        bound at eps = 1e-16 (t - s) or below.
-      - equispaced turns, when p >= L = next_fast_len(2R + 1): theta_l =
-        2 pi l / L, with the DFT of the table's Phi increments as weights,
-        exact to rounding whatever the clock does on the step.
+  * window nodes. On the step the clock stays in [a, b] = [min w, max w],
+    so e^{i Omega theta} is interpolated at p Chebyshev points theta_l of
+    [a, b], with c_l = int_s^t ell_l(w(r)) dr for the Lagrange basis ell_l,
+    integrated exactly by Gauss-Legendre on each linear segment of the
+    clock. By Jacobi-Anger and |J_j(x)| <= (x/2)^j / j!, the error on every
+    |Omega| <= R is at most (t - s) 4 sum_{j >= p} |J_j(x)| <= (t - s) 8
+    (x/2)^p / p! for p > x = R (b - a) / 2; p is the smallest count that puts
+    this bound at eps = 1e-16 (t - s) or below. The rule depends on the
+    clock alone, so a kernel config makes it once per step.
+  * equispaced turns, when p >= L = next_fast_len(2R + 1): theta_l =
+    2 pi l / L, with the DFT of the table's Phi increments as weights,
+    exact to rounding whatever the clock does on the step.
+
+x_increments takes many steps at once, as a Picard sweep does: each turns
+step walks its L turns alone, and the window nodes of all other steps share
+one walk, in chunks that gather their steps' factors, so every increment has
+the bits of its one-step x_increment.
 
 The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
 is admitted iff the phase path's L x P^d entries fit spectral's memory
@@ -58,12 +54,11 @@ from scipy.fft import fft, next_fast_len
 
 from .errors import ConfigError, check_int
 from .phi import OscillatoryTable
-from .resonance import _priced_modes, _zero_sum_scan
 from .spectral import (SpectralState, _check_box, _refuse_oversized, hs_norm, random_state,
                        walk_phases, zero_state)
 
 __all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
-           "x_norm_estimate"]
+           "x_increments", "x_norm_estimate"]
 
 # phase-product entries per summation chunk of the phase path: 2^14 complex
 # entries are 256 KB, so a chunk's few arrays stay in a 2 MB L2 cache
@@ -101,7 +96,7 @@ class YoungKernelConfig:
     k: int
     N: int
     table: OscillatoryTable
-    _tuples: np.ndarray | None = field(init=False, repr=False)
+    _rules: dict = field(default_factory=dict, init=False, repr=False)  # (i_s, i_t) -> rule
 
     def __post_init__(self):
         d, k, N = self.d, self.k, self.N
@@ -110,61 +105,54 @@ class YoungKernelConfig:
         if self.table.mu_max < R:
             raise ConfigError(f"table mu_max={self.table.mu_max} is too small for the mode "
                               f"box; need at least R = (k+1) d N^2 = {R}")
-        self._tuples = _tuple_table(d, k, N) if (d, k) == (1, 1) else None
 
     @property
     def n_factors(self) -> int:
         return 2 * self.k + 1
 
 
-def _tuple_table(d: int, k: int, N: int) -> np.ndarray:
-    """In-box interaction tuples as int32 rows (j_1..j_{2k+1}, output index, Omega).
-
-    The j are flat indices into the slot coefficient arrays. Slot 0 of
-    the zero-sum scan is the output mode n, so the mu it yields is Omega.
-    """
-    frees, _ = _priced_modes((-N, N), 2 * k + 1, d)
-    place = (2 * N + 1) ** np.arange(d - 1, -1, -1)
-    return np.concatenate([
-        np.stack([np.full(n0.shape[0], a), *rows, (n0 + N) @ place, omega]).astype(np.int32)
-        for a, rows, n0, omega in _zero_sum_scan(frees, d, (-N, N))], axis=1)
-
-
 def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralState:
-    """X_{s;t}(psi_1, ..., psi_{2k+1}) for table grid times s <= t."""
-    if len(states) != cfg.n_factors:
-        raise ConfigError(f"need 2k+1 = {cfg.n_factors} factors, got {len(states)}")
-    if any((st.d, st.N) != (cfg.d, cfg.N) for st in states):
-        raise ConfigError("factor state does not match the kernel box")
-    try:
-        i_s = cfg.table.index_of_time(s)
-        i_t = cfg.table.index_of_time(t)
-    except KeyError as exc:
-        raise ConfigError(f"kernel times must lie on the table grid: {exc}") from exc
-    if i_t < i_s:
-        raise ConfigError(f"need s <= t, got s={s}, t={t}")
+    """X_{s;t}(psi_1, ..., psi_{2k+1}) for table grid times s <= t, x_increments' one step;
+    not re-validated: an overflow to inf or NaN is left for the solver's blow-up guard."""
     out = zero_state(cfg.d, cfg.N)
-    if i_s == i_t:
-        return out
-    # written in place, not re-validated: an overflow to inf or NaN is
-    # left for the solver's blow-up guard to report
-    if cfg._tuples is None:
-        # the step's window nodes when they are fewer than L, else the L turns
-        R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
-        rule = (_window_rule(cfg.table, i_s, i_t, R, L)
-                or (L, _turn_weights(cfg.table, i_s, i_t, R, L)))
-        out.coeffs[...] = -1j * _phase_sum(cfg, states, *rule)
-        return out
-    *slot_idx, out_idx, omega = cfg._tuples
-    # np.take: fancy indexing with int32 indices runs about 2x slower
-    terms = np.take(cfg.table.increment(i_s, i_t), omega + cfg.table.mu_max)
-    for j, (st, idx) in enumerate(zip(states, slot_idx)):
-        vals = st.coeffs.ravel() if j % 2 == 0 else np.conj(st.coeffs).ravel()
-        terms *= np.take(vals, idx)
-    size = out.coeffs.size
-    flat = (np.bincount(out_idx, terms.real, size)
-            + 1j * np.bincount(out_idx, terms.imag, size))
-    out.coeffs[...] = -1j * flat.reshape(out.coeffs.shape)
+    out.coeffs[...] = x_increments(cfg, [(s, t)], [states])[0]
+    return out
+
+
+def x_increments(cfg: YoungKernelConfig, spans, feeds) -> list:
+    """[X_{s;t}(states) for (s, t), states in zip(spans, feeds)] as coefficient arrays, for
+    table grid times s <= t and each step's 2k+1 factors. A step that needs p >= L
+    walks the L turns alone; the window nodes of all others share one walk."""
+    if len(spans) != len(feeds):
+        raise ConfigError(f"need one feed per step, got {len(feeds)} for {len(spans)}")
+    R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
+    out = [np.zeros((2 * cfg.N + 1,) * cfg.d, dtype=complex) for _ in feeds]
+    window = []  # (step, theta, c) of each window step
+    for j, ((s, t), states) in enumerate(zip(spans, feeds)):
+        if len(states) != cfg.n_factors:
+            raise ConfigError(f"need 2k+1 = {cfg.n_factors} factors, got {len(states)}")
+        if any((st.d, st.N) != (cfg.d, cfg.N) for st in states):
+            raise ConfigError("factor state does not match the kernel box")
+        try:
+            i_s, i_t = cfg.table.index_of_time(s), cfg.table.index_of_time(t)
+        except KeyError as exc:
+            raise ConfigError(f"kernel times must lie on the table grid: {exc}") from exc
+        if i_t < i_s:
+            raise ConfigError(f"need s <= t, got s={s}, t={t}")
+        if i_s == i_t:
+            continue
+        if (i_s, i_t) not in cfg._rules:
+            cfg._rules[i_s, i_t] = _window_rule(cfg.table, i_s, i_t, R, L)
+        if cfg._rules[i_s, i_t] is None:
+            out[j] = -1j * _phase_sum(cfg, states, L, _turn_weights(cfg.table, i_s, i_t, R, L))
+        else:
+            window.append((j, *cfg._rules[i_s, i_t]))
+    if window:
+        js, theta, c = zip(*window)
+        steps = np.repeat(np.arange(len(js)), [w.size for w in c])
+        for j, total in zip(js, _phase_sum(cfg, [feeds[j] for j in js], np.concatenate(theta),
+                                           np.concatenate(c), steps)):
+            out[j] = -1j * total
     return out
 
 
@@ -269,22 +257,33 @@ def _segment_weights(xi, dt, x, lam, u, g) -> np.ndarray:
     return lam * (share @ inv) + weights[on] @ hit[on]
 
 
-def _phase_sum(cfg: YoungKernelConfig, states, turns, c: np.ndarray) -> np.ndarray:
+def _phase_sum(cfg: YoungKernelConfig, states, turns, c: np.ndarray, steps=None):
     """sum_l c_l e^{i theta_l |n|^2} [prod_j slot_j(theta_l)]^(n) on |n_i| <= N.
 
     turns is L for theta_l = 2 pi l / L or the array of angles theta_l.
     Slot j at theta is the field of U^{theta} psi_j, conjugated on even
-    slots; the terms are summed in walk_phases chunk order.
+    slots; the terms are summed in walk_phases chunk order. With `steps`,
+    the step of each row l, states lists each step's factors, and so do the sums.
     """
+    if steps is None:
+        return _phase_sum(cfg, [states], turns, c, np.zeros(len(c), dtype=int))[0]
     d, N = cfg.d, cfg.N
     P = _phase_grid(d, cfg.k, N)[2]
     # mode n sits at index n + N of the padded input and, because the
     # product holds one more plain than conjugate field, of the output
     crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
-    sources, conj = [st.coeffs for st in states], [j % 2 for j in range(len(states))]
-    return sum(walk_phases(sources, conj, turns, P, crop,
-                           lambda l, phases, F: np.tensordot(c[l], np.conj(phases) * F, axes=1),
-                           rows=max(1, _PHASE_CHUNK_ENTRIES // P ** d)))
+    # one list over the steps per slot, shared by slots that hold the same
+    # arrays, so the walk transforms their field once
+    lists = {}
+    sources = [lists.setdefault(tuple(map(id, col)), col)
+               for col in ([f[j].coeffs for f in states] for j in range(cfg.n_factors))]
+    sums = [0] * len(states)
+    for j, term in walk_phases(
+            sources, [j % 2 for j in range(cfg.n_factors)], turns, P, crop,
+            lambda l, phases, F: (steps[l[0]], np.tensordot(c[l], np.conj(phases) * F, axes=1)),
+            rows=max(1, _PHASE_CHUNK_ENTRIES // P ** d), steps=steps):
+        sums[j] = sums[j] + term
+    return sums
 
 
 def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,

@@ -172,6 +172,22 @@ def test_converge_csv(tmp_path):
     assert float(coarse[2]) > 0.5  # first-order scheme
 
 
+def test_converge_order_of_euler_young_on_a_plane_wave(tmp_path):
+    # Euler-Young is first order: from successive level differences every
+    # order reads about 1, where differences against the finest level read
+    # 1.04, 1.10, 1.22 and 1.58 at the finest pairs
+    cfg = write_config(
+        tmp_path, scheme="euler_young", T=0.5, M=256,
+        path={"kind": "fbm", "H": 0.5, "T": 0.5, "M": 256, "seed": 3},
+        init={"type": "plane_wave", "c": [1.0, 0.0], "m": 1})
+    out = tmp_path / "conv"
+    assert run_command(["converge", "--config", cfg, "--levels", "6", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5 and rows[-1][2] == ""
+    for mesh, _, order in rows[:-1]:
+        assert 0.9 <= float(order) <= 1.1, (mesh, order)
+
+
 def test_verify_estimates_counting(tmp_path):
     out = tmp_path / "count.json"
     rc = run_command(["verify-estimates", "--which", "counting", "--d", "1",

@@ -14,9 +14,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STDLIB = {"decimal", "_decimal", "queue", "_queue", "concurrent.futures.thread"}
 
 
-def test_package_loads_only_its_own_modules():
-    names = sorted(p.stem for p in (SRC / "modnls").glob("*.py"))
-    assert {"cli", "young", "phi"} <= set(names)
+def _newly_loaded(names) -> set:
+    """The modules that importing modnls.<name> for each name adds to numpy and scipy.fft."""
     code = "\n".join([
         f"import sys; sys.path.insert(0, {str(SRC)!r})",
         "import numpy, scipy.fft",
@@ -28,6 +27,20 @@ def test_package_loads_only_its_own_modules():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
-    loaded = set(run.stdout.split())
+    return set(run.stdout.split())
+
+
+def test_package_loads_only_its_own_modules():
+    names = sorted(p.stem for p in (SRC / "modnls").glob("*.py"))
+    assert {"cli", "young", "phi"} <= set(names)
+    loaded = _newly_loaded(names)
     assert {f"modnls.{n}" for n in names if n != "__init__"} <= loaded
     assert {n for n in loaded if n.split(".")[0] != "modnls"} <= STDLIB
+
+
+def test_kernel_loads_neither_probes_nor_fold():
+    # the kernel sums phases on the walker alone; the resonance probes and
+    # the fold stay unloaded until something asks for them
+    loaded = _newly_loaded(["young"])
+    assert "modnls.young" in loaded
+    assert not {"modnls.resonance", "modnls._fold"} & loaded

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modnls import _fold, _runtime, resonance, spectral, young
+from modnls import _fold, _runtime, resonance, spectral
 from modnls._fold import alternating_slots, fold
 from modnls.errors import ConfigError, NumericsError
 from modnls.paths import make_linear_path
@@ -198,7 +198,9 @@ def test_resonance_classes_are_even(box, d, k):
     # (mod 2), as m^2 = m and -m = m (mod 2); the fold's half phase grid rests on it
     report = verify_counting_partition(box, d, k)
     assert report.mu_values.size > 1 and not (report.mu_values % 2).any()
-    omega = young._tuple_table(d, k, box)[-1]
+    # the kernel's offsets Omega: the scan's mu with the output mode as slot 0
+    frees, _ = resonance._priced_modes((-box, box), 2 * k + 1, d)
+    omega = np.concatenate([mu for *_, mu in resonance._zero_sum_scan(frees, d, (-box, box))])
     assert omega.size and not (omega % 2).any()
 
 
@@ -615,6 +617,17 @@ def test_eq26_sweep_over_budget_is_a_numerics_error():
                        match=r"2\.16e\+08 candidate tuples exceed the "
                              r"enumeration budget 2e\+07"):
         eq26_mu_sweep((8, 8, 8, 8), 2, 1, 0.1, trials=1, seed=0)
+
+
+def test_eq26_sweep_one_sided_blocks_have_no_tuples():
+    # three 1-blocks hold |n_j|^2 <= 2, so the zero-sum constraint caps
+    # |n_0| at 3 * (isqrt(2) + 1) = 6, far below the 4096 block's shell:
+    # its clipped window is empty, not a 1.0e8-entry mu range
+    blocks, Bmax, nsq, masks = _dyadic_setup((4096, 1, 1, 1), 1, 1)
+    mu_lo, mu_hi = resonance._price_shell_scan(masks, nsq, 1)
+    assert mu_hi < mu_lo
+    with pytest.raises(ConfigError, match="no resonant tuples"):
+        eq26_mu_sweep((4096, 1, 1, 1), 1, 1, 0.1, trials=1, seed=0)
 
 
 def test_eq27_ratio_nonincreasing_when_block_raised():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from modnls import solver
+from modnls import solver, young
 from modnls.errors import BlowUpError, ConfigError, NonConvergenceError
 from modnls.paths import make_fbm_path, make_linear_path
 from modnls.phi import build_phi_table
@@ -135,6 +135,24 @@ def test_picard_residual_is_the_c0lambda_norm(monkeypatch):
                    / (times[j] - times[i]) ** lam
                    for i in range(len(diff)) for j in range(i + 1, len(diff)))
         assert res == pytest.approx(max(norms) + semi, rel=1e-12)
+
+
+def test_picard_makes_each_window_rule_once_per_solve(monkeypatch):
+    # a step's window rule depends on the clock alone: a solve makes M of
+    # them however many sweeps it runs, and each sweep is one kernel call
+    rules, sweeps = [], []
+    window_rule, increments = young._window_rule, solver.x_increments
+    monkeypatch.setattr(young, "_window_rule",
+                        lambda *args: rules.append(args[1:3]) or window_rule(*args))
+    monkeypatch.setattr(solver, "x_increments",
+                        lambda *args: sweeps.append(len(args[1])) or increments(*args))
+    path = make_fbm_path(0.3, 0.1, 16, seed=12)
+    cfg = make_cfg(N=4, T=0.1, partition=uniform_partition(0.1, 16))
+    traj = solve_picard(cfg, random_state(1, 4, cfg.s, seed=4, scale=0.05),
+                        table_for(cfg, path))
+    assert traj.meta["iterations"] >= 2
+    assert sweeps == [16] * traj.meta["iterations"]
+    assert rules == [(j, j + 1) for j in range(16)]
 
 
 def test_picard_non_convergence_reports_residuals():

@@ -23,6 +23,7 @@ from modnls.young import (
     check_kernel_box,
     table_mu_max,
     x_increment,
+    x_increments,
     x_norm_estimate,
 )
 from tests.conftest import (conj_state, duhamel_x_oracle, record_phase_ffts, resonance_offset,
@@ -63,29 +64,20 @@ def test_phases_and_direct_agree(d, k, N):
 
 
 @pytest.mark.parametrize("N", [2, 16, 32])
-def test_tuple_path_matches_oracles(N):
+def test_tuple_path_matches_oracles(N, monkeypatch):
+    # the (1, 1) boxes that a tuple table once contracted sum phases: the
+    # window nodes, but at N = 2 this step needs p >= L = 18 and takes the turns
     path = make_fbm_path(0.5, 1.0, 32, seed=6)
     cfg = make_kernel(1, 1, N, path)
-    assert cfg._tuples is not None
+    walks = _spy_walks(monkeypatch)
     rng = np.random.default_rng(23)
     states = [random_state(1, N, 0.5, seed=rng) for _ in range(3)]
     s, t = path.t_grid[3], path.t_grid[29]
     got = x_increment(cfg, s, t, states).coeffs
+    assert [kind for kind, _ in walks] == ["turns" if N == 2 else "window"]
     for want in (x_increment_direct(cfg, s, t, states).coeffs,
                  duhamel_x_oracle(path, s, t, states)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def _brute_tuple_count(d, k, N):
-    modes = np.stack(np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij"),
-                     axis=-1).reshape(-1, d)
-    m = 2 * k + 1
-    total = np.zeros((1,) * m + (d,), dtype=np.int64)
-    for j in range(m):
-        shape = [1] * m + [d]
-        shape[j] = modes.shape[0]
-        total = total + (-1) ** j * modes.reshape(shape)
-    return int(np.all(np.abs(total) <= N, axis=-1).sum())
 
 
 def _spy_walks(monkeypatch) -> list:
@@ -109,30 +101,23 @@ def _stated_window_size(x):
 
 
 @pytest.mark.parametrize("d,k,N,path_name", [
-    (1, 1, 2, "tuples"), (1, 1, 16, "tuples"), (1, 1, 32, "tuples"),
+    (1, 1, 2, "phases"), (1, 1, 16, "phases"), (1, 1, 32, "phases"),
     (1, 2, 2, "phases"), (2, 1, 2, "phases"), (2, 1, 4, "phases"),
     (3, 1, 2, "phases"),
 ])
 def test_kernel_path_selection(d, k, N, path_name, monkeypatch):
-    # on the clock w(t) = t, one short step spans 1/64 of [0, 4] and walks
-    # its p < L window nodes; the whole clock needs p >= L and walks the L
-    # equispaced turns
+    # every box sums phases: on the clock w(t) = t, one short step spans
+    # 1/64 of [0, 4] and walks its p < L window nodes; the whole clock
+    # needs p >= L and walks the L equispaced turns
     path = make_linear_path(4.0, 256)
     cfg = make_kernel(d, k, N, path)
     walks = _spy_walks(monkeypatch)
     for s, t in ((0.0, path.t_grid[4]), (0.0, 4.0)):
         x_increment(cfg, s, t, [unit_mode(d, N, [0] * d)] * (2 * k + 1))
-    if path_name == "tuples":
-        assert cfg._tuples is not None
-        assert cfg._tuples.dtype == np.int32
-        assert cfg._tuples.shape == (2 * k + 3, _brute_tuple_count(d, k, N))
-        assert walks == []
-    else:
-        assert cfg._tuples is None
-        R, L, _ = _phase_grid(d, k, N)
-        p = _stated_window_size(R * path.t_grid[4] / 2)
-        assert 1 < p < L <= _stated_window_size(R * 4.0 / 2)
-        assert walks == [("window", p), ("turns", L)]
+    R, L, _ = _phase_grid(d, k, N)
+    p = _stated_window_size(R * path.t_grid[4] / 2)
+    assert 1 < p < L <= _stated_window_size(R * 4.0 / 2)
+    assert walks == [("window", p), ("turns", L)]
 
 
 def _clock(kind):
@@ -178,7 +163,6 @@ def _assert_rel(got, want, rel):
 def test_phase_path_matches_oracles(d, k, N, clock):
     path = _clock(clock)
     cfg = make_kernel(d, k, N, path)
-    assert cfg._tuples is None
     rng = np.random.default_rng(100 * d + 10 * k + N)
     psi = random_state(d, N, 0.5, seed=rng)
     distinct = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
@@ -264,14 +248,13 @@ def test_phase_path_does_not_depend_on_worker_count(task_chunks, monkeypatch):
 @pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 2)])
 def test_window_table_drives_both_paths(d, k, N):
     # a Phi table of exactly the in-box window |mu| <= R gives the bits
-    # of a (2k+2) d N^2 table on either path, the corner state reaching
-    # Omega = -R and +R for k = 1; one column fewer is refused
+    # of a (2k+2) d N^2 table, the corner state reaching Omega = -R and +R
+    # for k = 1; one column fewer is refused
     R = (k + 1) * d * N * N
     assert table_mu_max(d, k, N) == R
     path = make_fbm_path(0.3, 0.5, 64, seed=12)
     cfg = YoungKernelConfig(d, k, N, build_phi_table(path, R))
     wide = make_kernel(d, k, N, path)
-    assert (cfg._tuples is not None) == ((d, k) == (1, 1))
     psi = _corner_state(d, N)
     rng = np.random.default_rng(8)
     for states in ([psi] * (2 * k + 1),
@@ -286,12 +269,10 @@ def _negated(path):
     return SamplePath(path.t_grid, -path.values, offset=-path.offset)
 
 
-# one box per kernel path: (1, 1, 3) takes tuples, (2, 1, 2) phases
 @pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2)])
 def test_gauge_reflection_conjugation_invariants(d, k, N):
     path = make_fbm_path(0.4, 0.5, 32, seed=19)
     cfg = make_kernel(d, k, N, path)
-    assert (cfg._tuples is not None) == (d == 1)
     rng = np.random.default_rng(31)
     states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
     s, t = path.t_grid[4], path.t_grid[27]
@@ -337,7 +318,6 @@ def test_frozen_clock_reduces_to_nonlinearity():
     np.testing.assert_allclose(got.coeffs, expected, atol=1e-13)
 
 
-# one box per kernel path: d=1, k=1 contracts tuples, d=2 sums phases
 @pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2)])
 def test_increment_additivity_and_zero_width(d, k, N):
     path = make_fbm_path(0.5, 1.0, 32, seed=2)
@@ -583,6 +563,60 @@ def test_invariants_under_each_rule(d, k, N, rule, monkeypatch):
     assert {kind for kind, _ in walks} == {rule}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_rows", [7, None], ids=["7-row", "default"])
+@pytest.mark.parametrize("d,k,N", [(1, 1, 16), (2, 1, 4), (1, 2, 4)])
+def test_batched_increments_are_the_one_step_increments(d, k, N, chunk_rows, workers,
+                                                        monkeypatch):
+    # every step of a rough clock, the whole clock and an empty step in one
+    # x_increments call: each increment is the one-step x_increment's, bit
+    # for bit. On 4 times an fBm clock some steps need more window nodes than
+    # a chunk holds (all but (1, 2, 4) at the default chunk size), and some,
+    # the whole clock among them, p >= L; 2-chunk tasks put the shared walk
+    # on the pool at 2 workers
+    P = _phase_grid(d, k, N)[2]
+    if chunk_rows:
+        monkeypatch.setattr(young, "_PHASE_CHUNK_ENTRIES", chunk_rows * P ** d)
+    rows = young._PHASE_CHUNK_ENTRIES // P ** d
+    monkeypatch.setattr(spectral, "_PHASE_TASK_ENTRIES", 2 * rows * P ** d)
+    monkeypatch.setattr(_runtime, "_workers", workers)
+    base = make_fbm_path(0.3, 0.5, 32, seed=11)
+    path = SamplePath(base.t_grid, 4 * base.values)
+    cfg = make_kernel(d, k, N, path)
+    g = path.t_grid
+    spans = [*zip(g[:-1], g[1:]), (g[0], g[-1]), (g[5], g[5])]
+    rng = np.random.default_rng(10 * d + k)
+    psis = [random_state(d, N, 0.5, seed=rng) for _ in spans]
+    log = record_phase_ffts(monkeypatch)
+    # one source in every slot, as in a Picard sweep, then each step's own
+    # distinct slots, shared with its neighbours
+    for feeds in ([[psi] * (2 * k + 1) for psi in psis],
+                  [[psis[j - i] for i in range(2 * k + 1)] for j in range(len(spans))]):
+        got = x_increments(cfg, spans, feeds)
+        on_pool = {t for t, _ in log} != {threading.get_ident()}
+        assert on_pool == (workers == 2)
+        for (s, t), states, inc in zip(spans, feeds, got):
+            np.testing.assert_array_equal(inc, x_increment(cfg, s, t, states).coeffs)
+        log.clear()
+    assert not got[-1].any()
+    windows = [rule[1].size for rule in cfg._rules.values() if rule is not None]
+    assert (max(windows) > rows) == (chunk_rows is not None or (d, k) != (1, 2))
+    assert cfg._rules[0, 32] is None
+
+
+def test_batched_increments_validate_every_step():
+    path = make_linear_path(1.0, 8)
+    cfg = make_kernel(1, 1, 2, path)
+    good = [unit_mode(1, 2, 0)] * 3
+    steps = [(0.0, 0.125), (0.125, 0.25)]
+    for feeds, spans, match in (([good], steps, "one feed per step"),
+                                ([good, good[:2]], steps, "2k\\+1 = 3 factors"),
+                                ([good, good], [(0.0, 0.125), (0.25, 0.125)], "s <= t"),
+                                ([good, good], [(0.0, 0.125), (0.125, 0.3)], "table grid")):
+        with pytest.raises(ConfigError, match=match):
+            x_increments(cfg, spans, feeds)
+
+
 def test_off_grid_times_rejected():
     path = make_linear_path(1.0, 16)
     cfg = make_kernel(1, 1, 2, path)
@@ -597,7 +631,7 @@ def test_cap_guard():
     # 625 x 45^3 = 5.7e7, refused up front
     path = make_linear_path(1.0, 2)
     cfg = make_kernel(1, 1, 33, path)
-    assert cfg.N == 33 and cfg._tuples is not None
+    assert cfg.N == 33
     check_kernel_box(3, 3, 4)
     table = build_phi_table(path, mu_max=table_mu_max(3, 3, 5))
     with pytest.raises(NumericsError, match="memory budget"):
@@ -611,16 +645,12 @@ _ADMITTED_MAX = {(1, 1): 134, (1, 2): 103, (1, 3): 85, (1, 4): 73,
 
 
 @pytest.mark.parametrize("d,k", sorted(_ADMITTED_MAX))
-def test_kernel_admission_is_the_fold_budget(monkeypatch, d, k):
+def test_kernel_admission_is_the_fold_budget(d, k):
     # admitted iff the phase path's L x P^d entries fit the budget, with
     # R = (k+1) d N^2, L = next_fast_len(2R + 1) and
-    # P = next_fast_len((2k+2) N + 1); the rule runs before any tuple or
-    # Phi table is built (the name dates from when kernel boxes were
+    # P = next_fast_len((2k+2) N + 1); the rule runs before the config
+    # reads its Phi table (the name dates from when kernel boxes were
     # admitted by the fold's budget)
-    def no_table(*args):
-        raise AssertionError("a table was built for the box")
-
-    monkeypatch.setattr(young, "_tuple_table", no_table)
     empty = build_phi_table(make_linear_path(1.0, 1), 0)
     admitted = []
     for N in range(1, _ADMITTED_MAX[d, k] + 2):
