@@ -8,22 +8,23 @@ a segment from (t0, w0) with increment (dt, dw) contributes
 a midpoint phase times a real amplitude, free of cancellation as a dw -> 0.
 Phi at a list of times sums the segments between consecutive requested
 times and accumulates only those block sums. There is no quadrature error
-anywhere in this module, only splitting logic. An OscillatoryTable holds
-Phi at the path's own nodes for the integer frequencies the kernel reads;
-it lives in memory only, with the clock at those nodes.
+anywhere in this module, only splitting logic. An OscillatoryTable holds a
+path's nodes and its clock there; its increment between two nodes walks the
+integer frequencies the kernel reads on the segments between them alone.
 
 The frequencies are walked in increasing |a| (Phi(-a) = conj Phi(a)),
-one row at a time, holding per segment G = e^{i a (w0 + dw/2)} and
-H = e^{i a dw/2}; the amplitude is dt Im(H) / (a dw/2), and dt where
-dw = 0. When the gap g to the previous frequency recurs in the grid
-(1/32 and 1/16 in default_a_grid, 1 in build_phi_table), the row is two
-complex multiplies by e^{i g (w0 + dw/2)} and e^{i g dw/2}, precomputed
-once per gap, instead of a cos and a sin. Every 64th row, every row whose
-gap does not recur, and a = 0 are anchors evaluated in closed form, so
-rounding grows over at most 64 steps (at most about 64 ulp per segment)
-and an arbitrary grid is all anchors. For |a dw| < pi both terms of
-Im(H e^{i g dw/2}) have the sign of dw (g <= a), so the amplitude keeps
-its relative accuracy as a dw -> 0 without a Taylor branch.
+holding per segment G = e^{i a (w0 + dw/2)} and H = e^{i a dw/2}; the
+amplitude is dt Im(H) / (a dw/2), and dt where dw = 0. When the gap g to
+the previous frequency recurs in the grid (1/32 and 1/16 in default_a_grid,
+1 in an increment), the row is two complex multiplies by e^{i g (w0 + dw/2)}
+and e^{i g dw/2}, precomputed once per gap, instead of a cos and a sin.
+Every 64th row, every row whose gap does not recur, and a = 0 are anchors
+evaluated in closed form, so rounding grows over at most 64 steps (at most
+about 64 ulp per segment) and an arbitrary grid is all anchors. One cumprod
+walks a block of about 2^14 (row, segment) entries: one row of a long clock,
+the rows from several anchors of a short one. For |a dw| < pi both terms of
+Im(H e^{i g dw/2}) have the sign of dw (g <= a), so the amplitude keeps its
+relative accuracy as a dw -> 0 without a Taylor branch.
 
 The (rho, gamma)-irregularity norm
 
@@ -58,10 +59,11 @@ __all__ = [
 ]
 
 
-# rows of the frequency walk between closed-form anchors, and the most
-# distinct frequency gaps it keeps per-segment step factors for
+# rows of the frequency walk between closed-form anchors, the most distinct
+# frequency gaps it keeps per-segment step factors for, and a block's entries
 _WALK_ANCHOR_EVERY = 64
 _WALK_GAPS = 4
+_WALK_BLOCK_ENTRIES = 1 << 14
 
 
 def _cis(x):
@@ -88,7 +90,7 @@ def _phi_at_times(path: SamplePath, a_values, times):
     Exact: the requested times are merged into the node grid so every
     segment is integrated in closed form; only the block sums between
     consecutive requested times are accumulated. The distinct |a| are
-    walked upwards, one row per frequency (module docstring).
+    walked upwards, in blocks of rows (module docstring).
     """
     t_req = np.asarray(times, dtype=float)
     if t_req.size == 0:
@@ -99,7 +101,6 @@ def _phi_at_times(path: SamplePath, a_values, times):
     inner = path.t_grid[(path.t_grid > 0) & (path.t_grid < tmax)]
     merged = np.unique(np.concatenate([[0.0], inner, t_req]))
     w = np.interp(merged, path.t_grid, path.values) + path.offset
-    dt, dw = np.diff(merged), np.diff(w)
     pos = np.searchsorted(merged, t_req)
     # block b holds segments bounds[b]..bounds[b+1]-1, none of them empty
     bounds = np.unique(np.concatenate([[0], pos]))
@@ -107,27 +108,7 @@ def _phi_at_times(path: SamplePath, a_values, times):
     a = np.atleast_1d(np.asarray(a_values, dtype=float))
     # w is real, so Phi(-a) = conj(Phi(a)): only the distinct |a| are computed
     freqs, inv = np.unique(np.abs(a), return_inverse=True)
-    mid, half = w[:-1] + 0.5 * dw, 0.5 * dw
-    # dt sin(x)/x = Im e^{ix} (dt / half) / a at x = a half; flat segments take dt
-    flat = np.flatnonzero(half == 0)
-    scale = np.divide(dt, half, out=np.zeros_like(dt), where=half != 0)
-    gaps = np.diff(freqs)
-    vals, counts = np.unique(gaps, return_counts=True)
-    steps = {vals[i]: (_cis(vals[i] * mid), _cis(vals[i] * half))
-             for i in np.argsort(-counts, kind="stable")[:_WALK_GAPS] if counts[i] > 1}
-    sums = np.zeros((freqs.size, bounds.size), dtype=complex)
-    for j, f in enumerate(freqs):
-        step = steps.get(gaps[j - 1]) if j % _WALK_ANCHOR_EVERY else None
-        if step is None:
-            G, H = _cis(f * mid), _cis(f * half)
-        else:
-            G *= step[0]
-            H *= step[1]
-        amp, div = dt, 1.0  # a = 0: x = 0 on every segment
-        if f:
-            amp, div = H.imag * scale, f
-            amp[flat] = f * dt[flat]
-        sums[j, 1:] = np.add.reduceat(G * amp, bounds[:-1]) / div
+    sums = _block_sums(freqs, np.diff(merged), w, bounds[:-1])
     phi = np.cumsum(sums, axis=1, out=sums)[:, at]
     if freqs.size == a.size and np.array_equal(freqs, a):
         return phi
@@ -136,38 +117,93 @@ def _phi_at_times(path: SamplePath, a_values, times):
     return phi
 
 
+def _block_sums(freqs, dt, w, starts):
+    """int e^{i a w(r)} dr on the segments starts[b] to starts[b + 1] - 1 (the last
+    to the end) of the clock w at segment ends, for sorted distinct a >= 0, in
+    columns 1.. of an (A, len(starts) + 1) array (module docstring)."""
+    dw = w[1:] - w[:-1]
+    mid, half = w[:-1] + 0.5 * dw, 0.5 * dw
+    # dt sin(x)/x = Im e^{ix} (dt / half) / a at x = a half; flat segments take dt
+    flat = np.flatnonzero(half == 0)
+    scale = np.divide(dt, half, out=np.zeros_like(dt), where=half != 0)
+    gap = np.concatenate([[np.nan], freqs[1:] - freqs[:-1]])
+    vals, counts = np.unique(gap[1:], return_counts=True)
+    kept = [i for i in np.argsort(-counts, kind="stable")[:_WALK_GAPS] if counts[i] > 1]
+    # each row's slot: its gap's step factors, or the last, zeros, for an anchor
+    # (or a padding row)
+    factors = np.zeros((len(kept) + 1, 2, mid.size), dtype=complex)
+    for j, v in enumerate(vals[kept]):
+        factors[j, 0], factors[j, 1] = _cis(v * mid), _cis(v * half)
+    slot = np.full(vals.size + 1, len(kept))
+    slot[kept] = range(len(kept))
+    slot = slot[np.searchsorted(vals, np.append(gap, [np.nan] * _WALK_ANCHOR_EVERY))]
+    # pieces of at most `per` rows from each anchor; a block stacks pieces of one length
+    per = max(1, _WALK_BLOCK_ENTRIES // max(1, dt.size))
+    walked = (np.arange(freqs.size) % _WALK_ANCHOR_EVERY > 0) & (slot[:freqs.size] < len(kept))
+    anchors = np.flatnonzero(~walked).tolist() + [freqs.size]
+    edges = [e for r, q in zip(anchors, anchors[1:]) for e in range(r, q, per)] + [freqs.size]
+    sums = np.zeros((freqs.size, len(starts) + 1), dtype=complex)
+    b = 0
+    while b < len(edges) - 1:
+        lo, size, m = edges[b], edges[b + 1] - edges[b], 1
+        while (size <= per // (m + 1) and not walked[lo] and b + m + 1 < len(edges)
+               and (edges[b + m + 1] - edges[b + m] == size  # or the last, shorter, padded
+                    or freqs.size == edges[b + m + 1] < edges[b + m] + size)):
+            m += 1
+        hi, b = min(lo + m * size, freqs.size), b + m
+        if walked[lo]:  # the head row on from the row before, in place
+            g *= factors[slot[lo], 0]
+            h *= factors[slot[lo], 1]
+            G, H = g, h
+        else:
+            G, H = (_cis(np.multiply.outer(freqs[lo:hi:size], mid)),
+                    _cis(np.multiply.outer(freqs[lo:hi:size], half)))
+        if size > 1:  # then each row the one before times its factors: one cumprod
+            step = factors[slot[lo:lo + m * size]].reshape(m, size, 2, -1)
+            step[:, 0, 0], step[:, 0, 1] = G, H
+            rows = np.cumprod(step, axis=1, out=step).reshape(-1, 2, mid.size)[:hi - lo]
+            G, H = rows[:, 0], rows[:, 1]
+        g, h = (G[-1], H[-1]) if G.ndim > 1 else (G, H)
+        amp = H.imag * scale
+        if flat.size:
+            amp[..., flat] = freqs[lo:hi, None] * dt[flat]
+        if lo == 0 and not freqs[0]:  # a = 0: x = 0 on every segment
+            amp[0] = dt
+        sums[lo:hi, 1:] = np.add.reduceat(G * amp, starts, -1)
+    sums[:, 1:] /= np.where(freqs, freqs, 1.0)[:, None]
+    return sums
+
+
 @dataclass
 class OscillatoryTable:
-    """Phi_{t_i}(mu) for integer frequencies |mu| <= mu_max on the path's nodes t_i."""
+    """A path's nodes t_i and clock w(t_i), for Phi increments at |mu| <= mu_max."""
 
     t_grid: np.ndarray
     mu_max: int
-    values: np.ndarray  # shape (len(t_grid), 2*mu_max+1), column index mu + mu_max
     clock: np.ndarray  # w(t_i), offset included; linear between nodes
 
-    def increment(self, i_s: int, i_t: int) -> np.ndarray:
-        """Phi_{t}(mu) - Phi_{s}(mu) over all tabulated mu."""
-        return self.values[i_t] - self.values[i_s]
+    def increment(self, i_s: int, i_t: int, mu_max: int | None = None) -> np.ndarray:
+        """Phi_{t}(mu) - Phi_{s}(mu) for |mu| <= mu_max (the table's by default), index
+        mu + mu_max, integrated on the clock's segments from node i_s to i_t."""
+        mu, t = self.mu_max if mu_max is None else mu_max, self.t_grid[i_s:i_t + 1]
+        pos = (_block_sums(np.arange(mu + 1.0), t[1:] - t[:-1], self.clock[i_s:i_t + 1], [0])
+               [:, 1] if i_t > i_s else np.zeros(mu + 1, dtype=complex))
+        return np.concatenate([np.conj(pos[:0:-1]), pos])
 
-    def index_of_time(self, t: float) -> int:
-        i = int(np.searchsorted(self.t_grid, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.t_grid.size and abs(self.t_grid[j] - t) <= 1e-12 * max(1.0, self.t_grid[-1]):
-                return j
-        raise KeyError(f"t={t} is not a table grid time")
+    def index_of_time(self, t):
+        """The node index of each time in t; KeyError for a time off the grid."""
+        g, t, tol = self.t_grid, np.asarray(t, dtype=float), 1e-12 * max(1.0, self.t_grid[-1])
+        i = np.clip(np.searchsorted(g, t) - 1, 0, g.size - 2)  # the left node, else the right
+        i += ~(np.abs(g[i] - t) <= tol)
+        if (off := ~(np.abs(g[i] - t) <= tol)).any():  # NaN too
+            raise KeyError(f"t={t[off].flat[0]} is not a table grid time")
+        return i
 
 
 def build_phi_table(path: SamplePath, mu_max: int) -> OscillatoryTable:
-    """Tabulate Phi on the path's own nodes.
-
-    Only mu >= 0 is computed; negative frequencies follow from
-    Phi(-mu) = conj(Phi(mu)) since w is real.
-    """
-    mu_max = check_int(mu_max, "mu_max", 0)
-    t_grid = path.t_grid.copy()
-    pos = _phi_at_times(path, np.arange(mu_max + 1), t_grid).T  # (n_t, mu_max+1)
-    values = np.concatenate([np.conj(pos[:, :0:-1]), pos], axis=1)
-    return OscillatoryTable(t_grid=t_grid, mu_max=mu_max, values=values,
+    """The table of a path for Phi increments at |mu| <= mu_max: its nodes and
+    clock, O(M); each increment integrates its own segments when asked."""
+    return OscillatoryTable(t_grid=path.t_grid.copy(), mu_max=check_int(mu_max, "mu_max", 0),
                             clock=path.values + path.offset)
 
 

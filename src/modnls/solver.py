@@ -127,34 +127,35 @@ def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
 
 
 def _guard(step: int, coeffs: np.ndarray, weight: np.ndarray, limit: float) -> None:
-    """BlowUpError unless the H^s norm (weights <n>^{2s}) stays within limit."""
+    """BlowUpError at the first stacked state coeffs[i] (step + i) whose H^s norm exceeds limit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.sqrt(np.sum(weight * np.abs(coeffs) ** 2)))
-    if not norm <= limit:  # NaN fails too
-        raise BlowUpError(step, norm, limit)
+        norms = np.sqrt(np.sum(weight.ravel() * np.abs(coeffs.reshape(len(coeffs), -1)) ** 2, 1))
+    for i in np.flatnonzero(~(norms <= limit))[:1]:  # NaN fails too
+        raise BlowUpError(step + int(i), float(norms[i]), limit)
 
 
 def _march(cfg: SolverConfig, phi0: SpectralState, kc: YoungKernelConfig,
            feed=None) -> list:
     """Guarded left-point march phi0 + sum_{j<i} X_{t_j;t_{j+1}}(.) on the partition.
 
-    The kernel at step j acts on the new state at t_j (Euler-Young) or,
-    when a trajectory `feed` is given, on feed[j] (one Picard sweep, one
-    x_increments call). The guard sees the raw coefficients, before any
-    state is built.
+    The kernel at step j acts on the new state at t_j (Euler-Young) or, when a
+    trajectory `feed` is given, on feed[j] (one Picard sweep: one x_increments call
+    and one cumsum). The guard sees the raw coefficients, before any state is built.
     """
     p, m = cfg.partition, 2 * cfg.k + 1
     weight = (1.0 + _sq_norms(cfg.d, cfg.N)) ** cfg.s
     norm0 = hs_norm(phi0, cfg.s)
     limit = _BLOWUP_FACTOR * norm0 if norm0 > 0 else 1.0
     states = [phi0.copy()]
-    incs = None if feed is None else x_increments(kc, list(zip(p[:-1], p[1:])),
-                                                  [[f] * m for f in feed[:-1]])
+    if feed is not None:
+        incs = x_increments(kc, list(zip(p[:-1], p[1:])), [[f] * m for f in feed[:-1]])
+        coeffs = np.cumsum([phi0.coeffs, *incs], axis=0)[1:]
+        _guard(1, coeffs, weight, limit)
+        return states + [SpectralState(cfg.d, cfg.N, c) for c in coeffs]
     for j in range(p.size - 1):
-        inc = incs[j] if incs is not None else x_increment(
-            kc, float(p[j]), float(p[j + 1]), [states[j]] * m).coeffs
-        coeffs = states[j].coeffs + inc
-        _guard(j + 1, coeffs, weight, limit)
+        coeffs = states[j].coeffs + x_increment(kc, float(p[j]), float(p[j + 1]),
+                                                [states[j]] * m).coeffs
+        _guard(j + 1, coeffs[None], weight, limit)
         states.append(SpectralState(cfg.d, cfg.N, coeffs))
     return states
 
@@ -187,16 +188,19 @@ def solve_picard(cfg: SolverConfig, phi0: SpectralState,
 
 def _distance(states_a, states_b, times: np.ndarray, lam: float, s: float) -> float:
     """Discrete C^{0,lambda} norm of the differences D_i = a_i - b_i on the partition:
-    max_i |D_i|_{H^s} plus max_{i<j} |D_i - D_j|_{H^s} / |t_i - t_j|^lambda, all
-    from one Gram matrix of the stacked coefficient differences."""
+    max_i |D_i|_{H^s} plus max_{i<j} |D_i - D_j|_{H^s} / |t_i - t_j|^lambda, from the Gram
+    rows j >= i of the stacked D, 256 rows at a time from the last, each with its diagonal."""
     D = np.stack([a.coeffs.ravel() - b.coeffs.ravel() for a, b in zip(states_a, states_b)])
-    G = (D * (1.0 + _sq_norms(states_a[0].d, states_a[0].N)).ravel() ** s) @ D.conj().T
-    diag = np.real(np.diag(G))
-    dist2 = np.maximum(diag[:, None] + diag[None, :] - 2.0 * np.real(G), 0.0)
-    iu = np.triu_indices(times.size, k=1)
-    dt = np.abs(times[:, None] - times[None, :])
-    return (float(np.sqrt(np.maximum(diag, 0.0).max()))
-            + float(np.max(np.sqrt(dist2[iu]) / dt[iu] ** lam)))
+    Dw = D * (1.0 + _sq_norms(states_a[0].d, states_a[0].N)).ravel() ** s
+    diag, ratio = np.empty(len(D)), 0.0
+    for lo in range(len(D) - 1 - (len(D) - 1) % 256, -1, -256):
+        G = Dw[lo:lo + 256] @ D[lo:].conj().T
+        diag[lo:lo + 256] = np.real(np.diagonal(G))
+        G = np.sqrt(np.maximum(diag[lo:lo + 256, None] + diag[None, lo:] - 2.0 * np.real(G), 0.0))
+        dt = np.abs(times[lo:lo + 256, None] - times[None, lo:]) ** lam
+        dt[np.tril_indices(len(dt), 0, len(D) - lo)] = np.inf  # pairs i < j only
+        ratio = np.maximum(ratio, np.max(G / dt))
+    return float(np.sqrt(np.maximum(diag, 0.0).max())) + float(ratio)
 
 
 def reference_split_step(phi0: SpectralState, T: float, dt: float,

@@ -24,9 +24,8 @@ phases is kept. One rule gives a step's phases:
     (x/2)^p / p! for p > x = R (b - a) / 2; p is the smallest count that puts
     this bound at eps = 1e-16 (t - s) or below. The rule depends on the
     clock alone, so a kernel config makes it once per step.
-  * equispaced turns, when p >= L = next_fast_len(2R + 1): theta_l =
-    2 pi l / L, with the DFT of the table's Phi increments as weights,
-    exact to rounding whatever the clock does on the step.
+  * equispaced turns, when p >= L = next_fast_len(2R + 1): theta_l = 2 pi l / L,
+    weighted by the DFT of the Phi increments on the step's own clock segments.
 
 x_increments takes many steps at once, as a Picard sweep does: each turns
 step walks its L turns alone, and the window nodes of all other steps share
@@ -36,9 +35,9 @@ the bits of its one-step x_increment.
 The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
 is admitted iff the phase path's L x P^d entries fit spectral's memory
 budget, shared with the fft fold. The rule depends on (d, k, N) alone,
-so the solver and the CLI apply it through check_kernel_box before any
-Phi table is built; the largest admitted N is 134, 103, 23 and 8 for
-(d, k) = (1, 1), (1, 2), (2, 1), (3, 1). A Phi table needs |mu| <= R.
+so the solver and the CLI apply it through check_kernel_box before the
+path's table is built; the largest admitted N is 134, 103, 23 and 8 for
+(d, k) = (1, 1), (1, 2), (2, 1), (3, 1). The table must admit |mu| <= R.
 
 A clock frozen at c on the step needs one window node: all of t - s sits
 at c, and X_{s;t} = -i (t - s) U^{-c} N(U^{c} psi_1, ...); for c = 0 that
@@ -67,6 +66,7 @@ _PHASE_CHUNK_ENTRIES = 1 << 14
 _WINDOW_EPS = 1e-16
 # p -> (Chebyshev points, barycentric weights, Gauss-Legendre points and weights)
 _WINDOW_NODES: dict[int, tuple] = {}
+_LOG_FACTORIALS: dict[int, np.ndarray] = {}  # L -> log p! for p = 1 .. L-1
 
 
 def check_kernel_box(d: int, k: int, N: int) -> None:
@@ -77,7 +77,7 @@ def check_kernel_box(d: int, k: int, N: int) -> None:
 
 
 def table_mu_max(d: int, k: int, N: int) -> int:
-    """The Phi-table size rule: a kernel table on the box holds |mu| <= R."""
+    """The table size rule: a kernel table on the box admits |mu| <= R."""
     _check_box(d, N, k)
     return _phase_grid(d, k, N)[0]
 
@@ -90,7 +90,7 @@ def _phase_grid(d: int, k: int, N: int) -> tuple[int, int, int]:
 
 @dataclass
 class YoungKernelConfig:
-    """Validated (d, k, N) box plus the Phi table driving the kernel."""
+    """Validated (d, k, N) box plus the path's table driving the kernel."""
 
     d: int
     k: int
@@ -128,15 +128,15 @@ def x_increments(cfg: YoungKernelConfig, spans, feeds) -> list:
     R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
     out = [np.zeros((2 * cfg.N + 1,) * cfg.d, dtype=complex) for _ in feeds]
     window = []  # (step, theta, c) of each window step
-    for j, ((s, t), states) in enumerate(zip(spans, feeds)):
+    try:
+        nodes = cfg.table.index_of_time(np.reshape(spans, (-1, 2))).tolist()
+    except KeyError as exc:
+        raise ConfigError(f"kernel times must lie on the table grid: {exc}") from exc
+    for j, ((s, t), (i_s, i_t), states) in enumerate(zip(spans, nodes, feeds)):
         if len(states) != cfg.n_factors:
             raise ConfigError(f"need 2k+1 = {cfg.n_factors} factors, got {len(states)}")
         if any((st.d, st.N) != (cfg.d, cfg.N) for st in states):
             raise ConfigError("factor state does not match the kernel box")
-        try:
-            i_s, i_t = cfg.table.index_of_time(s), cfg.table.index_of_time(t)
-        except KeyError as exc:
-            raise ConfigError(f"kernel times must lie on the table grid: {exc}") from exc
         if i_t < i_s:
             raise ConfigError(f"need s <= t, got s={s}, t={t}")
         if i_s == i_t:
@@ -160,12 +160,12 @@ def _turn_weights(table: OscillatoryTable, i_s: int, i_t: int, R: int, L: int) -
     """c with dPhi(Omega) = sum_l c_l e^{2 pi i l Omega / L} on every |Omega| <= R.
 
     w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L, from
-    the table: exact to rounding whatever the clock does on the step.
+    the step's clock: exact to rounding whatever the clock does on the step.
     """
-    dphi, mu = table.increment(i_s, i_t), table.mu_max
+    dphi = table.increment(i_s, i_t, R)
     w = np.zeros(L, dtype=complex)
-    w[:R + 1] = dphi[mu:mu + R + 1]
-    w[L - R:] = dphi[mu - R:mu]
+    w[:R + 1] = dphi[R:]
+    w[L - R:] = dphi[:R]
     return fft(w) / L
 
 
@@ -179,7 +179,9 @@ def _window_size(x: float, L: int) -> int:
     if not x / 2 > 0:
         return 1
     p = np.arange(1, L)
-    log_bound = np.log(8.0) + p * np.log(x / 2) - np.cumsum(np.log(p))
+    if L not in _LOG_FACTORIALS:
+        _LOG_FACTORIALS[L] = np.cumsum(np.log(p))
+    log_bound = np.log(8.0) + p * np.log(x / 2) - _LOG_FACTORIALS[L]
     ok = np.flatnonzero((p > x) & (log_bound <= np.log(_WINDOW_EPS)))
     return int(p[ok[0]]) if ok.size else L
 
@@ -280,7 +282,8 @@ def _phase_sum(cfg: YoungKernelConfig, states, turns, c: np.ndarray, steps=None)
     sums = [0] * len(states)
     for j, term in walk_phases(
             sources, [j % 2 for j in range(cfg.n_factors)], turns, P, crop,
-            lambda l, phases, F: (steps[l[0]], np.tensordot(c[l], np.conj(phases) * F, axes=1)),
+            lambda l, phases, F: (steps[l[0]], (c[l] @ (np.conj(phases) * F).reshape(
+                len(l), -1)).reshape(F.shape[1:])),
             rows=max(1, _PHASE_CHUNK_ENTRIES // P ** d), steps=steps):
         sums[j] = sums[j] + term
     return sums

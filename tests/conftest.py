@@ -1,6 +1,7 @@
 """Shared test helpers: oracles independent of the library's fast paths."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -136,15 +137,13 @@ _DIRECT_TUPLE_LIMIT = 5_000_000
 def x_increment_direct(cfg, s, t, states):
     """Young kernel X_{s;t} by explicit enumeration of all interaction tuples.
 
-    Uses the Phi increments of cfg.table but no fold: every (2k+1)-tuple
-    of input modes is visited and its phase gathered by offset.
+    Takes its Phi increments from quadrature of the table's clock
+    (gl_phase_integral), not from the table, and uses no fold: every
+    (2k+1)-tuple of input modes is visited and its phase gathered by offset.
     """
-    i_s = cfg.table.index_of_time(s)
-    i_t = cfg.table.index_of_time(t)
     d, N, m = cfg.d, cfg.N, cfg.n_factors
     side_flat = (2 * N + 1) ** d
     assert side_flat ** m <= _DIRECT_TUPLE_LIMIT, "direct enumeration too large"
-    dphi = cfg.table.increment(i_s, i_t)
     axes = np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij")
     modes = np.stack([a.ravel() for a in axes], axis=1)  # (S, d)
     sq = (modes ** 2).sum(axis=1)
@@ -170,10 +169,13 @@ def x_increment_direct(cfg, s, t, states):
     idx = np.zeros(prod.shape, dtype=np.int64)
     for c in range(d):
         idx = idx * (2 * N + 1) + (out_comp[c] + N)
-    # gather phases only for in-box outputs; outside ones can carry
-    # offsets beyond the tabulated |mu| <= mu_max window
+    # integrate phases only at the offsets of in-box outputs; outside ones
+    # can carry offsets beyond |Omega| <= R
     sel = inside.ravel()
-    contrib = (-1j) * prod.ravel()[sel] * dphi[omega.ravel()[sel] + cfg.table.mu_max]
+    offsets, at = np.unique(omega.ravel()[sel], return_inverse=True)
+    clock = SimpleNamespace(t_grid=cfg.table.t_grid, values=cfg.table.clock, offset=0.0)
+    dphi = np.atleast_1d(gl_phase_integral(clock, offsets, s, t))
+    contrib = (-1j) * prod.ravel()[sel] * dphi[at]
     np.add.at(flat, idx.ravel()[sel], contrib)
     return SpectralState(d, N, flat.reshape((2 * N + 1,) * d))
 

@@ -131,7 +131,8 @@ def test_phi_at_times_against_two_exponential_cumsum():
                                rtol=0, atol=1e-13)
     table = build_phi_table(path, mu_max=40)
     old = _phi_two_exponentials(path, np.arange(41), path.t_grid)
-    np.testing.assert_allclose(table.values[:, 40:], old.T, rtol=0, atol=1e-13)
+    got = np.array([table.increment(0, i)[40:] for i in range(path.M + 1)])
+    np.testing.assert_allclose(got, old.T, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("every", [3 * 64, 5 * 64 + 17, 1])
@@ -218,7 +219,7 @@ def test_phi_domain_errors():
 
 def test_table_matches_phi_increment():
     table = build_phi_table(FBM, mu_max=6)
-    assert table.values.shape == (FBM.M + 1, 13)
+    assert table.increment(0, FBM.M).shape == (13,)
     for i_s, i_t in ((0, 10), (3, 40), (20, 64)):
         inc = table.increment(i_s, i_t)
         for mu in range(-6, 7):
@@ -232,6 +233,39 @@ def test_table_index_of_time():
     assert table.index_of_time(0.0) == 0
     with pytest.raises(KeyError):
         table.index_of_time(FBM.t_grid[17] + 0.3 * (FBM.t_grid[1] - FBM.t_grid[0]))
+
+
+# a clock with flat segments and one with an offset, both on FBM's nodes
+FLAT = SamplePath(FBM.t_grid, np.where((np.arange(FBM.M + 1) // 4) % 2, 0.3, FBM.values))
+OFFSET = SamplePath(FBM.t_grid, FBM.values, offset=0.75)
+
+
+@pytest.mark.parametrize("path,i_s,i_t", [
+    (FBM, 20, 21), (FBM, 3, 10), (FBM, 0, FBM.M),
+    (FLAT, 5, 7), (FLAT, 2, 30), (OFFSET, 20, 21), (OFFSET, 9, 60),
+])
+def test_step_increment_from_the_clock(path, i_s, i_t):
+    # one segment, seven, the whole clock, flat segments and an offset: the
+    # step's Phi increment, integrated on its own segments, over 200 rows
+    # (three anchors and a ragged tail) against quadrature
+    table = build_phi_table(path, mu_max=200)
+    got = table.increment(i_s, i_t)
+    want = gl_phase_integral(path, np.arange(-200, 201), path.t_grid[i_s], path.t_grid[i_t])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_step_increment_to_the_largest_table_frequency():
+    # table_mu_max(1, 2, 103) = 31827 rows on a 256-step clock: the top rows
+    # and every 97th of a short step, a long one and the whole clock against
+    # the two-exponential form
+    path = make_fbm_path(0.5, 1.0, 256, seed=4)
+    table = build_phi_table(path, mu_max=31827)
+    a = np.arange(31828.0)
+    rows = np.concatenate([np.arange(0, a.size, 97), np.arange(a.size - 130, a.size)])
+    for i_s, i_t in ((40, 41), (7, 100), (0, 256)):
+        ends = _phi_two_exponentials(path, a[rows], path.t_grid[[i_s, i_t]])
+        got = table.increment(i_s, i_t)[31827:][rows]
+        np.testing.assert_allclose(got, ends[:, 1] - ends[:, 0], rtol=0, atol=1e-13)
 
 
 def test_default_a_grid_shape():

@@ -1,11 +1,13 @@
 """Solvers: Euler-Young, Picard, split-step reference, and norms."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from modnls import phi as phi_module
 from modnls import solver, young
 from modnls.errors import BlowUpError, ConfigError, NonConvergenceError
 from modnls.paths import make_fbm_path, make_linear_path
@@ -153,6 +155,81 @@ def test_picard_makes_each_window_rule_once_per_solve(monkeypatch):
     assert traj.meta["iterations"] >= 2
     assert sweeps == [16] * traj.meta["iterations"]
     assert rules == [(j, j + 1) for j in range(16)]
+
+
+def test_picard_on_the_benchmark_shape_integrates_no_phi(monkeypatch):
+    # picard-d1's shape, (1, 1, 16) on an fBm H=0.3 clock with T = 0.1 and
+    # M = 64: every step takes window nodes, which read only the clock, so
+    # neither the table nor the solve integrates a Phi
+    calls = []
+    for name in ("_phi_at_times", "_block_sums"):
+        fn = getattr(phi_module, name)
+        monkeypatch.setattr(phi_module, name,
+                            lambda *args, _fn=fn, **kw: calls.append(1) or _fn(*args, **kw))
+    cfg = make_cfg(N=16, T=0.1, partition=uniform_partition(0.1, 64), tol=1e-11)
+    path = make_fbm_path(0.3, 0.1, 64, seed=101)
+    st = random_state(1, 16, 1.0, seed=101, decay=4.0)
+    phi0 = SpectralState(1, 16, st.coeffs * (0.1 / hs_norm(st, 1.0)))
+    traj = solve_picard(cfg, phi0, build_phi_table(path, young.table_mu_max(1, 1, 16)))
+    assert traj.meta["iterations"] == 4 and calls == []
+
+
+def _one_gram_distance(states_a, states_b, times, lam, s):
+    """The C^{0,lambda} residual from the whole (M+1)^2 Gram matrix at once."""
+    D = np.stack([a.coeffs.ravel() - b.coeffs.ravel() for a, b in zip(states_a, states_b)])
+    w = (1.0 + solver._sq_norms(states_a[0].d, states_a[0].N)).ravel() ** s
+    G = (D * w) @ D.conj().T
+    diag = np.real(np.diag(G))
+    dist2 = np.maximum(diag[:, None] + diag[None, :] - 2.0 * np.real(G), 0.0)
+    iu = np.triu_indices(times.size, k=1)
+    dt = np.abs(times[:, None] - times[None, :])
+    return np.sqrt(diag.max()) + np.max(np.sqrt(dist2[iu]) / dt[iu] ** lam)
+
+
+@pytest.mark.parametrize("M", [16, 255, 256, 600])
+def test_picard_residual_in_row_blocks_is_the_one_gram_residual(M):
+    # up to 256 states (M <= 255) the one block is the whole Gram matrix, bit
+    # for bit; past it the 256-row blocks agree to rounding
+    rng = np.random.default_rng(M)
+    a = [random_state(2, 2, 1.0, seed=rng) for _ in range(M + 1)]
+    b = [random_state(2, 2, 1.0, seed=rng, scale=0.9) for _ in range(M + 1)]
+    times = uniform_partition(0.3, M)
+    got = solver._distance(a, b, times, 0.5, 1.2)
+    want = _one_gram_distance(a, b, times, 0.5, 1.2)
+    if M <= 255:
+        assert got == want
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_picard_residual_memory_is_row_blocked():
+    # (1, 1, 2) on a linear clock, M = 4000, two sweeps: whole (M+1)^2 Gram,
+    # distance and time matrices would peak at about 738 MiB
+    cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 4000), tol=1e-300, max_iter=2)
+    phi0 = random_state(1, 2, 1.0, seed=4, scale=0.05)
+    table = table_for(cfg, make_linear_path(0.5, 4000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError):
+            solve_picard(cfg, phi0, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_guard_raises_at_the_first_bad_stacked_state():
+    # a Picard sweep guards its stacked states at once: the first state past
+    # the limit (or not finite) names its step and norm, whatever follows it
+    weight = np.ones(5)
+    stack = np.zeros((4, 5), dtype=complex)
+    stack[1, 0], stack[2, 3], stack[3, 1] = 1.5, 3.0, np.inf
+    solver._guard(7, stack[:2], weight, 2.0)
+    with pytest.raises(BlowUpError) as exc:
+        solver._guard(7, stack, weight, 2.0)
+    assert (exc.value.step, exc.value.norm) == (9, 3.0)
+    with pytest.raises(BlowUpError) as exc:
+        solver._guard(7, stack[[0, 3, 2]], weight, 2.0)
+    assert exc.value.step == 8 and not np.isfinite(exc.value.norm)
 
 
 def test_picard_non_convergence_reports_residuals():

@@ -10,6 +10,7 @@ import pytest
 from scipy.fft import fft, next_fast_len
 
 from modnls import _fold, _runtime, spectral, young
+from modnls import phi as phi_module
 from modnls.errors import ConfigError, NumericsError
 from modnls.paths import (SamplePath, make_constant_path, make_fbm_path,
                           make_linear_path, make_modulated_path)
@@ -602,6 +603,63 @@ def test_batched_increments_are_the_one_step_increments(d, k, N, chunk_rows, wor
     windows = [rule[1].size for rule in cfg._rules.values() if rule is not None]
     assert (max(windows) > rows) == (chunk_rows is not None or (d, k) != (1, 2))
     assert cfg._rules[0, 32] is None
+
+
+def test_window_size_tables_log_factorials_once():
+    # the log-factorials tabled once per L give the window rule's p, the
+    # formula summed afresh as the oracle
+    for L in (18, 75, 132, 1029):
+        for x in np.concatenate([[0.0, 1e-300, 1e-3, 0.7], np.linspace(1.0, 1.3 * L, 97)]):
+            p = np.arange(1, L)
+            log_bound = np.log(8.0) + p * np.log(x / 2) - np.cumsum(np.log(p)) if x else p
+            ok = np.flatnonzero((p > x) & (log_bound <= np.log(young._WINDOW_EPS)))
+            want = 1 if not x else int(p[ok[0]]) if ok.size else L
+            assert young._window_size(x, L) == want, (x, L)
+        assert young._LOG_FACTORIALS[L].size == L - 1
+
+
+def _steep_clock():
+    """picard-d1's clock (fBm H=0.3, T=0.1, M=64, seed 101) times 200: most
+    one-segment steps need p >= L at (1, 1, 16) and take the turns."""
+    base = make_fbm_path(0.3, 0.1, 64, seed=101)
+    return SamplePath(base.t_grid, 200 * base.values)
+
+
+def test_one_segment_turns_step_walks_its_rows_in_blocks(monkeypatch):
+    # R = 512: the step's 513 frequency rows on its one segment take one
+    # block, the 9 anchors 0, 64, ..., 512 with one cumprod down their 64-row
+    # pieces (the last, one row, padded); the block evaluates its anchors in
+    # one _cis per factor, and the gap 1 its step factors once: 2 + 2 calls (a
+    # walk row by row would make 2 per anchor, 2 x 9 + 2)
+    path = _steep_clock()
+    cfg = make_kernel(1, 1, 16, path)
+    calls = []
+    cis = phi_module._cis
+    monkeypatch.setattr(phi_module, "_cis", lambda x: calls.append(np.shape(x)) or cis(x))
+    walks = _spy_walks(monkeypatch)
+    states = [random_state(1, 16, 1.0, seed=3)] * 3
+    got = x_increment(cfg, path.t_grid[5], path.t_grid[6], states).coeffs
+    assert walks == [("turns", _phase_grid(1, 1, 16)[1])]
+    assert calls == [(1,), (1,), (9, 1), (9, 1)]
+    _assert_rel(got, duhamel_x_oracle(path, path.t_grid[5], path.t_grid[6], states), 1e-12)
+
+
+def test_turns_step_at_the_largest_box_builds_no_table():
+    # (1, 2, 103) with M = 256: the whole steep linear clock takes the turns,
+    # whose 31828 increments come from the clock's segments; a whole
+    # (M+1) x (2R+1) table of Phi would be 262 MB
+    path = SamplePath(np.linspace(0.0, 1.0, 257), np.linspace(0.0, 10.0, 257))
+    states = [unit_mode(1, 103, 0, 0.5), unit_mode(1, 103, 3, 0.2)] * 2 + [unit_mode(1, 103, 0)]
+    tracemalloc.start()
+    try:
+        cfg = YoungKernelConfig(1, 2, 103, build_phi_table(path, table_mu_max(1, 2, 103)))
+        got = x_increment(cfg, 0.0, 1.0, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert young._window_rule(cfg.table, 0, 256, *_phase_grid(1, 2, 103)[:2]) is None
+    assert np.isfinite(got.coeffs).all() and np.abs(got.coeffs).max() > 0
 
 
 def test_batched_increments_validate_every_step():
