@@ -28,7 +28,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import fftn, ifftn, next_fast_len
+from scipy.fft import fftn, ifft, next_fast_len
 
 from ._runtime import get_workers
 from .errors import ConfigError, NumericsError, _is_int, check_int
@@ -78,18 +78,23 @@ def _refuse_oversized(budget: str, size: int, what: str,
 def _phase_products(sources, conj, phases: np.ndarray, P: int, crop) -> np.ndarray:
     """Cropped spectra of prod_j f_j, one per phase row: f_j is the P^d-padded field
     of phases * sources[j] (index i at frequency i), conjugated where conj[j] is set.
-    A source filling several slots costs one inverse FFT; each FFT runs on one worker."""
+    A source filling several slots costs one inverse FFT; each FFT runs on one worker.
+    The inverse pads each axis, in order, just before its pass, so no pass walks a
+    line of padding zeros: at factor 1 such a line stays zero, and the bits are one
+    padded ifftn's. The forward FFT overwrites the product, which the call owns."""
     axes = tuple(range(1, phases.ndim))
     fields: dict[int, np.ndarray] = {}
     prod = None
     for src, cj in zip(sources, conj):
         f = fields.get(id(src))
         if f is None:
-            f = fields[id(src)] = ifftn(phases * src, s=(P,) * len(axes), axes=axes,
-                                        norm="forward", workers=1)
+            f = phases * src
+            for ax in axes:
+                f = ifft(f, n=P, axis=ax, norm="forward", workers=1, overwrite_x=True)
+            fields[id(src)] = f
         f = np.conj(f) if cj else f
         prod = f if prod is None else prod * f
-    return fftn(prod, axes=axes, norm="forward", workers=1)[crop]
+    return fftn(prod, axes=axes, norm="forward", workers=1, overwrite_x=True)[crop]
 
 
 def walk_phases(sources, conj, turns, P: int, crop, reduce, rows=None, n=None, steps=None):

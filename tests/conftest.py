@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import HealthCheck, settings
+from scipy.fft import fftn, ifftn
 from scipy.signal import convolve
 
 from modnls import spectral
@@ -190,6 +191,19 @@ def record_phase_ffts(monkeypatch) -> list:
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(spectral, "ifftn", recorded(spectral.ifftn))
+    monkeypatch.setattr(spectral, "ifft", recorded(spectral.ifft))
     monkeypatch.setattr(spectral, "fftn", recorded(spectral.fftn))
     return log
+
+
+def padded_phase_products(sources, conj, phases, P, crop):
+    """spectral._phase_products as one padded nd inverse FFT per distinct source
+    and one out-of-place forward FFT: the bits the walker must keep."""
+    axes = tuple(range(1, phases.ndim))
+    fields = {id(src): ifftn(phases * src, s=(P,) * len(axes), axes=axes,
+                             norm="forward", workers=1) for src in sources}
+    prod = None
+    for src, cj in zip(sources, conj):
+        f = np.conj(fields[id(src)]) if cj else fields[id(src)]
+        prod = f if prod is None else prod * f
+    return fftn(prod, axes=axes, norm="forward", workers=1)[crop]

@@ -1,14 +1,19 @@
 """Spectral states, norms, phase flows, and the truncated nonlinearity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modnls import _fold, spectral, young
 from modnls.errors import ConfigError
 from modnls.spectral import (
     SpectralState,
     _cube_modes,
+    _phase_products,
+    _sq_norms,
     apply_U,
     hs_norm,
     load_state_csv,
@@ -18,7 +23,8 @@ from modnls.spectral import (
     unit_mode,
     zero_state,
 )
-from tests.conftest import conj_state, direct_nonlinearity, resonance_offset
+from tests.conftest import (conj_state, direct_nonlinearity, padded_phase_products,
+                            resonance_offset)
 
 
 def physical_nonlinearity(factors, k):
@@ -182,3 +188,77 @@ def test_mode_errors_print_plain_ints():
     with pytest.raises(KeyError) as exc:
         zero_state(2, 1)[np.array([0, -3])]
     assert "mode (0, -3) outside |n_i| <= 1" in str(exc.value)
+
+
+def _walker_case(rng, d, N, m, rows, complex_values, shared):
+    """Sources for m alternating conjugate slots and rows phase rows
+    e^{-i theta |n|^2} on the (2N+1)^d cube."""
+    shape = (2 * N + 1,) * d
+    srcs = [rng.standard_normal(shape) for _ in range(m)]
+    if complex_values:
+        srcs = [f + 1j * rng.standard_normal(shape) for f in srcs]
+    srcs = [srcs[0]] * m if shared else srcs
+    theta = rng.uniform(0, 2 * np.pi, rows)
+    phases = np.exp(-1j * np.multiply.outer(theta, _sq_norms(d, N)))
+    return srcs, [j % 2 == 1 for j in range(m)], phases
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_phase_products_keep_the_bits_of_one_padded_ifftn(d, m):
+    # the kernel's slice crop on its P, the fold's np.ix_ crop on its own
+    N = 2
+    kernel_P = young._phase_grid(d, (m - 1) // 2, N)[2]
+    fold_P = _fold.fft_grid(m, d, N)[1]
+    idx = (np.arange(-m * N, m * N + 1) + N) % fold_P
+    crops = [(kernel_P, (slice(None),) + (slice(0, 2 * N + 1),) * d),
+             (fold_P, (slice(None),) + np.ix_(*[idx] * d))]
+    rng = np.random.default_rng(100 * d + m)
+    for rows in (1, 7):
+        for complex_values in (False, True):
+            for shared in (False, True):
+                case = _walker_case(rng, d, N, m, rows, complex_values, shared)
+                for P, crop in crops:
+                    got = _phase_products(*case, P, crop)
+                    assert np.array_equal(got, padded_phase_products(*case, P, crop))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_inverse_pass_skips_the_padding_lines(d, monkeypatch):
+    # the pass on axis a sees P points on the axes before it and the
+    # 2N + 1 of the source cube on a and every axis after it
+    N, m, rows = 3, 3, 4
+    P = young._phase_grid(d, 1, N)[2]
+    passes = []
+
+    def spied(x, n=None, axis=-1, **kwargs):
+        passes.append((x.shape, axis))
+        return ifft(x, n=n, axis=axis, **kwargs)
+
+    ifft = spectral.ifft
+    monkeypatch.setattr(spectral, "ifft", spied)
+    srcs, conj, phases = _walker_case(np.random.default_rng(d), d, N, m, rows, True, False)
+    crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
+    _phase_products(srcs, conj, phases, P, crop)
+    expect = [((rows,) + (P,) * (a - 1) + (2 * N + 1,) * (d + 1 - a), a)
+              for a in range(1, d + 1)]
+    assert passes == expect * m
+
+
+def test_one_phase_chunk_holds_three_chunk_arrays():
+    # eq21's shape: three alternating slots on one real array, 13 rows of
+    # P^2 = 98^2 entries per chunk, cropped by the fold
+    d, N, m = 2, 16, 3
+    P = _fold.fft_grid(m, d, N)[1]
+    rows = spectral._PHASE_TASK_ENTRIES // P ** d
+    assert (P, rows) == (98, 13)
+    srcs, conj, phases = _walker_case(np.random.default_rng(0), d, N, m, rows, False, True)
+    idx = (np.arange(-m * N, m * N + 1) + N) % P
+    crop = (slice(None),) + np.ix_(*[idx] * d)
+    tracemalloc.start()
+    try:
+        _phase_products(srcs, conj, phases, P, crop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * rows * P ** d * 16
