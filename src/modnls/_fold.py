@@ -77,8 +77,6 @@ class FoldResult:
         return np.arange(self.q_min, self.q_min + self.table.shape[0])
 
     def crop_spatial(self, N: int) -> "FoldResult":
-        if N > self.N_out:
-            raise ConfigError(f"cannot crop to N={N} beyond table extent {self.N_out}")
         off = self.N_out - N
         sl = (slice(None),) + tuple(slice(off, off + 2 * N + 1) for _ in range(self.d))
         return FoldResult(self.table[sl], self.q_min, N, self.d)
@@ -205,6 +203,4 @@ def prefers_dense(slots: list[Slot], d: int) -> bool:
 
 def fold(slots: list[Slot], d: int) -> FoldResult:
     """Dispatch between the dense and fft backends by prefers_dense."""
-    if len(slots) < 1:
-        raise ConfigError("fold needs at least one slot")
     return fold_dense(slots, d) if prefers_dense(slots, d) else fold_fft(slots, d)

@@ -30,7 +30,7 @@ import os
 import sys
 
 from . import _runtime
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, check_int
 
 _COMMANDS = ("gen-path", "irregularity", "solve", "converge",
              "verify-estimates", "xnorm")
@@ -116,6 +116,7 @@ def _cmd_irregularity(rest) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--out", required=True)
     args = p.parse_args(rest)
+    check_int(args.pairs, "--pairs")
     from . import paths, phi
     path = paths.load_path_csv(args.path)
     scales = max(1, int(math.floor(math.log2(max(2, path.M)))) - 1)
@@ -165,8 +166,7 @@ def _path_from_spec(spec):
             return paths.make_fbm_path(spec["H"], spec["T"], spec["M"],
                                        spec["seed"])
         if kind == "modulated":
-            import numpy as np
-            prof = np.loadtxt(spec["profile"], delimiter=",").ravel()
+            prof = paths._csv_rows(spec["profile"], 0).ravel()
             return paths.make_modulated_path(prof, spec["eps"], spec["T"],
                                              spec["M"])
         if kind == "file":
@@ -208,9 +208,14 @@ def _load_experiment(args):
     def non_finite(name):
         raise ConfigError(f"config {args.config} holds the non-finite number {name}")
 
+    def finite(text):  # a literal such as 1e400 overflows to inf
+        if math.isinf(val := float(text)):
+            non_finite(text)
+        return val
+
     try:
         with open(args.config) as fh:
-            raw = json.load(fh, parse_constant=non_finite)
+            raw = json.load(fh, parse_constant=non_finite, parse_float=finite)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {args.config}: {e}")
     if not isinstance(raw, dict):

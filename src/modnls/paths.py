@@ -14,6 +14,7 @@ profile m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -170,13 +171,23 @@ def save_path_csv(path: SamplePath, filename) -> None:
 
 def load_path_csv(filename) -> SamplePath:
     """Read a "t,w" CSV; any initial level is moved into the offset."""
-    data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
+    data = _csv_rows(filename, 1)
     if data.shape[1] != 2:
         raise ConfigError(f"path CSV must have two columns, got {data.shape[1]}")
     t_grid = data[:, 0]
     values = data[:, 1]
     offset = float(values[0])
     return SamplePath(t_grid=t_grid, values=values - offset, offset=offset)
+
+
+def _csv_rows(filename, header: int) -> np.ndarray:
+    """The rows of a numeric CSV after its `header` lines, blank and comment lines
+    dropped, as a 2d array; ConfigError naming the file when no row is left."""
+    body = [ln for ln in Path(str(filename)).read_text().splitlines()[header:]
+            if ln.split("#", 1)[0].strip()]
+    if not body:
+        raise ConfigError(f"{filename} holds no data rows")
+    return np.loadtxt(body, delimiter=",", ndmin=2)
 
 
 def _check_T_M(T: float, M: int) -> None:

@@ -9,8 +9,8 @@ a midpoint phase times a real amplitude, free of cancellation as a dw -> 0.
 Phi at a list of times sums the segments between consecutive requested
 times and accumulates only those block sums. There is no quadrature error
 anywhere in this module, only splitting logic. An OscillatoryTable holds a
-path's nodes and its clock there; its increment between two nodes walks the
-integer frequencies the kernel reads on the segments between them alone.
+path's nodes and its clock there; its increment between any two times walks
+the integer frequencies the kernel reads on the segments between them alone.
 
 The frequencies are walked in increasing |a| (Phi(-a) = conj Phi(a)),
 holding per segment G = e^{i a (w0 + dw/2)} and H = e^{i a dw/2}; the
@@ -93,8 +93,6 @@ def _phi_at_times(path: SamplePath, a_values, times):
     walked upwards, in blocks of rows (module docstring).
     """
     t_req = np.asarray(times, dtype=float)
-    if t_req.size == 0:
-        raise ConfigError("empty time list")
     if not np.all((t_req >= 0) & (t_req <= path.T * (1 + 1e-12))):  # NaN too
         raise ValueError("requested times outside the path domain")
     tmax = t_req.max()
@@ -182,22 +180,21 @@ class OscillatoryTable:
     mu_max: int
     clock: np.ndarray  # w(t_i), offset included; linear between nodes
 
-    def increment(self, i_s: int, i_t: int, mu_max: int | None = None) -> np.ndarray:
-        """Phi_{t}(mu) - Phi_{s}(mu) for |mu| <= mu_max (the table's by default), index
-        mu + mu_max, integrated on the clock's segments from node i_s to i_t."""
-        mu, t = self.mu_max if mu_max is None else mu_max, self.t_grid[i_s:i_t + 1]
-        pos = (_block_sums(np.arange(mu + 1.0), t[1:] - t[:-1], self.clock[i_s:i_t + 1], [0])
-               [:, 1] if i_t > i_s else np.zeros(mu + 1, dtype=complex))
-        return np.concatenate([np.conj(pos[:0:-1]), pos])
+    def segments(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(dt, w) for 0 <= s <= t <= T: the lengths of the clock's segments from s
+        to t and the clock at their ends, the nodes strictly inside plus s and t."""
+        g = self.t_grid
+        inner = slice(np.searchsorted(g, s, "right"), np.searchsorted(g, t, "left"))
+        ends = np.interp([s, t], g, self.clock)
+        return (np.diff(np.concatenate([[s], g[inner], [t]])),
+                np.concatenate([ends[:1], self.clock[inner], ends[1:]]))
 
-    def index_of_time(self, t):
-        """The node index of each time in t; KeyError for a time off the grid."""
-        g, t, tol = self.t_grid, np.asarray(t, dtype=float), 1e-12 * max(1.0, self.t_grid[-1])
-        i = np.clip(np.searchsorted(g, t) - 1, 0, g.size - 2)  # the left node, else the right
-        i += ~(np.abs(g[i] - t) <= tol)
-        if (off := ~(np.abs(g[i] - t) <= tol)).any():  # NaN too
-            raise KeyError(f"t={t[off].flat[0]} is not a table grid time")
-        return i
+    def increment(self, s: float, t: float, mu_max: int | None = None) -> np.ndarray:
+        """Phi_{t}(mu) - Phi_{s}(mu) for |mu| <= mu_max (the table's by default), index
+        mu + mu_max, integrated on the clock's segments from s to t."""
+        mu = self.mu_max if mu_max is None else mu_max
+        pos = _block_sums(np.arange(mu + 1.0), *self.segments(s, t), [0])[:, 1]
+        return np.concatenate([np.conj(pos[:0:-1]), pos])
 
 
 def build_phi_table(path: SamplePath, mu_max: int) -> OscillatoryTable:
@@ -254,8 +251,6 @@ def default_pairs(path: SamplePath, per_scale: int = 8) -> np.ndarray:
     pairs = set()
     for level in range(scales):
         span = max(1, int(round(M / 2 ** level)))
-        if span > M:
-            span = M
         n_start = min(per_scale, M - span + 1)
         starts = np.unique(np.round(np.linspace(0, M - span, n_start)).astype(int))
         for s_idx in starts:

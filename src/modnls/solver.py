@@ -86,7 +86,7 @@ class SolverConfig:
             raise ConfigError("partition must start at 0 and increase strictly")
         if abs(p[-1] - self.T) > 1e-12 * max(1.0, self.T):
             raise ConfigError(f"partition ends at {p[-1]}, config says T={self.T}")
-        # the kernel's size rule, before any Phi table is built for it
+        # the kernel's size rule on the box alone
         check_kernel_box(self.d, self.k, self.N)
         threshold = self.d / 2 - self.rho / self.k
         if self.s <= threshold:

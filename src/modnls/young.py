@@ -30,14 +30,15 @@ phases is kept. One rule gives a step's phases:
 x_increments takes many steps at once, as a Picard sweep does: each turns
 step walks its L turns alone, and the window nodes of all other steps share
 one walk, in chunks that gather their steps' factors, so every increment has
-the bits of its one-step x_increment.
+the bits of its one-step x_increment. A step may start and end anywhere in
+[0, T]: both rules read the clock's segments between its times.
 
 The phase grid (R, L, P) of _phase_grid sets every kernel size. A box
 is admitted iff the phase path's L x P^d entries fit spectral's memory
 budget, shared with the fft fold. The rule depends on (d, k, N) alone,
-so the solver and the CLI apply it through check_kernel_box before the
-path's table is built; the largest admitted N is 134, 103, 23 and 8 for
-(d, k) = (1, 1), (1, 2), (2, 1), (3, 1). The table must admit |mu| <= R.
+so the solver and the CLI apply it through check_kernel_box; the largest
+admitted N is 134, 103, 23 and 8 for (d, k) = (1, 1), (1, 2), (2, 1),
+(3, 1). The table must admit |mu| <= R.
 
 A clock frozen at c on the step needs one window node: all of t - s sits
 at c, and X_{s;t} = -i (t - s) U^{-c} N(U^{c} psi_1, ...); for c = 0 that
@@ -96,7 +97,7 @@ class YoungKernelConfig:
     k: int
     N: int
     table: OscillatoryTable
-    _rules: dict = field(default_factory=dict, init=False, repr=False)  # (i_s, i_t) -> rule
+    _rules: dict = field(default_factory=dict, init=False, repr=False)  # (s, t) -> rule
 
     def __post_init__(self):
         d, k, N = self.d, self.k, self.N
@@ -112,8 +113,8 @@ class YoungKernelConfig:
 
 
 def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralState:
-    """X_{s;t}(psi_1, ..., psi_{2k+1}) for table grid times s <= t, x_increments' one step;
-    not re-validated: an overflow to inf or NaN is left for the solver's blow-up guard."""
+    """X_{s;t}(psi_1, ..., psi_{2k+1}) for 0 <= s <= t <= T, x_increments' one step; not
+    re-validated: an overflow to inf or NaN is left for the solver's blow-up guard."""
     out = zero_state(cfg.d, cfg.N)
     out.coeffs[...] = x_increments(cfg, [(s, t)], [states])[0]
     return out
@@ -121,32 +122,30 @@ def x_increment(cfg: YoungKernelConfig, s: float, t: float, states) -> SpectralS
 
 def x_increments(cfg: YoungKernelConfig, spans, feeds) -> list:
     """[X_{s;t}(states) for (s, t), states in zip(spans, feeds)] as coefficient arrays, for
-    table grid times s <= t and each step's 2k+1 factors. A step that needs p >= L
+    any times 0 <= s <= t <= T and each step's 2k+1 factors. A step that needs p >= L
     walks the L turns alone; the window nodes of all others share one walk."""
     if len(spans) != len(feeds):
         raise ConfigError(f"need one feed per step, got {len(feeds)} for {len(spans)}")
     R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
     out = [np.zeros((2 * cfg.N + 1,) * cfg.d, dtype=complex) for _ in feeds]
     window = []  # (step, theta, c) of each window step
-    try:
-        nodes = cfg.table.index_of_time(np.reshape(spans, (-1, 2))).tolist()
-    except KeyError as exc:
-        raise ConfigError(f"kernel times must lie on the table grid: {exc}") from exc
-    for j, ((s, t), (i_s, i_t), states) in enumerate(zip(spans, nodes, feeds)):
+    T = cfg.table.t_grid[-1]
+    for j, ((s, t), states) in enumerate(zip(spans, feeds)):
         if len(states) != cfg.n_factors:
             raise ConfigError(f"need 2k+1 = {cfg.n_factors} factors, got {len(states)}")
         if any((st.d, st.N) != (cfg.d, cfg.N) for st in states):
             raise ConfigError("factor state does not match the kernel box")
-        if i_t < i_s:
-            raise ConfigError(f"need s <= t, got s={s}, t={t}")
-        if i_s == i_t:
+        if not 0 <= s <= t <= T + 1e-12 * max(1.0, T):  # NaN too
+            raise ConfigError(f"need 0 <= s <= t <= T = {T}, got s={s}, t={t}")
+        s, t = min(s, T), min(t, T)  # an end within the tolerance on the last node
+        if s == t:
             continue
-        if (i_s, i_t) not in cfg._rules:
-            cfg._rules[i_s, i_t] = _window_rule(cfg.table, i_s, i_t, R, L)
-        if cfg._rules[i_s, i_t] is None:
-            out[j] = -1j * _phase_sum(cfg, states, L, _turn_weights(cfg.table, i_s, i_t, R, L))
+        if (s, t) not in cfg._rules:
+            cfg._rules[s, t] = _window_rule(cfg.table, s, t, R, L)
+        if cfg._rules[s, t] is None:
+            out[j] = -1j * _phase_sum(cfg, states, L, _turn_weights(cfg.table, s, t, R, L))
         else:
-            window.append((j, *cfg._rules[i_s, i_t]))
+            window.append((j, *cfg._rules[s, t]))
     if window:
         js, theta, c = zip(*window)
         steps = np.repeat(np.arange(len(js)), [w.size for w in c])
@@ -156,13 +155,13 @@ def x_increments(cfg: YoungKernelConfig, spans, feeds) -> list:
     return out
 
 
-def _turn_weights(table: OscillatoryTable, i_s: int, i_t: int, R: int, L: int) -> np.ndarray:
+def _turn_weights(table: OscillatoryTable, s: float, t: float, R: int, L: int) -> np.ndarray:
     """c with dPhi(Omega) = sum_l c_l e^{2 pi i l Omega / L} on every |Omega| <= R.
 
     w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L, from
     the step's clock: exact to rounding whatever the clock does on the step.
     """
-    dphi = table.increment(i_s, i_t, R)
+    dphi = table.increment(s, t, R)
     w = np.zeros(L, dtype=complex)
     w[:R + 1] = dphi[R:]
     w[L - R:] = dphi[:R]
@@ -214,25 +213,24 @@ def _gauss_legendre(n: int):
     return u, 2 / ((1 - u * u) * dp * dp)
 
 
-def _window_rule(table: OscillatoryTable, i_s: int, i_t: int, R: int, L: int):
-    """(theta, c) of the window rule on the step between nodes i_s < i_t, or
-    None when it needs p >= L nodes.
+def _window_rule(table: OscillatoryTable, s: float, t: float, R: int, L: int):
+    """(theta, c) of the window rule on the step s < t, or None when it needs
+    p >= L nodes.
 
     The clock stays in [a, b] on the step, so for |Omega| <= R
     e^{i Omega theta} is interpolated at p Chebyshev points theta_l of [a, b]
     to within _WINDOW_EPS (_window_size at x = R (b - a) / 2), and
     c_l = int_s^t ell_l(w(r)) dr with ell_l the Lagrange basis.
     """
-    w = table.clock[i_s:i_t + 1]
+    dt, w = table.segments(s, t)
     mid, half = (w.max() + w.min()) / 2, (w.max() - w.min()) / 2
     p = _window_size(R * half, L)
     if p >= L:
         return None
     if p == 1:  # constant interpolant: all of t - s on the midpoint
-        return np.array([mid]), np.array([table.t_grid[i_t] - table.t_grid[i_s]])
+        return np.array([mid]), np.array([t - s])
     nodes = _window_nodes(p)
     xi = (w - mid) / half  # the clock in window coordinates, in [-1, 1]
-    dt = np.diff(table.t_grid[i_s:i_t + 1])
     c = np.zeros(p)
     seg = max(1, _PHASE_CHUNK_ENTRIES // (p * nodes[2].size))  # segments per block
     for lo in range(0, dt.size, seg):

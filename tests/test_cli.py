@@ -19,7 +19,7 @@ from modnls import _runtime, cli, paths, spectral, young
 from modnls.cli import run_command
 from modnls.errors import NumericsError
 from modnls.paths import load_path_csv, make_linear_path, save_path_csv
-from tests.conftest import record_phase_ffts
+from tests.conftest import duhamel_x_oracle, record_phase_ffts
 
 
 def read_json(path):
@@ -95,6 +95,20 @@ def test_irregularity_bad_real_is_one_json_line(tmp_path, capsys, flag, value):
     assert not (tmp_path / "irr.json").exists()
 
 
+@pytest.mark.parametrize("pairs", ["0", "-5"])
+def test_irregularity_pairs_below_one_refused(tmp_path, capsys, pairs):
+    pcsv = tmp_path / "lin.csv"
+    save_path_csv(make_linear_path(1.0, 8), pcsv)
+    rc = run_command(["irregularity", "--path", str(pcsv), "--gamma", "0.5", "--rho", "0.5",
+                      "--amax", "4", f"--pairs={pairs}", "--out", str(tmp_path / "irr.json")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError", "message": f"--pairs must be a positive integer, got {pairs}"}
+    assert not (tmp_path / "irr.json").exists()
+
+
 def test_amax_refusal_names_its_remedy(tmp_path, capsys):
     # the frequency grid grows with a_max alone, so the refusal says to lower it
     pcsv = tmp_path / "lin.csv"
@@ -125,6 +139,24 @@ def test_solve_happy_path(tmp_path):
     states = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
     assert states[0] == "state_0000.csv" and states[-1] == "state_0016.csv"
     assert len(states) == 17
+
+
+def test_solve_on_a_partition_off_the_clock_nodes(tmp_path):
+    # a config of M = 6 on a path of M = 16: five partition times fall between
+    # clock nodes. Both schemes run; each Euler-Young step is the kernel's
+    # increment on the path's own segments, against the Duhamel oracle
+    path = paths.make_fbm_path(0.5, 0.1, 16, 3)
+    for scheme in ("picard", "euler_young"):  # the oracle reads the last run
+        out = tmp_path / scheme
+        cfg = write_config(tmp_path, M=6, scheme=scheme, init=RANDOM_INIT)
+        assert run_command(["solve", "--config", cfg, "--out", str(out)]) == 0
+        times = read_json(out / "report.json")["times"]
+        assert len(times) == 7
+    states = [spectral.load_state_csv(f) for f in sorted(out.glob("state_*.csv"))]
+    for j in range(6):
+        want = duhamel_x_oracle(path, times[j], times[j + 1], [states[j]] * 3)
+        got = states[j + 1].coeffs - states[j].coeffs
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_solve_reruns_byte_identical(tmp_path):
@@ -337,6 +369,28 @@ def test_config_modulated_path(tmp_path):
                                cli._path_from_spec(spec).values, atol=1e-15)
 
 
+@pytest.mark.parametrize("reader", ["path", "profile"])
+def test_empty_csv_is_one_json_line(tmp_path, capsys, reader):
+    # a header-only path CSV and a profile of a blank and a comment line: the
+    # file is named, and no numpy warning reaches stderr ahead of the diagnostic
+    empty = tmp_path / "empty.csv"
+    empty.write_text("t,w\n" if reader == "path" else "\n# no samples\n")
+    if reader == "path":
+        argv = ["irregularity", "--path", str(empty), "--gamma", "0.5", "--rho", "0.5",
+                "--amax", "4", "--pairs", "4", "--out", str(tmp_path / "irr.json")]
+    else:
+        spec = {"kind": "modulated", "eps": 0.5, "profile": str(empty), "T": 0.1, "M": 16}
+        argv = ["solve", "--config", write_config(tmp_path, path=spec),
+                "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ConfigError",
+                                    "message": f"{empty} holds no data rows"}
+
+
 def test_config_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
@@ -357,6 +411,19 @@ def test_config_non_finite_number_rejected(tmp_path, capsys):
     diag = json.loads(lines[0])
     assert diag["error"] == "ConfigError"
     assert "NaN" in diag["message"]
+
+
+def test_config_overflowing_number_rejected(tmp_path, capsys):
+    # the literal 1e400 parses to inf, which would end a Picard solve after one sweep
+    cfg = Path(write_config(tmp_path, tol=1e-10))
+    cfg.write_text(cfg.read_text().replace('"tol": 1e-10', '"tol": 1e400'))
+    rc = run_command(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError", "message": f"config {cfg} holds the non-finite number 1e400"}
+    assert not (tmp_path / "x").exists()
 
 
 RANDOM_INIT = {"type": "random", "s": 1.0, "seed": 0, "scale": 0.01}

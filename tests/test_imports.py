@@ -1,11 +1,14 @@
-"""Importing modnls costs its own modules and nothing more.
+"""Importing modnls costs its own modules and nothing more, and every
+private name a module defines is used somewhere in the package.
 
 The benchmark's set-up time is process start plus imports, so a module
 that the package starts to load shows up there on every workload.
 """
 
+import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,3 +47,37 @@ def test_kernel_loads_neither_probes_nor_fold():
     loaded = _newly_loaded(["young"])
     assert "modnls.young" in loaded
     assert not {"modnls.resonance", "modnls._fold"} & loaded
+
+
+def _references(node) -> Counter:
+    """The names loaded, attributes read and names imported under node."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            refs[n.name] += 1
+    return refs
+
+
+def test_every_private_name_is_used():
+    # a module-level _name (a def, class or assignment) that nothing in the
+    # package reads, outside its own definition, is dead code
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted((SRC / "modnls").glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}:{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and used[name] <= _references(node)[name]]
+    assert unused == []

@@ -131,7 +131,7 @@ def test_phi_at_times_against_two_exponential_cumsum():
                                rtol=0, atol=1e-13)
     table = build_phi_table(path, mu_max=40)
     old = _phi_two_exponentials(path, np.arange(41), path.t_grid)
-    got = np.array([table.increment(0, i)[40:] for i in range(path.M + 1)])
+    got = np.array([table.increment(0.0, t)[40:] for t in path.t_grid])
     np.testing.assert_allclose(got, old.T, rtol=0, atol=1e-13)
 
 
@@ -219,20 +219,12 @@ def test_phi_domain_errors():
 
 def test_table_matches_phi_increment():
     table = build_phi_table(FBM, mu_max=6)
-    assert table.increment(0, FBM.M).shape == (13,)
+    assert table.increment(0.0, FBM.T).shape == (13,)
     for i_s, i_t in ((0, 10), (3, 40), (20, 64)):
-        inc = table.increment(i_s, i_t)
+        inc = table.increment(FBM.t_grid[i_s], FBM.t_grid[i_t])
         for mu in range(-6, 7):
             direct = phi_increment(FBM, mu, FBM.t_grid[i_s], FBM.t_grid[i_t])
             assert inc[mu + 6] == pytest.approx(direct, abs=1e-13)
-
-
-def test_table_index_of_time():
-    table = build_phi_table(FBM, mu_max=2)
-    assert table.index_of_time(FBM.t_grid[17]) == 17
-    assert table.index_of_time(0.0) == 0
-    with pytest.raises(KeyError):
-        table.index_of_time(FBM.t_grid[17] + 0.3 * (FBM.t_grid[1] - FBM.t_grid[0]))
 
 
 # a clock with flat segments and one with an offset, both on FBM's nodes
@@ -249,7 +241,7 @@ def test_step_increment_from_the_clock(path, i_s, i_t):
     # step's Phi increment, integrated on its own segments, over 200 rows
     # (three anchors and a ragged tail) against quadrature
     table = build_phi_table(path, mu_max=200)
-    got = table.increment(i_s, i_t)
+    got = table.increment(path.t_grid[i_s], path.t_grid[i_t])
     want = gl_phase_integral(path, np.arange(-200, 201), path.t_grid[i_s], path.t_grid[i_t])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -264,7 +256,7 @@ def test_step_increment_to_the_largest_table_frequency():
     rows = np.concatenate([np.arange(0, a.size, 97), np.arange(a.size - 130, a.size)])
     for i_s, i_t in ((40, 41), (7, 100), (0, 256)):
         ends = _phi_two_exponentials(path, a[rows], path.t_grid[[i_s, i_t]])
-        got = table.increment(i_s, i_t)[31827:][rows]
+        got = table.increment(*path.t_grid[[i_s, i_t]])[31827:][rows]
         np.testing.assert_allclose(got, ends[:, 1] - ends[:, 0], rtol=0, atol=1e-13)
 
 

@@ -154,7 +154,7 @@ def test_picard_makes_each_window_rule_once_per_solve(monkeypatch):
                         table_for(cfg, path))
     assert traj.meta["iterations"] >= 2
     assert sweeps == [16] * traj.meta["iterations"]
-    assert rules == [(j, j + 1) for j in range(16)]
+    assert rules == list(zip(cfg.partition[:-1], cfg.partition[1:]))
 
 
 def test_picard_on_the_benchmark_shape_integrates_no_phi(monkeypatch):

@@ -146,7 +146,7 @@ def _fold_oracle(cfg, s, t, states):
     The dense backend shift-accumulates slot entries, so it shares no
     phase product with the kernel's phase path.
     """
-    dphi = cfg.table.increment(cfg.table.index_of_time(s), cfg.table.index_of_time(t))
+    dphi = cfg.table.increment(s, t)
     slots = _fold.alternating_slots([st.coeffs for st in states])
     res = _fold.fold_dense(slots, cfg.d).crop_spatial(cfg.N)
     return -1j * res.contract(dphi, cfg.table.mu_max)
@@ -379,11 +379,12 @@ def _window_clock(kind):
 
 
 def _rule_sums(cfg, i, j, states):
-    """The phase sum on the step i..j by the window rule and by the L turns."""
+    """The phase sum on the step from node i to node j by the window rule and by the L turns."""
     R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
-    window = young._window_rule(cfg.table, i, j, R, L)
+    s, t = cfg.table.t_grid[[i, j]]
+    window = young._window_rule(cfg.table, s, t, R, L)
     assert window is not None
-    turns = (L, young._turn_weights(cfg.table, i, j, R, L))
+    turns = (L, young._turn_weights(cfg.table, s, t, R, L))
     return young._phase_sum(cfg, states, *window), young._phase_sum(cfg, states, *turns)
 
 
@@ -426,7 +427,7 @@ def test_window_weights_integrate_polynomials_exactly(span, clock):
     u, g = np.polynomial.legendre.leggauss(64)
     for i in sorted({0, min(8, 64 - span), 64 - span}):
         w, t = cfg.table.clock[i:i + span + 1], cfg.table.t_grid[i:i + span + 1]
-        theta, c = young._window_rule(cfg.table, i, i + span, R, L)
+        theta, c = young._window_rule(cfg.table, t[0], t[-1], R, L)
         if c.size == 1:  # a flat or 1e-13 step: all of t - s on one node
             assert c[0] == t[-1] - t[0]
             continue
@@ -498,7 +499,7 @@ def _equispaced_x(cfg, s, t, states):
     before window nodes: c = fft(w) / L of the table's increments."""
     d, N, mu = cfg.d, cfg.N, cfg.table.mu_max
     R, L, P = _phase_grid(d, cfg.k, N)
-    dphi = cfg.table.increment(cfg.table.index_of_time(s), cfg.table.index_of_time(t))
+    dphi = cfg.table.increment(s, t)
     w = np.zeros(L, dtype=complex)
     w[:R + 1] = dphi[mu:mu + R + 1]
     w[L - R:] = dphi[mu - R:mu]
@@ -602,7 +603,7 @@ def test_batched_increments_are_the_one_step_increments(d, k, N, chunk_rows, wor
     assert not got[-1].any()
     windows = [rule[1].size for rule in cfg._rules.values() if rule is not None]
     assert (max(windows) > rows) == (chunk_rows is not None or (d, k) != (1, 2))
-    assert cfg._rules[0, 32] is None
+    assert cfg._rules[0.0, g[32]] is None
 
 
 def test_window_size_tables_log_factorials_once():
@@ -658,7 +659,7 @@ def test_turns_step_at_the_largest_box_builds_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
-    assert young._window_rule(cfg.table, 0, 256, *_phase_grid(1, 2, 103)[:2]) is None
+    assert young._window_rule(cfg.table, 0.0, 1.0, *_phase_grid(1, 2, 103)[:2]) is None
     assert np.isfinite(got.coeffs).all() and np.abs(got.coeffs).max() > 0
 
 
@@ -669,18 +670,42 @@ def test_batched_increments_validate_every_step():
     steps = [(0.0, 0.125), (0.125, 0.25)]
     for feeds, spans, match in (([good], steps, "one feed per step"),
                                 ([good, good[:2]], steps, "2k\\+1 = 3 factors"),
-                                ([good, good], [(0.0, 0.125), (0.25, 0.125)], "s <= t"),
-                                ([good, good], [(0.0, 0.125), (0.125, 0.3)], "table grid")):
+                                ([good, good], [(0.0, 0.125), (0.25, 0.125)], "s <= t")):
         with pytest.raises(ConfigError, match=match):
             x_increments(cfg, spans, feeds)
 
 
-def test_off_grid_times_rejected():
+def test_steps_outside_the_clock_refused():
+    # a step lies in [0, T]; an end beyond T by at most the 1e-12 horizon
+    # tolerance of the solver and the CLI is the last node
     path = make_linear_path(1.0, 16)
     cfg = make_kernel(1, 1, 2, path)
-    states = [unit_mode(1, 2, 0) for _ in range(3)]
-    with pytest.raises((ConfigError, KeyError)):
-        x_increment(cfg, 0.0, 0.33, states)
+    states = [unit_mode(1, 2, 0), unit_mode(1, 2, 1), unit_mode(1, 2, -1)]
+    for s, t in ((-1e-3, 0.5), (0.5, 1.0 + 1e-9), (1.1, 1.2), (np.nan, 0.5), (0.5, np.inf)):
+        with pytest.raises(ConfigError, match="need 0 <= s <= t <= T"):
+            x_increment(cfg, s, t, states)
+    np.testing.assert_array_equal(x_increment(cfg, 0.33, 1.0 + 5e-13, states).coeffs,
+                                  x_increment(cfg, 0.33, 1.0, states).coeffs)
+
+
+@pytest.mark.parametrize("scale", [1, 400], ids=["window", "turns"])
+@pytest.mark.parametrize("d,k,N", [(1, 1, 4), (2, 1, 3)])
+def test_off_node_steps_against_duhamel_oracle(d, k, N, scale, monkeypatch):
+    # a step's ends need not be clock nodes: both inside one segment, off the
+    # nodes across several segments, and the whole clock, by window nodes on
+    # an fBm clock and by the L turns on the same clock times 400
+    base = make_fbm_path(0.5, 0.5, 64, seed=7)
+    path = SamplePath(base.t_grid, scale * base.values)
+    cfg = make_kernel(d, k, N, path)
+    walks = _spy_walks(monkeypatch)
+    rng = np.random.default_rng(10 * d + N)
+    states = [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k + 1)]
+    g, h = path.t_grid, path.t_grid[1]
+    for s, t in ((g[20] + 0.25 * h, g[20] + 0.7 * h), (g[5] + 0.4 * h, g[23] + 0.1 * h),
+                 (0.0, path.T)):
+        got = x_increment(cfg, s, t, states).coeffs
+        _assert_rel(got, duhamel_x_oracle(path, s, t, states), 1e-12)
+    assert {kind for kind, _ in walks} == {"window" if scale == 1 else "turns"}
 
 
 def test_cap_guard():
