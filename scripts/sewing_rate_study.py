@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-from modnls import paths, phi, solver, spectral, young
+from modnls import paths, solver, spectral, young
 
 
 def weierstrass(grid, exponent, octaves=13, phase=0.7):
@@ -27,7 +27,6 @@ def fitted_rate(lam, T, M, N, seed):
         * 2.0 ** (-0.55 * np.arange(13))[:, None], axis=0)
     wvals[0] = 0.0
     path = paths.SamplePath(grid, wvals)
-    table = phi.build_phi_table(path, 4 * N * N)
     # the solver's lambda sets only the C^{0,lambda} metric, which the defect
     # never reads: it is clamped into the admitted (1 - gamma, gamma), so a
     # trajectory rougher or smoother than the theory admits is still measured
@@ -39,12 +38,12 @@ def fitted_rate(lam, T, M, N, seed):
     factor = 1.0 + 0.25 * weierstrass(grid, lam)
     states = [spectral.SpectralState(1, N, c * psi0.coeffs) for c in factor]
     traj = solver.Trajectory(grid, states, {})
-    kc = cfg.kernel(table)
+    kc = cfg.kernel(path)
     lengths, errs = [], []
     for j in range(5):
         t_idx = M >> j
         L = float(grid[t_idx])
-        fine = solver.young_integral(cfg, traj, 0, t_idx, table)
+        fine = solver.young_integral(cfg, traj, 0, t_idx, path)
         one = young.x_increment(kc, 0.0, L, [states[0]] * 3)
         errs.append(spectral.hs_norm(
             spectral.SpectralState(1, N, fine.coeffs - one.coeffs), 1.0))

@@ -203,7 +203,7 @@ def _init_from_spec(spec, d: int, k: int, N: int):
 
 
 def _load_experiment(args):
-    from . import phi, solver, young
+    from . import paths, solver
 
     def non_finite(name):
         raise ConfigError(f"config {args.config} holds the non-finite number {name}")
@@ -233,22 +233,21 @@ def _load_experiment(args):
             max_iter=raw.get("max_iter", 50))
     except KeyError as e:
         raise ConfigError(f"config is missing key {e}")
-    if abs(path.T - cfg.T) > 1e-12 * max(1.0, cfg.T):
+    if path.T > paths.horizon_limit(cfg.T) or cfg.T > paths.horizon_limit(path.T):
         raise ConfigError(f"path horizon {path.T} differs from config T {cfg.T}")
     phi0 = _init_from_spec(raw.get("init"), cfg.d, cfg.k, cfg.N)
     if (phi0.d, phi0.N) != (cfg.d, cfg.N):
         raise ConfigError(
             f"initial data box ({phi0.d}, {phi0.N}) does not match the "
             f"config ({cfg.d}, {cfg.N})")
-    table = phi.build_phi_table(path, young.table_mu_max(cfg.d, cfg.k, cfg.N))
-    return cfg, phi0, table
+    return cfg, phi0, path
 
 
-def _run_scheme(cfg, phi0, table):
+def _run_scheme(cfg, phi0, path):
     from . import solver
     if cfg.scheme == "euler_young":
-        return solver.solve_euler_young(cfg, phi0, table)
-    return solver.solve_picard(cfg, phi0, table)
+        return solver.solve_euler_young(cfg, phi0, path)
+    return solver.solve_picard(cfg, phi0, path)
 
 
 def _trajectory_report(cfg, traj) -> dict:
@@ -275,8 +274,8 @@ def _cmd_solve(rest) -> int:
     p.add_argument("--out", required=True)
     args = p.parse_args(rest)
     from . import spectral
-    cfg, phi0, table = _load_experiment(args)
-    traj = _run_scheme(cfg, phi0, table)
+    cfg, phi0, path = _load_experiment(args)
+    traj = _run_scheme(cfg, phi0, path)
     os.makedirs(args.out, exist_ok=True)
     width = max(4, len(str(len(traj.states) - 1)))
     for i, st in enumerate(traj.states):
@@ -299,7 +298,7 @@ def _cmd_converge(rest) -> int:
     from . import solver, spectral
     if args.levels < 2:
         raise ConfigError("--levels must be at least 2")
-    cfg, phi0, table = _load_experiment(args)
+    cfg, phi0, path = _load_experiment(args)
     M = cfg.partition.size - 1
     # a 2^(levels-1) above M divides no M; it is refused before the shift is computed
     if args.levels - 1 >= M.bit_length() or M % (1 << (args.levels - 1)):
@@ -311,7 +310,7 @@ def _cmd_converge(rest) -> int:
     for lev in range(args.levels):
         Ml = M >> lev
         c = replace(cfg, partition=solver.uniform_partition(cfg.T, Ml))
-        finals.append(_run_scheme(c, phi0, table).states[-1])
+        finals.append(_run_scheme(c, phi0, path).states[-1])
         meshes.append(cfg.T / Ml)
 
     def gap(a, b):  # |u_a - u_b| in H^s between the final states of levels a and b
@@ -392,13 +391,10 @@ def _cmd_xnorm(rest) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     args = p.parse_args(rest)
-    from . import paths, phi, young
+    from . import paths, young
     young.check_kernel_box(args.d, args.k, args.N)
-    path = paths.load_path_csv(args.path)
-    table = phi.build_phi_table(path, young.table_mu_max(args.d, args.k, args.N))
-    cfg = young.YoungKernelConfig(args.d, args.k, args.N, table)
-    val = young.x_norm_estimate(cfg, args.gamma, args.s, args.trials,
-                                args.seed)
+    cfg = young.YoungKernelConfig(args.d, args.k, args.N, paths.load_path_csv(args.path))
+    val = young.x_norm_estimate(cfg, args.gamma, args.s, args.trials, args.seed)
     payload = {"norm_estimate": val, "gamma": args.gamma, "s": args.s,
                "d": args.d, "k": args.k, "N": args.N,
                "trials": args.trials, "seed": args.seed}

@@ -28,6 +28,7 @@ __all__ = [
     "make_modulated_path",
     "save_path_csv",
     "load_path_csv",
+    "horizon_limit",
 ]
 
 
@@ -46,14 +47,15 @@ class SamplePath:
             raise ConfigError("t_grid and values must be 1d arrays of equal length")
         if self.t_grid.size < 2:
             raise ConfigError("a path needs at least one segment (M >= 1)")
+        if not (np.all(np.isfinite(self.t_grid)) and np.all(np.isfinite(self.values))
+                and np.isfinite(self.offset)):
+            raise ConfigError(f"path nodes and offset must be finite (offset {self.offset})")
         if self.t_grid[0] != 0.0:
             raise ConfigError("the time grid must start at t = 0")
         if not np.all(np.diff(self.t_grid) > 0):
             raise ConfigError("the time grid must be strictly increasing")
         if self.values[0] != 0.0:
             raise ConfigError("paths are normalized to w(0) = 0; shift into offset")
-        if not (np.all(np.isfinite(self.t_grid)) and np.all(np.isfinite(self.values))):
-            raise ConfigError("path nodes must be finite")
 
     @property
     def T(self) -> float:
@@ -62,6 +64,19 @@ class SamplePath:
     @property
     def M(self) -> int:
         return self.t_grid.size - 1
+
+    def segments(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(dt, w) for 0 <= s <= t <= T: the lengths of the segments from s to t and the clock
+        values + offset at their ends (s, the nodes strictly inside, t), on that slice alone."""
+        lo, hi = np.searchsorted(self.t_grid, s, "right") - 1, np.searchsorted(self.t_grid, t) + 1
+        g, w = self.t_grid[lo:hi], self.values[lo:hi] + self.offset
+        return (np.diff(np.concatenate([[s], g[1:-1], [t]])),
+                np.concatenate([np.interp([s], g, w), w[1:-1], np.interp([t], g, w)]))
+
+
+def horizon_limit(T: float) -> float:
+    """The latest time read as the horizon T: the one tolerance, 1e-12 max(1, T) past T."""
+    return T + 1e-12 * max(1.0, T)
 
 
 def make_linear_path(T: float, M: int) -> SamplePath:
@@ -180,14 +195,14 @@ def load_path_csv(filename) -> SamplePath:
     return SamplePath(t_grid=t_grid, values=values - offset, offset=offset)
 
 
-def _csv_rows(filename, header: int) -> np.ndarray:
-    """The rows of a numeric CSV after its `header` lines, blank and comment lines
-    dropped, as a 2d array; ConfigError naming the file when no row is left."""
+def _csv_rows(filename, header: int, required: bool = True) -> np.ndarray | None:
+    """The rows of a numeric CSV after its `header` lines, blank and comment lines dropped,
+    as a 2d array; None when no row is left, or if `required` a ConfigError naming the file."""
     body = [ln for ln in Path(str(filename)).read_text().splitlines()[header:]
             if ln.split("#", 1)[0].strip()]
-    if not body:
+    if not body and required:
         raise ConfigError(f"{filename} holds no data rows")
-    return np.loadtxt(body, delimiter=",", ndmin=2)
+    return np.loadtxt(body, delimiter=",", ndmin=2) if body else None
 
 
 def _check_T_M(T: float, M: int) -> None:

@@ -8,9 +8,8 @@ a segment from (t0, w0) with increment (dt, dw) contributes
 a midpoint phase times a real amplitude, free of cancellation as a dw -> 0.
 Phi at a list of times sums the segments between consecutive requested
 times and accumulates only those block sums. There is no quadrature error
-anywhere in this module, only splitting logic. An OscillatoryTable holds a
-path's nodes and its clock there; its increment between any two times walks
-the integer frequencies the kernel reads on the segments between them alone.
+anywhere in this module, only splitting logic. The kernel walks the integer
+frequencies it reads on a step's own segments (SamplePath.segments) alone.
 
 The frequencies are walked in increasing |a| (Phi(-a) = conj Phi(a)),
 holding per segment G = e^{i a (w0 + dw/2)} and H = e^{i a dw/2}; the
@@ -43,11 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_int
-from .paths import SamplePath
+from .paths import SamplePath, horizon_limit
 from .spectral import _refuse_oversized
 
 __all__ = [
-    "OscillatoryTable",
     "IrregularityReport",
     "phi_increment",
     "build_phi_table",
@@ -78,9 +76,7 @@ def phi_increment(path: SamplePath, a: float, s: float, t: float) -> complex:
     """Exact Phi_t(a) - Phi_s(a) for the piecewise-linear path."""
     if not 0.0 <= s <= t:
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-    if t > path.T * (1 + 1e-12) + 1e-300:
-        raise ValueError(f"t={t} beyond the path horizon T={path.T}")
-    phi_s, phi_t = _phi_at_times(path, [a], [s, min(t, path.T)])[0]
+    phi_s, phi_t = _phi_at_times(path, [a], [s, t])[0]
     return complex(phi_t - phi_s)
 
 
@@ -92,8 +88,8 @@ def _phi_at_times(path: SamplePath, a_values, times):
     consecutive requested times are accumulated. The distinct |a| are
     walked upwards, in blocks of rows (module docstring).
     """
-    t_req = np.asarray(times, dtype=float)
-    if not np.all((t_req >= 0) & (t_req <= path.T * (1 + 1e-12))):  # NaN too
+    t_req = np.minimum(times, path.T)  # a time past T within horizon_limit is T
+    if not np.all((t_req >= 0) & (np.asarray(times) <= horizon_limit(path.T))):  # NaN too
         raise ValueError("requested times outside the path domain")
     tmax = t_req.max()
     inner = path.t_grid[(path.t_grid > 0) & (path.t_grid < tmax)]
@@ -172,36 +168,10 @@ def _block_sums(freqs, dt, w, starts):
     return sums
 
 
-@dataclass
-class OscillatoryTable:
-    """A path's nodes t_i and clock w(t_i), for Phi increments at |mu| <= mu_max."""
-
-    t_grid: np.ndarray
-    mu_max: int
-    clock: np.ndarray  # w(t_i), offset included; linear between nodes
-
-    def segments(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(dt, w) for 0 <= s <= t <= T: the lengths of the clock's segments from s
-        to t and the clock at their ends, the nodes strictly inside plus s and t."""
-        g = self.t_grid
-        inner = slice(np.searchsorted(g, s, "right"), np.searchsorted(g, t, "left"))
-        ends = np.interp([s, t], g, self.clock)
-        return (np.diff(np.concatenate([[s], g[inner], [t]])),
-                np.concatenate([ends[:1], self.clock[inner], ends[1:]]))
-
-    def increment(self, s: float, t: float, mu_max: int | None = None) -> np.ndarray:
-        """Phi_{t}(mu) - Phi_{s}(mu) for |mu| <= mu_max (the table's by default), index
-        mu + mu_max, integrated on the clock's segments from s to t."""
-        mu = self.mu_max if mu_max is None else mu_max
-        pos = _block_sums(np.arange(mu + 1.0), *self.segments(s, t), [0])[:, 1]
-        return np.concatenate([np.conj(pos[:0:-1]), pos])
-
-
-def build_phi_table(path: SamplePath, mu_max: int) -> OscillatoryTable:
-    """The table of a path for Phi increments at |mu| <= mu_max: its nodes and
-    clock, O(M); each increment integrates its own segments when asked."""
-    return OscillatoryTable(t_grid=path.t_grid.copy(), mu_max=check_int(mu_max, "mu_max", 0),
-                            clock=path.values + path.offset)
+def build_phi_table(path: SamplePath, mu_max: int) -> SamplePath:
+    """`path`, mu_max checked: perfbench's picard-d1 still calls this; ROADMAP item 1 deletes it."""
+    check_int(mu_max, "mu_max", 0)
+    return path
 
 
 @dataclass

@@ -25,9 +25,9 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import BlowUpError, ConfigError, NonConvergenceError, _is_int, check_int
-from .phi import OscillatoryTable
+from .paths import SamplePath, horizon_limit
 from .spectral import SpectralState, _check_box, _sq_norms, hs_norm, unit_mode, zero_state
-from .young import YoungKernelConfig, check_kernel_box, x_increment, x_increments
+from .young import YoungKernelConfig, _check_sobolev, check_kernel_box, x_increment, x_increments
 
 __all__ = [
     "SolverConfig",
@@ -84,10 +84,11 @@ class SolverConfig:
         p = self.partition
         if p.ndim != 1 or p.size < 2 or p[0] != 0.0 or not np.all(np.diff(p) > 0):
             raise ConfigError("partition must start at 0 and increase strictly")
-        if abs(p[-1] - self.T) > 1e-12 * max(1.0, self.T):
+        if p[-1] > horizon_limit(self.T) or self.T > horizon_limit(p[-1]):
             raise ConfigError(f"partition ends at {p[-1]}, config says T={self.T}")
         # the kernel's size rule on the box alone
         check_kernel_box(self.d, self.k, self.N)
+        _check_sobolev(self.s, self.d, self.N)
         threshold = self.d / 2 - self.rho / self.k
         if self.s <= threshold:
             warnings.warn(
@@ -95,8 +96,8 @@ class SolverConfig:
                 f"d/2 - rho/k = {threshold}; the solve may be outside the "
                 "proven regime", stacklevel=2)
 
-    def kernel(self, table: OscillatoryTable) -> YoungKernelConfig:
-        return YoungKernelConfig(self.d, self.k, self.N, table)
+    def kernel(self, path: SamplePath) -> YoungKernelConfig:
+        return YoungKernelConfig(self.d, self.k, self.N, path)
 
 
 @dataclass
@@ -114,13 +115,13 @@ class Trajectory:
 
 
 def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
-                   table: OscillatoryTable) -> SpectralState:
+                   path: SamplePath) -> SpectralState:
     """Left-point Riemann sum sum_j X_{t_j;t_{j+1}}(g(t_j)) over the partition."""
     p = cfg.partition
     if not (_is_int(s_idx) and _is_int(t_idx) and 0 <= s_idx <= t_idx <= p.size - 1):
         raise ConfigError(f"indices ({s_idx}, {t_idx}) outside the partition")
     acc = zero_state(cfg.d, cfg.N)
-    for inc in x_increments(cfg.kernel(table), list(zip(p[s_idx:t_idx], p[s_idx + 1:t_idx + 1])),
+    for inc in x_increments(cfg.kernel(path), list(zip(p[s_idx:t_idx], p[s_idx + 1:t_idx + 1])),
                             [[st] * (2 * cfg.k + 1) for st in g.states[s_idx:t_idx]]):
         acc.coeffs += inc
     return acc
@@ -161,18 +162,18 @@ def _march(cfg: SolverConfig, phi0: SpectralState, kc: YoungKernelConfig,
 
 
 def solve_euler_young(cfg: SolverConfig, phi0: SpectralState,
-                      table: OscillatoryTable) -> Trajectory:
+                      path: SamplePath) -> Trajectory:
     """One-step scheme phi_{j+1} = phi_j + X_{t_j;t_{j+1}}(phi_j)."""
-    return Trajectory(cfg.partition.copy(), _march(cfg, phi0, cfg.kernel(table)),
+    return Trajectory(cfg.partition.copy(), _march(cfg, phi0, cfg.kernel(path)),
                       {"scheme": "euler_young"})
 
 
 def solve_picard(cfg: SolverConfig, phi0: SpectralState,
-                 table: OscillatoryTable) -> Trajectory:
+                 path: SamplePath) -> Trajectory:
     """Iterate whole trajectories until the C^{0,lambda} residual drops below tol."""
     p = cfg.partition
     old = [phi0.copy() for _ in range(p.size)]
-    kc = cfg.kernel(table)
+    kc = cfg.kernel(path)
     residuals: list[float] = []
     for m in range(cfg.max_iter):
         new = _march(cfg, phi0, kc, feed=old)
@@ -255,7 +256,7 @@ def plane_wave_exact(c: complex, m, path, t: float, k: int, N: int) -> SpectralS
     only bounds the admissible horizon. Compose with apply_U at w(t) for
     the physical coefficients.
     """
-    if path is not None and not 0.0 <= t <= path.T * (1 + 1e-12):
+    if path is not None and not 0.0 <= t <= horizon_limit(path.T):
         raise ConfigError(f"t={t} outside the path horizon")
     amp = c * np.exp(-1j * abs(c) ** (2 * check_int(k, "nonlinearity index k")) * t)
     return unit_mode(np.size(m), N, m, amp)

@@ -32,6 +32,7 @@ from scipy.fft import fftn, ifft, next_fast_len
 
 from ._runtime import get_workers
 from .errors import ConfigError, NumericsError, _is_int, check_int
+from .paths import _csv_rows
 
 __all__ = [
     "SpectralState",
@@ -323,10 +324,9 @@ def load_state_csv(filename) -> SpectralState:
     _check_box(d, N)
     _refuse_oversized("memory", (2 * N + 1) ** d, "state coefficients")
     st = zero_state(d, N)
-    body = [ln for ln in Path(str(filename)).read_text().splitlines()[1:] if ln.strip()]
-    if not body:
+    data = _csv_rows(filename, 1, required=False)
+    if data is None:
         return st
-    data = np.loadtxt(body, delimiter=",", ndmin=2)
     if data.shape[1] != d + 2:
         raise ConfigError(f"state file has {data.shape[1]} columns, expected {d + 2}")
     if not np.all(np.isfinite(data)):

@@ -38,7 +38,7 @@ is admitted iff the phase path's L x P^d entries fit spectral's memory
 budget, shared with the fft fold. The rule depends on (d, k, N) alone,
 so the solver and the CLI apply it through check_kernel_box; the largest
 admitted N is 134, 103, 23 and 8 for (d, k) = (1, 1), (1, 2), (2, 1),
-(3, 1). The table must admit |mu| <= R.
+(3, 1).
 
 A clock frozen at c on the step needs one window node: all of t - s sits
 at c, and X_{s;t} = -i (t - s) U^{-c} N(U^{c} psi_1, ...); for c = 0 that
@@ -52,13 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, next_fast_len
 
-from .errors import ConfigError, check_int
-from .phi import OscillatoryTable
+from . import phi
+from .errors import ConfigError, NumericsError, check_int
+from .paths import SamplePath, horizon_limit
 from .spectral import (SpectralState, _check_box, _refuse_oversized, hs_norm, random_state,
                        walk_phases, zero_state)
 
-__all__ = ["YoungKernelConfig", "check_kernel_box", "table_mu_max", "x_increment",
-           "x_increments", "x_norm_estimate"]
+__all__ = ["YoungKernelConfig", "check_kernel_box", "x_increment", "x_increments",
+           "x_norm_estimate"]
 
 # phase-product entries per summation chunk of the phase path: 2^14 complex
 # entries are 256 KB, so a chunk's few arrays stay in a 2 MB L2 cache
@@ -77,10 +78,11 @@ def check_kernel_box(d: int, k: int, N: int) -> None:
     _refuse_oversized("memory", L * P ** d, f"kernel phase-grid entries ({L} x {P}^{d})")
 
 
-def table_mu_max(d: int, k: int, N: int) -> int:
-    """The table size rule: a kernel table on the box admits |mu| <= R."""
-    _check_box(d, N, k)
-    return _phase_grid(d, k, N)[0]
+def _check_sobolev(s: float, d: int, N: int) -> None:
+    """ConfigError unless the box's largest H^s weight (1 + d N^2)^|s| is a finite float."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(1 + d * N * N) ** abs(s)):  # NaN too
+            raise ConfigError(f"Sobolev index s={s} makes (1 + d N^2)^|s| non-finite at N={N}")
 
 
 def _phase_grid(d: int, k: int, N: int) -> tuple[int, int, int]:
@@ -91,21 +93,16 @@ def _phase_grid(d: int, k: int, N: int) -> tuple[int, int, int]:
 
 @dataclass
 class YoungKernelConfig:
-    """Validated (d, k, N) box plus the path's table driving the kernel."""
+    """Validated (d, k, N) box plus the modulation path whose clock drives the kernel."""
 
     d: int
     k: int
     N: int
-    table: OscillatoryTable
+    path: SamplePath
     _rules: dict = field(default_factory=dict, init=False, repr=False)  # (s, t) -> rule
 
     def __post_init__(self):
-        d, k, N = self.d, self.k, self.N
-        check_kernel_box(d, k, N)
-        R = table_mu_max(d, k, N)
-        if self.table.mu_max < R:
-            raise ConfigError(f"table mu_max={self.table.mu_max} is too small for the mode "
-                              f"box; need at least R = (k+1) d N^2 = {R}")
+        check_kernel_box(self.d, self.k, self.N)
 
     @property
     def n_factors(self) -> int:
@@ -129,21 +126,20 @@ def x_increments(cfg: YoungKernelConfig, spans, feeds) -> list:
     R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
     out = [np.zeros((2 * cfg.N + 1,) * cfg.d, dtype=complex) for _ in feeds]
     window = []  # (step, theta, c) of each window step
-    T = cfg.table.t_grid[-1]
     for j, ((s, t), states) in enumerate(zip(spans, feeds)):
         if len(states) != cfg.n_factors:
             raise ConfigError(f"need 2k+1 = {cfg.n_factors} factors, got {len(states)}")
         if any((st.d, st.N) != (cfg.d, cfg.N) for st in states):
             raise ConfigError("factor state does not match the kernel box")
-        if not 0 <= s <= t <= T + 1e-12 * max(1.0, T):  # NaN too
-            raise ConfigError(f"need 0 <= s <= t <= T = {T}, got s={s}, t={t}")
-        s, t = min(s, T), min(t, T)  # an end within the tolerance on the last node
+        if not 0 <= s <= t <= horizon_limit(cfg.path.T):  # NaN too
+            raise ConfigError(f"need 0 <= s <= t <= T = {cfg.path.T}, got s={s}, t={t}")
+        s, t = min(s, cfg.path.T), min(t, cfg.path.T)  # an end past T within the limit is T
         if s == t:
             continue
         if (s, t) not in cfg._rules:
-            cfg._rules[s, t] = _window_rule(cfg.table, s, t, R, L)
+            cfg._rules[s, t] = _window_rule(cfg.path, s, t, R, L)
         if cfg._rules[s, t] is None:
-            out[j] = -1j * _phase_sum(cfg, states, L, _turn_weights(cfg.table, s, t, R, L))
+            out[j] = -1j * _phase_sum(cfg, states, L, _turn_weights(cfg.path, s, t, R, L))
         else:
             window.append((j, *cfg._rules[s, t]))
     if window:
@@ -155,16 +151,15 @@ def x_increments(cfg: YoungKernelConfig, spans, feeds) -> list:
     return out
 
 
-def _turn_weights(table: OscillatoryTable, s: float, t: float, R: int, L: int) -> np.ndarray:
+def _turn_weights(path: SamplePath, s: float, t: float, R: int, L: int) -> np.ndarray:
     """c with dPhi(Omega) = sum_l c_l e^{2 pi i l Omega / L} on every |Omega| <= R.
 
-    w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L, from
-    the step's clock: exact to rounding whatever the clock does on the step.
+    w[Omega mod L] = dPhi(Omega) for |Omega| <= R and c = fft(w) / L, walked on
+    the step's own segments: exact to rounding whatever the clock does on the step.
     """
-    dphi = table.increment(s, t, R)
     w = np.zeros(L, dtype=complex)
-    w[:R + 1] = dphi[R:]
-    w[L - R:] = dphi[:R]
+    w[:R + 1] = phi._block_sums(np.arange(R + 1.0), *path.segments(s, t), [0])[:, 1]
+    w[L - R:] = np.conj(w[R:0:-1])  # dPhi(-Omega) = conj dPhi(Omega)
     return fft(w) / L
 
 
@@ -213,7 +208,7 @@ def _gauss_legendre(n: int):
     return u, 2 / ((1 - u * u) * dp * dp)
 
 
-def _window_rule(table: OscillatoryTable, s: float, t: float, R: int, L: int):
+def _window_rule(path: SamplePath, s: float, t: float, R: int, L: int):
     """(theta, c) of the window rule on the step s < t, or None when it needs
     p >= L nodes.
 
@@ -222,7 +217,7 @@ def _window_rule(table: OscillatoryTable, s: float, t: float, R: int, L: int):
     to within _WINDOW_EPS (_window_size at x = R (b - a) / 2), and
     c_l = int_s^t ell_l(w(r)) dr with ell_l the Lagrange basis.
     """
-    dt, w = table.segments(s, t)
+    dt, w = path.segments(s, t)
     mid, half = (w.max() + w.min()) / 2, (w.max() - w.min()) / 2
     p = _window_size(R * half, L)
     if p >= L:
@@ -300,10 +295,9 @@ def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,
     check_int(trials, "trials")
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_sobolev(s, cfg.d, cfg.N)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
-    t_grid = cfg.table.t_grid
-    if t_grid.size < 2:
-        raise ConfigError("table grid needs at least two times")
+    t_grid = cfg.path.t_grid
     best = 0.0
     for _ in range(trials):
         psis = [random_state(cfg.d, cfg.N, s, rng) for _ in range(cfg.n_factors)]
@@ -312,6 +306,9 @@ def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,
         denom = (t_grid[j] - t_grid[i]) ** gamma
         for p in psis:
             denom *= hs_norm(p, s)
-        if denom > 0:
-            best = max(best, hs_norm(inc, s) / denom)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            ratio = hs_norm(inc, s) / denom if denom else 0.0  # a zero denominator is skipped
+        if not np.isfinite(ratio):
+            raise NumericsError(f"trial norm ratio {ratio} at s={s}: the increment overflows")
+        best = max(best, ratio)
     return best

@@ -1,7 +1,6 @@
 """Shared test helpers: oracles independent of the library's fast paths."""
 
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -10,6 +9,7 @@ from scipy.signal import convolve
 
 from modnls import spectral
 from modnls.errors import ConfigError
+from modnls.phi import _block_sums
 from modnls.spectral import SpectralState
 
 settings.register_profile(
@@ -52,6 +52,13 @@ def gl_phase_integral(path, a_values, s, t, nodes=20, phase_cap=8.0):
             wv = np.interp(tau, grid, vals) + path.offset
             out += half * (np.exp(1j * np.outer(a_values, wv)) @ wq)
     return out if a_values.size > 1 else complex(out[0])
+
+
+def step_phi_increments(path, s, t, mu_max):
+    """Phi_t(mu) - Phi_s(mu) for |mu| <= mu_max, index mu + mu_max, as the kernel's turns
+    rule walks them: _block_sums on the step's own segments (path.segments)."""
+    pos = _block_sums(np.arange(mu_max + 1.0), *path.segments(s, t), [0])[:, 1]
+    return np.concatenate([np.conj(pos[:0:-1]), pos])
 
 
 def conj_state(state):
@@ -138,8 +145,8 @@ _DIRECT_TUPLE_LIMIT = 5_000_000
 def x_increment_direct(cfg, s, t, states):
     """Young kernel X_{s;t} by explicit enumeration of all interaction tuples.
 
-    Takes its Phi increments from quadrature of the table's clock
-    (gl_phase_integral), not from the table, and uses no fold: every
+    Takes its Phi increments from quadrature of the kernel's path
+    (gl_phase_integral), not from the closed form, and uses no fold: every
     (2k+1)-tuple of input modes is visited and its phase gathered by offset.
     """
     d, N, m = cfg.d, cfg.N, cfg.n_factors
@@ -174,8 +181,7 @@ def x_increment_direct(cfg, s, t, states):
     # can carry offsets beyond |Omega| <= R
     sel = inside.ravel()
     offsets, at = np.unique(omega.ravel()[sel], return_inverse=True)
-    clock = SimpleNamespace(t_grid=cfg.table.t_grid, values=cfg.table.clock, offset=0.0)
-    dphi = np.atleast_1d(gl_phase_integral(clock, offsets, s, t))
+    dphi = np.atleast_1d(gl_phase_integral(cfg.path, offsets, s, t))
     contrib = (-1j) * prod.ravel()[sel] * dphi[at]
     np.add.at(flat, idx.ravel()[sel], contrib)
     return SpectralState(d, N, flat.reshape((2 * N + 1,) * d))

@@ -119,8 +119,7 @@ def test_c04_x_increment_vs_duhamel():
     with criterion(4, "x_increment matches Duhamel quadrature", 60.0) as info:
         d, k, N = 1, 1, 6
         path = paths.make_fbm_path(0.5, 1.0, 64, seed=42)
-        table = phi.build_phi_table(path, (2 * k + 2) * d * N * N)
-        cfg = young.YoungKernelConfig(d, k, N, table)
+        cfg = young.YoungKernelConfig(d, k, N, path)
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(20):
@@ -146,7 +145,6 @@ def test_c05_sewing_rate():
             * np.sin(np.outer(2.0 ** octs * np.pi, grid)), axis=0)
         wvals[0] = 0.0
         path = paths.SamplePath(grid, wvals)
-        table = phi.build_phi_table(path, 16)
         cfg = solver.SolverConfig(
             d=1, k=1, N=2, s=1.0, gamma=0.55, lam=0.5, rho=1.0, T=T,
             partition=grid)
@@ -157,12 +155,12 @@ def test_c05_sewing_rate():
             axis=0)
         states = [spectral.SpectralState(1, 2, c * psi0.coeffs) for c in factor]
         traj = solver.Trajectory(grid, states, {})
-        kc = cfg.kernel(table)
+        kc = cfg.kernel(path)
         lengths, errs = [], []
         for j in range(5):
             t_idx = M >> j
             L = float(grid[t_idx])
-            fine = solver.young_integral(cfg, traj, 0, t_idx, table)
+            fine = solver.young_integral(cfg, traj, 0, t_idx, path)
             one = young.x_increment(kc, 0.0, L, [states[0]] * 3)
             errs.append(spectral.hs_norm(spectral.SpectralState(
                 1, 2, fine.coeffs - one.coeffs), 1.0))
@@ -177,7 +175,6 @@ def test_c06_plane_wave_order():
     with criterion(6, "plane wave: both schemes first order, err <= 1e-3", 60.0) as info:
         d, k, N, T = 1, 1, 2, 0.1
         path = paths.make_fbm_path(0.5, T, 128, seed=6)
-        table = phi.build_phi_table(path, (2 * k + 2) * d * N * N)
         phi0 = solver.plane_wave_exact(1.0, 1, path, 0.0, k, N)
         exact = solver.plane_wave_exact(1.0, 1, path, T, k, N)
         meshes = []
@@ -188,9 +185,9 @@ def test_c06_plane_wave_order():
                 cfg = solver.SolverConfig(
                     d=d, k=k, N=N, s=1.0, gamma=0.55, lam=0.5, rho=1.0, T=T,
                     partition=solver.uniform_partition(T, M), scheme=scheme)
-                traj = (solver.solve_euler_young(cfg, phi0, table)
+                traj = (solver.solve_euler_young(cfg, phi0, path)
                         if scheme == "euler_young"
-                        else solver.solve_picard(cfg, phi0, table))
+                        else solver.solve_picard(cfg, phi0, path))
                 errs[scheme].append(rel_l2(traj.states[-1], exact))
         details = []
         for scheme, e in errs.items():
@@ -205,13 +202,12 @@ def test_c07_picard_vs_split_step():
     with criterion(7, "w(t)=t Picard matches split-step reference", 300.0) as info:
         d, k, N, T, M = 1, 1, 16, 0.1, 400
         path = paths.make_linear_path(T, M)
-        table = phi.build_phi_table(path, (2 * k + 2) * d * N * N)
         phi0 = rescaled(spectral.random_state(d, N, 1.0, seed=7, decay=4.0),
                         1.0, 0.5)
         cfg = solver.SolverConfig(
             d=d, k=k, N=N, s=1.0, gamma=0.55, lam=0.5, rho=1.0, T=T,
             partition=solver.uniform_partition(T, M))
-        traj = solver.solve_picard(cfg, phi0, table)
+        traj = solver.solve_picard(cfg, phi0, path)
         ref = solver.reference_split_step(phi0, T, 1e-3, d, k, N)
         u_end = spectral.apply_U(traj.states[-1], T, "forward")
         err = rel_l2(u_end, ref.states[-1])
@@ -223,12 +219,11 @@ def test_c08_picard_contraction():
     with criterion(8, "Picard residuals contract by < 0.5 per sweep", 120.0) as info:
         d, k, N, T, M = 1, 1, 8, 0.25, 256
         path = paths.make_fbm_path(0.5, T, M, seed=9)
-        table = phi.build_phi_table(path, (2 * k + 2) * d * N * N)
         phi0 = rescaled(spectral.random_state(d, N, 1.0, seed=3), 0.0, 1e-2)
         cfg = solver.SolverConfig(
             d=d, k=k, N=N, s=1.0, gamma=0.55, lam=0.5, rho=1.0, T=T,
             partition=solver.uniform_partition(T, M), tol=1e-10, max_iter=15)
-        traj = solver.solve_picard(cfg, phi0, table)
+        traj = solver.solve_picard(cfg, phi0, path)
         res = traj.meta["residuals"]
         assert traj.meta["iterations"] <= 15
         assert res[-1] < 1e-10
@@ -243,14 +238,13 @@ def test_c09_mass_conservation():
     with criterion(9, "Picard mass drift <= 1e-4 and shrinks with the mesh", 300.0) as info:
         d, k, N, T = 1, 1, 8, 0.25
         path = paths.make_fbm_path(0.5, T, 512, seed=10)
-        table = phi.build_phi_table(path, (2 * k + 2) * d * N * N)
         phi0 = rescaled(spectral.random_state(d, N, 1.0, seed=4), 0.0, 0.1)
         drifts = []
         for M in (256, 512):
             cfg = solver.SolverConfig(
                 d=d, k=k, N=N, s=1.0, gamma=0.55, lam=0.5, rho=1.0, T=T,
                 partition=solver.uniform_partition(T, M))
-            drifts.append(mass_drift(solver.solve_picard(cfg, phi0, table)))
+            drifts.append(mass_drift(solver.solve_picard(cfg, phi0, path)))
         info["detail"] = f"drift {drifts[0]:.1e} -> {drifts[1]:.1e}"
         assert drifts[0] <= 1e-4
         assert drifts[0] / drifts[1] >= 1.5

@@ -62,6 +62,22 @@ def test_gen_path_fbm_missing_hurst(tmp_path, capsys):
     assert "--H" in diag["message"]
 
 
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_gen_path_non_finite_level_is_one_json_line(tmp_path, capsys, level):
+    # a constant clock at NaN or inf once wrote a CSV whose w column was all NaN
+    out = tmp_path / "c.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command(["gen-path", "--kind", "constant", "--T", "1.0", "--M", "8",
+                          "--c", level, "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError" and "offset must be finite" in diag["message"]
+    assert not out.exists()
+
+
 def test_irregularity_report_keys(tmp_path):
     pcsv = tmp_path / "lin.csv"
     assert run_command(["gen-path", "--kind", "linear", "--T", "1.0",
@@ -481,6 +497,43 @@ def test_init_state_non_finite_rejected(tmp_path, capsys):
     diag = json.loads(lines[0])
     assert diag["error"] == "ConfigError"
     assert "non-finite" in diag["message"]
+
+
+def test_init_state_of_comment_lines_is_the_zero_state(tmp_path, capsys):
+    # a body of comment and blank lines has no rows, as a header-only body:
+    # no numpy warning, and the solve starts from the zero state
+    init = tmp_path / "init.csv"
+    init.write_text("n_1,re,im\n# no modes\n\n")
+    init.with_suffix(".json").write_text('{"d": 1, "N": 2}\n')
+    cfg = write_config(tmp_path, init={"type": "file", "file": str(init)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert read_json(tmp_path / "x" / "report.json")["norms"] == [0.0] * 17
+
+
+@pytest.mark.parametrize("command,s", [("xnorm", "1e308"), ("xnorm", "nan"), ("xnorm", "-inf"),
+                                       ("solve", 1e308), ("solve", -1e308)])
+def test_sobolev_index_past_float_range_is_one_json_line(tmp_path, capsys, command, s):
+    # (1 + d N^2)^|s| overflows: every trial's norm and every residual would be
+    # NaN, after numpy warnings, and xnorm once wrote a norm of 0
+    if command == "xnorm":
+        pcsv = tmp_path / "lin.csv"
+        save_path_csv(make_linear_path(0.5, 8), pcsv)
+        argv = ["xnorm", "--path", str(pcsv), "--d", "1", "--k", "1", "--N", "2",
+                "--gamma", "0.55", f"--s={s}", "--trials", "2"]
+    else:
+        argv = ["solve", "--config", write_config(tmp_path, s=s)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "ConfigError" and "Sobolev index" in diag["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("rows,needle", [

@@ -12,10 +12,9 @@ from modnls.resonance import (dyadic_block_ratio, enumerate_A, eq21_ratio, eq26_
 from modnls.solver import (SolverConfig, Trajectory, plane_wave_exact, reference_split_step,
                            uniform_partition, young_integral)
 from modnls.spectral import nonlinearity, random_state, unit_mode, zero_state
-from modnls.young import YoungKernelConfig, check_kernel_box, table_mu_max, x_norm_estimate
+from modnls.young import YoungKernelConfig, check_kernel_box, x_norm_estimate
 
 PATH = make_linear_path(0.1, 4)
-TABLE = build_phi_table(PATH, table_mu_max(1, 1, 2))
 NAN = float("nan")
 
 
@@ -34,7 +33,7 @@ def solver_cfg(**kw):
 def young_sum(s_idx, t_idx):
     cfg = solver_cfg()
     traj = Trajectory(cfg.partition, [zero_state(1, 2)] * cfg.partition.size)
-    return young_integral(cfg, traj, s_idx, t_idx, TABLE)
+    return young_integral(cfg, traj, s_idx, t_idx, PATH)
 
 
 # every seed handed to numpy's default_rng: a Generator is still taken where
@@ -42,7 +41,7 @@ def young_sum(s_idx, t_idx):
 SEEDS = {
     "fbm_path-seed": (lambda v: make_fbm_path(0.5, 1.0, 4, v), 0),
     "random_state-seed": (lambda v: random_state(1, 2, 1.0, v), 0),
-    "x_norm-seed": (lambda v: x_norm_estimate(YoungKernelConfig(1, 1, 2, TABLE),
+    "x_norm-seed": (lambda v: x_norm_estimate(YoungKernelConfig(1, 1, 2, PATH),
                                               0.5, 1.0, 1, v), 0),
     "eq21-seed": (lambda v: estimate_ratio_eq21(2, 1, 1.0, 0.3, 0.0, 1, 2, 1, v), 0),
     "dyadic-seed": (lambda v: dyadic_block_ratio("eq27", (2, 2, 2, 2), None, 2, 1,
@@ -106,9 +105,7 @@ SITES = {
     "kernel-d": (lambda v: check_kernel_box(v, 1, 2), 1),
     "kernel-k": (lambda v: check_kernel_box(1, v, 2), 1),
     "kernel-N": (lambda v: check_kernel_box(1, 1, v), 4),
-    "table_mu_max-k": (lambda v: table_mu_max(1, v, 2), 1),
-    "table_mu_max-N": (lambda v: table_mu_max(1, 1, v), 4),
-    "x_norm-trials": (lambda v: x_norm_estimate(YoungKernelConfig(1, 1, 2, TABLE),
+    "x_norm-trials": (lambda v: x_norm_estimate(YoungKernelConfig(1, 1, 2, PATH),
                                                 0.5, 1.0, v, 0), 1),
     "linear_path-M": (lambda v: make_linear_path(1.0, v), 4),
     "fbm_path-M": (lambda v: make_fbm_path(0.5, 1.0, v, 0), 4),

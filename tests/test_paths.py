@@ -45,6 +45,15 @@ def test_path_validation_rejects_bad_grids():
         make_linear_path(1.0, 0)
 
 
+@pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+def test_non_finite_offset_refused(level):
+    # a constant clock at NaN or inf would reach the kernel as e^{i Omega offset}
+    with pytest.raises(ConfigError, match="offset must be finite"):
+        make_constant_path(level, 1.0, 4)
+    with pytest.raises(ConfigError, match="offset must be finite"):
+        SamplePath(t_grid=[0.0, 1.0], values=[0.0, 0.5], offset=level)
+
+
 def test_fbm_reproducible_and_normalized():
     a = make_fbm_path(0.5, 1.0, 64, seed=5)
     b = make_fbm_path(0.5, 1.0, 64, seed=5)

@@ -1,4 +1,4 @@
-"""Oscillatory integrals Phi_t(a), their tables, and irregularity estimation."""
+"""Oscillatory integrals Phi_t(a), their step increments, and irregularity estimation."""
 
 import math
 import tracemalloc
@@ -14,7 +14,6 @@ from modnls.paths import SamplePath, make_fbm_path, make_linear_path
 from modnls.phi import (
     IrregularityReport,
     _phi_at_times,
-    build_phi_table,
     default_a_grid,
     default_pairs,
     estimate_irregularity,
@@ -22,7 +21,7 @@ from modnls.phi import (
     phi_increment,
     trend_slope,
 )
-from tests.conftest import gl_phase_integral
+from tests.conftest import gl_phase_integral, step_phi_increments
 
 FBM = make_fbm_path(0.5, 1.0, 64, seed=3)
 WALK_RTOL = 64 * np.finfo(float).eps
@@ -129,9 +128,8 @@ def test_phi_at_times_against_two_exponential_cumsum():
     old = _phi_two_exponentials(path, a, times)
     np.testing.assert_allclose(_phi_at_times(path, a, times), old,
                                rtol=0, atol=1e-13)
-    table = build_phi_table(path, mu_max=40)
     old = _phi_two_exponentials(path, np.arange(41), path.t_grid)
-    got = np.array([table.increment(0.0, t)[40:] for t in path.t_grid])
+    got = np.array([step_phi_increments(path, 0.0, t, 40)[40:] for t in path.t_grid])
     np.testing.assert_allclose(got, old.T, rtol=0, atol=1e-13)
 
 
@@ -186,7 +184,7 @@ def test_walked_rows_against_quadrature(path, times):
 
 
 def test_walk_to_the_largest_table_frequency():
-    # table_mu_max(1, 2, 103) = 31827 integer frequencies on a 256-step
+    # R = (k+1) d N^2 = 31827 at (1, 2, 103): integer frequencies on a 256-step
     # clock, against the two-exponential form on the top rows and every
     # 97th; the walk restarts every 64 rows, so its rounding stays that
     # of the closed form's phase a w, about 1e-16 |a w| per segment
@@ -218,10 +216,9 @@ def test_phi_domain_errors():
 
 
 def test_table_matches_phi_increment():
-    table = build_phi_table(FBM, mu_max=6)
-    assert table.increment(0.0, FBM.T).shape == (13,)
+    assert step_phi_increments(FBM, 0.0, FBM.T, 6).shape == (13,)
     for i_s, i_t in ((0, 10), (3, 40), (20, 64)):
-        inc = table.increment(FBM.t_grid[i_s], FBM.t_grid[i_t])
+        inc = step_phi_increments(FBM, FBM.t_grid[i_s], FBM.t_grid[i_t], 6)
         for mu in range(-6, 7):
             direct = phi_increment(FBM, mu, FBM.t_grid[i_s], FBM.t_grid[i_t])
             assert inc[mu + 6] == pytest.approx(direct, abs=1e-13)
@@ -240,23 +237,21 @@ def test_step_increment_from_the_clock(path, i_s, i_t):
     # one segment, seven, the whole clock, flat segments and an offset: the
     # step's Phi increment, integrated on its own segments, over 200 rows
     # (three anchors and a ragged tail) against quadrature
-    table = build_phi_table(path, mu_max=200)
-    got = table.increment(path.t_grid[i_s], path.t_grid[i_t])
+    got = step_phi_increments(path, path.t_grid[i_s], path.t_grid[i_t], 200)
     want = gl_phase_integral(path, np.arange(-200, 201), path.t_grid[i_s], path.t_grid[i_t])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_step_increment_to_the_largest_table_frequency():
-    # table_mu_max(1, 2, 103) = 31827 rows on a 256-step clock: the top rows
-    # and every 97th of a short step, a long one and the whole clock against
+    # R = 31827 rows at (1, 2, 103) on a 256-step clock: the top rows and
+    # every 97th of a short step, a long one and the whole clock against
     # the two-exponential form
     path = make_fbm_path(0.5, 1.0, 256, seed=4)
-    table = build_phi_table(path, mu_max=31827)
     a = np.arange(31828.0)
     rows = np.concatenate([np.arange(0, a.size, 97), np.arange(a.size - 130, a.size)])
     for i_s, i_t in ((40, 41), (7, 100), (0, 256)):
         ends = _phi_two_exponentials(path, a[rows], path.t_grid[[i_s, i_t]])
-        got = table.increment(*path.t_grid[[i_s, i_t]])[31827:][rows]
+        got = step_phi_increments(path, *path.t_grid[[i_s, i_t]], 31827)[31827:][rows]
         np.testing.assert_allclose(got, ends[:, 1] - ends[:, 0], rtol=0, atol=1e-13)
 
 

@@ -16,7 +16,6 @@ from modnls import _fold, _runtime, resonance, spectral
 from modnls._fold import alternating_slots, fold
 from modnls.errors import ConfigError, NumericsError
 from modnls.paths import make_linear_path
-from modnls.phi import build_phi_table
 from modnls.resonance import (
     EstimateReport,
     _block_lhs,
@@ -33,7 +32,7 @@ from modnls.resonance import (
     estimate_ratio_eq21,
     verify_counting_partition,
 )
-from modnls.young import YoungKernelConfig, table_mu_max, x_norm_estimate
+from modnls.young import YoungKernelConfig, x_norm_estimate
 from tests.conftest import record_phase_ffts
 
 
@@ -594,7 +593,7 @@ def test_dyadic_block_ratio_witness_trials(monkeypatch):
 
 def _kernel_xnorm(trials):
     path = make_linear_path(1.0, 8)
-    cfg = YoungKernelConfig(1, 1, 2, build_phi_table(path, table_mu_max(1, 1, 2)))
+    cfg = YoungKernelConfig(1, 1, 2, path)
     return x_norm_estimate(cfg, gamma=0.5, s=0.5, trials=trials, seed=0)
 
 

@@ -11,7 +11,6 @@ from modnls import phi as phi_module
 from modnls import solver, young
 from modnls.errors import BlowUpError, ConfigError, NonConvergenceError
 from modnls.paths import make_fbm_path, make_linear_path
-from modnls.phi import build_phi_table
 from modnls.solver import (
     SolverConfig,
     Trajectory,
@@ -32,11 +31,6 @@ def make_cfg(**kw):
     return SolverConfig(**base)
 
 
-def table_for(cfg, path):
-    mu_max = (2 * cfg.k + 2) * cfg.d * cfg.N * cfg.N
-    return build_phi_table(path, mu_max)
-
-
 def test_config_validation():
     with pytest.raises(ConfigError, match="0 < lambda < gamma <= 1"):
         make_cfg(gamma=0.6, lam=0.7)
@@ -50,6 +44,9 @@ def test_config_validation():
         make_cfg(partition=uniform_partition(0.4, 8))  # must end at T
     with pytest.raises(ConfigError):
         make_cfg(rho=-1.0)
+    for s in (np.nan, 1e308, -1e308):  # the box weight (1 + d N^2)^|s| must be a float
+        with pytest.raises(ConfigError, match="Sobolev index"):
+            make_cfg(s=s)
     with pytest.warns(UserWarning):
         make_cfg(s=0.2, rho=0.2)  # below the s > d/2 - rho/k advisory line
 
@@ -62,7 +59,7 @@ def test_uniform_partition():
 def test_kernel_from_config():
     cfg = make_cfg()
     path = make_linear_path(cfg.T, 16)
-    kern = cfg.kernel(table_for(cfg, path))
+    kern = cfg.kernel(path)
     assert (kern.d, kern.k, kern.N) == (cfg.d, cfg.k, cfg.N)
 
 
@@ -74,7 +71,7 @@ def test_plane_wave_scalar_recursion_oracle():
                    partition=uniform_partition(0.5, 64))
     c = 0.7 + 0.2j
     phi0 = unit_mode(1, 2, 1, amplitude=c)
-    traj = solve_euler_young(cfg, phi0, table_for(cfg, path))
+    traj = solve_euler_young(cfg, phi0, path)
     a = c
     h = 0.5 / 64
     for _ in range(64):
@@ -101,9 +98,8 @@ def test_picard_fixed_point_is_euler_trajectory():
     path = make_fbm_path(0.5, 0.5, 32, seed=10)
     cfg = make_cfg(T=0.5, N=3, partition=uniform_partition(0.5, 32))
     phi0 = random_state(1, 3, cfg.s, seed=3, scale=0.05)
-    table = table_for(cfg, path)
-    euler = solve_euler_young(cfg, phi0, table)
-    picard = solve_picard(cfg, phi0, table)
+    euler = solve_euler_young(cfg, phi0, path)
+    picard = solve_picard(cfg, phi0, path)
     diff = max(np.abs(a.coeffs - b.coeffs).max()
                for a, b in zip(euler.states, picard.states))
     assert diff <= 10 * cfg.tol
@@ -129,7 +125,7 @@ def test_picard_residual_is_the_c0lambda_norm(monkeypatch):
     path = make_fbm_path(0.5, 0.5, 16, seed=12)
     cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 16))
     traj = solve_picard(cfg, random_state(1, 2, cfg.s, seed=4, scale=0.05),
-                        table_for(cfg, path))
+                        path)
     assert len(seen) == traj.meta["iterations"] >= 2
     for res, (diff, times, lam, s) in zip(traj.meta["residuals"], seen):
         norms = [hs_norm(SpectralState(1, 2, c), s) for c in diff]
@@ -151,7 +147,7 @@ def test_picard_makes_each_window_rule_once_per_solve(monkeypatch):
     path = make_fbm_path(0.3, 0.1, 16, seed=12)
     cfg = make_cfg(N=4, T=0.1, partition=uniform_partition(0.1, 16))
     traj = solve_picard(cfg, random_state(1, 4, cfg.s, seed=4, scale=0.05),
-                        table_for(cfg, path))
+                        path)
     assert traj.meta["iterations"] >= 2
     assert sweeps == [16] * traj.meta["iterations"]
     assert rules == list(zip(cfg.partition[:-1], cfg.partition[1:]))
@@ -160,7 +156,7 @@ def test_picard_makes_each_window_rule_once_per_solve(monkeypatch):
 def test_picard_on_the_benchmark_shape_integrates_no_phi(monkeypatch):
     # picard-d1's shape, (1, 1, 16) on an fBm H=0.3 clock with T = 0.1 and
     # M = 64: every step takes window nodes, which read only the clock, so
-    # neither the table nor the solve integrates a Phi
+    # the solve integrates no Phi
     calls = []
     for name in ("_phi_at_times", "_block_sums"):
         fn = getattr(phi_module, name)
@@ -170,7 +166,7 @@ def test_picard_on_the_benchmark_shape_integrates_no_phi(monkeypatch):
     path = make_fbm_path(0.3, 0.1, 64, seed=101)
     st = random_state(1, 16, 1.0, seed=101, decay=4.0)
     phi0 = SpectralState(1, 16, st.coeffs * (0.1 / hs_norm(st, 1.0)))
-    traj = solve_picard(cfg, phi0, build_phi_table(path, young.table_mu_max(1, 1, 16)))
+    traj = solve_picard(cfg, phi0, path)
     assert traj.meta["iterations"] == 4 and calls == []
 
 
@@ -206,11 +202,11 @@ def test_picard_residual_memory_is_row_blocked():
     # distance and time matrices would peak at about 738 MiB
     cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 4000), tol=1e-300, max_iter=2)
     phi0 = random_state(1, 2, 1.0, seed=4, scale=0.05)
-    table = table_for(cfg, make_linear_path(0.5, 4000))
+    path = make_linear_path(0.5, 4000)
     tracemalloc.start()
     try:
         with pytest.raises(NonConvergenceError):
-            solve_picard(cfg, phi0, table)
+            solve_picard(cfg, phi0, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -237,7 +233,7 @@ def test_picard_non_convergence_reports_residuals():
     cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 16), max_iter=2)
     phi0 = random_state(1, 2, cfg.s, seed=5, scale=0.3)
     with pytest.raises(NonConvergenceError) as exc:
-        solve_picard(cfg, phi0, table_for(cfg, path))
+        solve_picard(cfg, phi0, path)
     assert exc.value.iterations == 2
     assert len(exc.value.residuals) == 2
     assert "halving T" in str(exc.value)
@@ -251,7 +247,7 @@ def test_euler_blow_up_guard():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(BlowUpError) as exc:
-            solve_euler_young(cfg, phi0, table_for(cfg, path))
+            solve_euler_young(cfg, phi0, path)
     assert exc.value.step >= 1
     assert exc.value.norm > exc.value.limit or not np.isfinite(exc.value.norm)
 
@@ -273,12 +269,11 @@ def test_holder_norms_on_two_point_trajectory():
 def test_young_integral_splits():
     path = make_fbm_path(0.5, 0.5, 16, seed=13)
     cfg = make_cfg(T=0.5, partition=uniform_partition(0.5, 16))
-    table = table_for(cfg, path)
     states = [random_state(1, 2, 1.0, seed=40 + i, scale=0.3) for i in range(17)]
     traj = Trajectory(cfg.partition, states)
-    whole = young_integral(cfg, traj, 0, 16, table)
-    first = young_integral(cfg, traj, 0, 7, table)
-    second = young_integral(cfg, traj, 7, 16, table)
+    whole = young_integral(cfg, traj, 0, 16, path)
+    first = young_integral(cfg, traj, 0, 7, path)
+    second = young_integral(cfg, traj, 7, 16, path)
     np.testing.assert_allclose(whole.coeffs, first.coeffs + second.coeffs,
                                atol=1e-14)
 
@@ -310,7 +305,7 @@ def test_picard_mass_drift_shrinks_with_mesh():
     drifts = []
     for M in (32, 64):
         cfg = make_cfg(T=0.25, partition=uniform_partition(0.25, M))
-        traj = solve_picard(cfg, phi0, table_for(cfg, path))
+        traj = solve_picard(cfg, phi0, path)
         masses = np.array([hs_norm(st, 0.0) for st in traj.states])
         drifts.append(np.abs(masses - masses[0]).max() / masses[0])
     assert drifts[1] < drifts[0]
@@ -325,6 +320,6 @@ def test_overflowing_state_hits_the_guard():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(BlowUpError) as exc:
-            solve_euler_young(cfg, phi0, table_for(cfg, path))
+            solve_euler_young(cfg, phi0, path)
     assert exc.value.step == 1
     assert not np.isfinite(exc.value.norm)

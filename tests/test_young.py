@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from modnls import phi as phi_module
 from modnls.errors import ConfigError, NumericsError
 from modnls.paths import (SamplePath, make_constant_path, make_fbm_path,
                           make_linear_path, make_modulated_path)
-from modnls.phi import build_phi_table
 from modnls.solver import SolverConfig, uniform_partition
 from modnls.spectral import (SpectralState, hs_norm, nonlinearity, random_state, unit_mode,
                              zero_state)
@@ -22,19 +22,16 @@ from modnls.young import (
     YoungKernelConfig,
     _phase_grid,
     check_kernel_box,
-    table_mu_max,
     x_increment,
     x_increments,
     x_norm_estimate,
 )
 from tests.conftest import (conj_state, duhamel_x_oracle, record_phase_ffts, resonance_offset,
-                            x_increment_direct)
+                            step_phi_increments, x_increment_direct)
 
 
 def make_kernel(d, k, N, path):
-    mu_max = (2 * k + 2) * d * N * N
-    table = build_phi_table(path, mu_max)
-    return YoungKernelConfig(d=d, k=k, N=N, table=table)
+    return YoungKernelConfig(d=d, k=k, N=N, path=path)
 
 
 def test_worked_single_tuple_example():
@@ -141,15 +138,16 @@ def _corner_state(d, N):
 
 
 def _fold_oracle(cfg, s, t, states):
-    """-i times the q-bucketed fold contracted with the Phi increments.
+    """-i times the q-bucketed fold contracted with the Phi increments at
+    |mu| <= (2k+2) d N^2.
 
     The dense backend shift-accumulates slot entries, so it shares no
     phase product with the kernel's phase path.
     """
-    dphi = cfg.table.increment(s, t)
+    mu_max = (2 * cfg.k + 2) * cfg.d * cfg.N ** 2
     slots = _fold.alternating_slots([st.coeffs for st in states])
     res = _fold.fold_dense(slots, cfg.d).crop_spatial(cfg.N)
-    return -1j * res.contract(dphi, cfg.table.mu_max)
+    return -1j * res.contract(step_phi_increments(cfg.path, s, t, mu_max), mu_max)
 
 
 def _assert_rel(got, want, rel):
@@ -244,26 +242,6 @@ def test_phase_path_does_not_depend_on_worker_count(task_chunks, monkeypatch):
         on_pool = {t for t, _ in log} != {threading.get_ident()}
         assert on_pool == (n == 2 and task_chunks is not None)
     assert np.array_equal(out[0], out[1])
-
-
-@pytest.mark.parametrize("d,k,N", [(1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 2)])
-def test_window_table_drives_both_paths(d, k, N):
-    # a Phi table of exactly the in-box window |mu| <= R gives the bits
-    # of a (2k+2) d N^2 table, the corner state reaching Omega = -R and +R
-    # for k = 1; one column fewer is refused
-    R = (k + 1) * d * N * N
-    assert table_mu_max(d, k, N) == R
-    path = make_fbm_path(0.3, 0.5, 64, seed=12)
-    cfg = YoungKernelConfig(d, k, N, build_phi_table(path, R))
-    wide = make_kernel(d, k, N, path)
-    psi = _corner_state(d, N)
-    rng = np.random.default_rng(8)
-    for states in ([psi] * (2 * k + 1),
-                   [psi] + [random_state(d, N, 0.5, seed=rng) for _ in range(2 * k)]):
-        got = x_increment(cfg, 0.0, path.T, states).coeffs
-        np.testing.assert_array_equal(got, x_increment(wide, 0.0, path.T, states).coeffs)
-    with pytest.raises(ConfigError, match="mu_max"):
-        YoungKernelConfig(d, k, N, build_phi_table(path, R - 1))
 
 
 def _negated(path):
@@ -381,10 +359,10 @@ def _window_clock(kind):
 def _rule_sums(cfg, i, j, states):
     """The phase sum on the step from node i to node j by the window rule and by the L turns."""
     R, L, _ = _phase_grid(cfg.d, cfg.k, cfg.N)
-    s, t = cfg.table.t_grid[[i, j]]
-    window = young._window_rule(cfg.table, s, t, R, L)
+    s, t = cfg.path.t_grid[[i, j]]
+    window = young._window_rule(cfg.path, s, t, R, L)
     assert window is not None
-    turns = (L, young._turn_weights(cfg.table, s, t, R, L))
+    turns = (L, young._turn_weights(cfg.path, s, t, R, L))
     return young._phase_sum(cfg, states, *window), young._phase_sum(cfg, states, *turns)
 
 
@@ -426,8 +404,8 @@ def test_window_weights_integrate_polynomials_exactly(span, clock):
     R, L, _ = _phase_grid(2, 1, 3)
     u, g = np.polynomial.legendre.leggauss(64)
     for i in sorted({0, min(8, 64 - span), 64 - span}):
-        w, t = cfg.table.clock[i:i + span + 1], cfg.table.t_grid[i:i + span + 1]
-        theta, c = young._window_rule(cfg.table, t[0], t[-1], R, L)
+        w, t = path.values[i:i + span + 1] + path.offset, path.t_grid[i:i + span + 1]
+        theta, c = young._window_rule(path, t[0], t[-1], R, L)
         if c.size == 1:  # a flat or 1e-13 step: all of t - s on one node
             assert c[0] == t[-1] - t[0]
             continue
@@ -496,13 +474,13 @@ def test_frozen_clock_walks_one_window_node(d, k, N, level, monkeypatch):
 
 def _equispaced_x(cfg, s, t, states):
     """X_{s;t} by the L equispaced turns alone, as the kernel computed it
-    before window nodes: c = fft(w) / L of the table's increments."""
-    d, N, mu = cfg.d, cfg.N, cfg.table.mu_max
+    before window nodes: c = fft(w) / L of the step's Phi increments."""
+    d, N = cfg.d, cfg.N
     R, L, P = _phase_grid(d, cfg.k, N)
-    dphi = cfg.table.increment(s, t)
+    dphi = step_phi_increments(cfg.path, s, t, R)
     w = np.zeros(L, dtype=complex)
-    w[:R + 1] = dphi[mu:mu + R + 1]
-    w[L - R:] = dphi[mu - R:mu]
+    w[:R + 1] = dphi[R:]
+    w[L - R:] = dphi[:R]
     c = fft(w) / L
     crop = (slice(None),) + (slice(0, 2 * N + 1),) * d
     sources, conj = [st.coeffs for st in states], [j % 2 for j in range(len(states))]
@@ -653,13 +631,13 @@ def test_turns_step_at_the_largest_box_builds_no_table():
     states = [unit_mode(1, 103, 0, 0.5), unit_mode(1, 103, 3, 0.2)] * 2 + [unit_mode(1, 103, 0)]
     tracemalloc.start()
     try:
-        cfg = YoungKernelConfig(1, 2, 103, build_phi_table(path, table_mu_max(1, 2, 103)))
+        cfg = YoungKernelConfig(1, 2, 103, path)
         got = x_increment(cfg, 0.0, 1.0, states)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
-    assert young._window_rule(cfg.table, 0.0, 1.0, *_phase_grid(1, 2, 103)[:2]) is None
+    assert young._window_rule(path, 0.0, 1.0, *_phase_grid(1, 2, 103)[:2]) is None
     assert np.isfinite(got.coeffs).all() and np.abs(got.coeffs).max() > 0
 
 
@@ -708,6 +686,24 @@ def test_off_node_steps_against_duhamel_oracle(d, k, N, scale, monkeypatch):
     assert {kind for kind, _ in walks} == {"window" if scale == 1 else "turns"}
 
 
+@pytest.mark.parametrize("scale", [1, 400], ids=["window", "turns"])
+def test_off_node_steps_on_an_offset_clock_against_duhamel_oracle(scale, monkeypatch):
+    # the kernel reads values + offset of the path itself: off-node steps on
+    # an fBm clock at offset -1.25, by window nodes and by the L turns
+    base = make_fbm_path(0.5, 0.5, 64, seed=7)
+    path = SamplePath(base.t_grid, scale * base.values, offset=-1.25)
+    cfg = make_kernel(2, 1, 3, path)
+    walks = _spy_walks(monkeypatch)
+    rng = np.random.default_rng(5)
+    states = [random_state(2, 3, 0.5, seed=rng) for _ in range(3)]
+    g, h = path.t_grid, path.t_grid[1]
+    for s, t in ((g[20] + 0.25 * h, g[20] + 0.7 * h), (g[5] + 0.4 * h, g[23] + 0.1 * h),
+                 (0.3 * h, path.T)):
+        got = x_increment(cfg, s, t, states).coeffs
+        _assert_rel(got, duhamel_x_oracle(path, s, t, states), 1e-12)
+    assert {kind for kind, _ in walks} == {"window" if scale == 1 else "turns"}
+
+
 def test_cap_guard():
     # the phase budget is the only size rule: (1, 1, 33) is well inside
     # it, (3, 3, 4) needs 385 x 33^3 = 1.4e7 entries and (3, 3, 5) needs
@@ -716,9 +712,8 @@ def test_cap_guard():
     cfg = make_kernel(1, 1, 33, path)
     assert cfg.N == 33
     check_kernel_box(3, 3, 4)
-    table = build_phi_table(path, mu_max=table_mu_max(3, 3, 5))
     with pytest.raises(NumericsError, match="memory budget"):
-        YoungKernelConfig(d=3, k=3, N=5, table=table)
+        YoungKernelConfig(d=3, k=3, N=5, path=path)
 
 
 # largest N whose L x P^d phase grid fits the entry budget
@@ -731,10 +726,9 @@ _ADMITTED_MAX = {(1, 1): 134, (1, 2): 103, (1, 3): 85, (1, 4): 73,
 def test_kernel_admission_is_the_fold_budget(d, k):
     # admitted iff the phase path's L x P^d entries fit the budget, with
     # R = (k+1) d N^2, L = next_fast_len(2R + 1) and
-    # P = next_fast_len((2k+2) N + 1); the rule runs before the config
-    # reads its Phi table (the name dates from when kernel boxes were
-    # admitted by the fold's budget)
-    empty = build_phi_table(make_linear_path(1.0, 1), 0)
+    # P = next_fast_len((2k+2) N + 1), and on the box alone (the name dates
+    # from when kernel boxes were admitted by the fold's budget)
+    path = make_linear_path(1.0, 1)
     admitted = []
     for N in range(1, _ADMITTED_MAX[d, k] + 2):
         R = (k + 1) * d * N * N
@@ -746,12 +740,11 @@ def test_kernel_admission_is_the_fold_budget(d, k):
             admitted.append(N)
             check_kernel_box(d, k, N)
             SolverConfig(**solver_cfg)
-            with pytest.raises(ConfigError, match="mu_max"):  # past the rule
-                YoungKernelConfig(d, k, N, empty)
+            YoungKernelConfig(d, k, N, path)
         else:
             for refuse in (lambda: check_kernel_box(d, k, N),
                            lambda: SolverConfig(**solver_cfg),
-                           lambda: YoungKernelConfig(d, k, N, empty)):
+                           lambda: YoungKernelConfig(d, k, N, path)):
                 with pytest.raises(NumericsError, match="memory budget"):
                     refuse()
     assert admitted == list(range(1, _ADMITTED_MAX[d, k] + 1))
@@ -775,6 +768,20 @@ def test_states_validation():
     bad = [unit_mode(1, 3, 0), good[1], good[2]]
     with pytest.raises(ConfigError):
         x_increment(cfg, 0.0, 1.0, bad)
+
+
+def test_x_norm_estimate_refuses_what_it_cannot_weigh():
+    # an s whose box weight (1 + d N^2)^|s| overflows is refused up front; at
+    # s = -200 the weights are finite but an increment's H^s norm overflows,
+    # which raises where it once dropped the trial
+    cfg = make_kernel(1, 1, 2, make_linear_path(1.0, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e308, -np.inf, np.nan):
+            with pytest.raises(ConfigError, match="Sobolev index"):
+                x_norm_estimate(cfg, gamma=0.5, s=s, trials=2, seed=0)
+        with pytest.raises(NumericsError, match="overflows"):
+            x_norm_estimate(cfg, gamma=0.5, s=-200.0, trials=2, seed=0)
 
 
 def test_x_norm_estimate_deterministic_extension():
