@@ -252,8 +252,9 @@ def _run_scheme(cfg, phi0, path):
 
 def _trajectory_report(cfg, traj) -> dict:
     from . import spectral
-    norms = [spectral.hs_norm(st, cfg.s) for st in traj.states]
-    mass = [spectral.hs_norm(st, 0.0) for st in traj.states]
+    coeffs = [st.coeffs for st in traj.states]
+    norms = spectral._hs_norms(coeffs, spectral._hs_weight(cfg.d, cfg.N, cfg.s)).tolist()
+    mass = spectral._hs_norms(coeffs, spectral._hs_weight(cfg.d, cfg.N, 0.0)).tolist()
     drift = 0.0
     if mass[0] > 0:
         drift = max(abs(m - mass[0]) for m in mass) / mass[0]

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# rows of a CSV formatted and written at once by _write_csv
+_CSV_BLOCK_ROWS = 1 << 12
+
+
 @dataclass
 class SamplePath:
     """Piecewise-linear path on [0, T] sampled at strictly increasing nodes."""
@@ -175,13 +179,14 @@ def make_modulated_path(profile, eps: float, T: float, M: int) -> SamplePath:
 
 
 def save_path_csv(path: SamplePath, filename) -> None:
-    """Write node rows "t,w" with 17 significant digits.
+    """Write the header "t,w" and one row "t,w" per node, both with "%.17g" (17
+    significant digits), through _write_csv's row blocks.
 
     The w column carries the actual clock level values + offset, so a
     reload through load_path_csv recovers the same modulation values.
     """
     data = np.column_stack([path.t_grid, path.values + path.offset])
-    np.savetxt(filename, data, fmt="%.17g", delimiter=",", header="t,w", comments="")
+    _write_csv(filename, "t,w", ["%.17g", "%.17g"], data)
 
 
 def load_path_csv(filename) -> SamplePath:
@@ -193,6 +198,19 @@ def load_path_csv(filename) -> SamplePath:
     values = data[:, 1]
     offset = float(values[0])
     return SamplePath(t_grid=t_grid, values=values - offset, offset=offset)
+
+
+def _write_csv(filename, header: str, fmt: list[str], data: np.ndarray) -> None:
+    """Write the line `header`, then each row of the 2d array `data` with the column formats
+    `fmt` joined by commas, byte for byte as numpy's savetxt writes them with
+    delimiter="," and comments="". Rows go in blocks of at most _CSV_BLOCK_ROWS, each one
+    % format of the repeated row format and one write, not one of each per row."""
+    row = ",".join(fmt) + "\n"
+    with open(filename, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[lo:lo + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _csv_rows(filename, header: int, required: bool = True) -> np.ndarray | None:

@@ -26,7 +26,8 @@ from scipy.fft import next_fast_len
 
 from .errors import BlowUpError, ConfigError, NonConvergenceError, _is_int, check_int
 from .paths import SamplePath, horizon_limit
-from .spectral import SpectralState, _check_box, _sq_norms, hs_norm, unit_mode, zero_state
+from .spectral import (SpectralState, _check_box, _hs_norms, _hs_weight, hs_norm, unit_mode,
+                       zero_state)
 from .young import YoungKernelConfig, _check_sobolev, check_kernel_box, x_increment, x_increments
 
 __all__ = [
@@ -128,9 +129,9 @@ def young_integral(cfg: SolverConfig, g: Trajectory, s_idx: int, t_idx: int,
 
 
 def _guard(step: int, coeffs: np.ndarray, weight: np.ndarray, limit: float) -> None:
-    """BlowUpError at the first stacked state coeffs[i] (step + i) whose H^s norm exceeds limit."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.sum(weight.ravel() * np.abs(coeffs.reshape(len(coeffs), -1)) ** 2, 1))
+    """BlowUpError at the first stacked state coeffs[i] (step + i) whose H^s norm, under the
+    flat weight of _hs_weight, exceeds limit."""
+    norms = _hs_norms(coeffs, weight)
     for i in np.flatnonzero(~(norms <= limit))[:1]:  # NaN fails too
         raise BlowUpError(step + int(i), float(norms[i]), limit)
 
@@ -144,7 +145,7 @@ def _march(cfg: SolverConfig, phi0: SpectralState, kc: YoungKernelConfig,
     and one cumsum). The guard sees the raw coefficients, before any state is built.
     """
     p, m = cfg.partition, 2 * cfg.k + 1
-    weight = (1.0 + _sq_norms(cfg.d, cfg.N)) ** cfg.s
+    weight = _hs_weight(cfg.d, cfg.N, cfg.s)
     norm0 = hs_norm(phi0, cfg.s)
     limit = _BLOWUP_FACTOR * norm0 if norm0 > 0 else 1.0
     states = [phi0.copy()]
@@ -192,7 +193,7 @@ def _distance(states_a, states_b, times: np.ndarray, lam: float, s: float) -> fl
     max_i |D_i|_{H^s} plus max_{i<j} |D_i - D_j|_{H^s} / |t_i - t_j|^lambda, from the Gram
     rows j >= i of the stacked D, 256 rows at a time from the last, each with its diagonal."""
     D = np.stack([a.coeffs.ravel() - b.coeffs.ravel() for a, b in zip(states_a, states_b)])
-    Dw = D * (1.0 + _sq_norms(states_a[0].d, states_a[0].N)).ravel() ** s
+    Dw = D * _hs_weight(states_a[0].d, states_a[0].N, s)
     diag, ratio = np.empty(len(D)), 0.0
     for lo in range(len(D) - 1 - (len(D) - 1) % 256, -1, -256):
         G = Dw[lo:lo + 256] @ D[lo:].conj().T

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import Context, copy_context
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from scipy.fft import fftn, ifft, next_fast_len
 
 from ._runtime import get_workers
 from .errors import ConfigError, NumericsError, _is_int, check_int
-from .paths import _csv_rows
+from .paths import _csv_rows, _write_csv
 
 __all__ = [
     "SpectralState",
@@ -158,8 +159,10 @@ def walk_phases(sources, conj, turns, P: int, crop, reduce, rows=None, n=None, s
     if threads < 2:
         yield from chain.from_iterable(map(task, tasks))
         return
+    # each task runs in a copy of the caller's context, so its np.errstate holds there too
+    contexts = [copy_context() for _ in tasks]
     with ThreadPoolExecutor(threads) as pool:
-        yield from chain.from_iterable(pool.map(task, tasks))
+        yield from chain.from_iterable(pool.map(Context.run, contexts, repeat(task), tasks))
 
 
 def _mode_index(n, d: int, N: int, error=ConfigError) -> tuple[int, ...]:
@@ -227,10 +230,21 @@ def _sq_norms(d: int, N: int) -> np.ndarray:
     return out
 
 
+def _hs_weight(d: int, N: int, s: float) -> np.ndarray:
+    """The weights <n>^{2s} = (1 + |n|^2)^s of the (2N+1)^d cube, flat in C order."""
+    return (1.0 + _sq_norms(d, N)).ravel() ** s
+
+
+def _hs_norms(coeffs: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The H^s norms (sum weight |c|^2)^{1/2} of the coefficient arrays coeffs[i] (a stack
+    or a list), for weight = _hs_weight(d, N, s); one that overflows reads inf, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.sum(weight * np.abs(np.reshape(coeffs, (len(coeffs), -1))) ** 2, 1))
+
+
 def hs_norm(state: SpectralState, s: float) -> float:
     """Sobolev norm (sum <n>^{2s} |phi(n)|^2)^{1/2} with <n>^2 = 1 + |n|^2."""
-    jap = 1.0 + _sq_norms(state.d, state.N)
-    return float(np.sqrt(np.sum(jap ** s * np.abs(state.coeffs) ** 2)))
+    return float(_hs_norms(state.coeffs[None], _hs_weight(state.d, state.N, s))[0])
 
 
 def apply_U(state: SpectralState, w_value: float,
@@ -300,14 +314,14 @@ def nonlinearity(factors: list[SpectralState], k: int | None = None) -> Spectral
 
 
 def save_state_csv(state: SpectralState, filename) -> None:
-    """Rows "n_1,...,n_d,re,im", zero modes omitted; JSON sidecar {"d","N"}."""
-    modes = _cube_modes(state.d, -state.N, state.N)
-    flat = state.coeffs.ravel()
-    keep = flat != 0
-    data = np.column_stack([modes[keep], flat[keep].real, flat[keep].imag])
+    """Header "n_1,...,n_d,re,im", then one row per nonzero mode in C order of the cube,
+    the modes as integers ("%d") and re, im with "%.17g"; the zero state is the header
+    alone. The rows go through paths._write_csv's row blocks. JSON sidecar {"d","N"}."""
+    at = np.argwhere(state.coeffs)  # the nonzero modes' indices, in C order
+    vals = state.coeffs[tuple(at.T)]
+    data = np.column_stack([at - state.N, vals.real, vals.imag])
     header = ",".join(f"n_{i + 1}" for i in range(state.d)) + ",re,im"
-    fmt = ["%d"] * state.d + ["%.17g", "%.17g"]
-    np.savetxt(filename, data, fmt=fmt, delimiter=",", header=header, comments="")
+    _write_csv(filename, header, ["%d"] * state.d + ["%.17g", "%.17g"], data)
     sidecar = Path(str(filename)).with_suffix(".json")
     sidecar.write_text(json.dumps({"d": state.d, "N": state.N}) + "\n")
 

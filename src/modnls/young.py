@@ -302,11 +302,11 @@ def x_norm_estimate(cfg: YoungKernelConfig, gamma: float, s: float,
     for _ in range(trials):
         psis = [random_state(cfg.d, cfg.N, s, rng) for _ in range(cfg.n_factors)]
         i, j = sorted(rng.choice(t_grid.size, size=2, replace=False))
-        inc = x_increment(cfg, float(t_grid[i]), float(t_grid[j]), psis)
-        denom = (t_grid[j] - t_grid[i]) ** gamma
-        for p in psis:
-            denom *= hs_norm(p, s)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            inc = x_increment(cfg, float(t_grid[i]), float(t_grid[j]), psis)
+            denom = (t_grid[j] - t_grid[i]) ** gamma
+            for p in psis:
+                denom *= hs_norm(p, s)
             ratio = hs_norm(inc, s) / denom if denom else 0.0  # a zero denominator is skipped
         if not np.isfinite(ratio):
             raise NumericsError(f"trial norm ratio {ratio} at s={s}: the increment overflows")

@@ -213,3 +213,20 @@ def padded_phase_products(sources, conj, phases, P, crop):
         f = np.conj(fields[id(src)]) if cj else fields[id(src)]
         prod = f if prod is None else prod * f
     return fftn(prod, axes=axes, norm="forward", workers=1)[crop]
+
+
+def savetxt_state_csv(state, filename):
+    """save_state_csv's CSV as numpy's savetxt writes it, one row at a time: each nonzero
+    coefficient in C order of the cube, modes with "%d", re and im with "%.17g"."""
+    rows = [[*(np.array(idx) - state.N), c.real, c.imag]
+            for idx, c in np.ndenumerate(state.coeffs) if c != 0]
+    header = ",".join(f"n_{i + 1}" for i in range(state.d)) + ",re,im"
+    np.savetxt(filename, np.array(rows, dtype=float).reshape(-1, state.d + 2),
+               fmt=["%d"] * state.d + ["%.17g"] * 2, delimiter=",", header=header,
+               comments="")
+
+
+def savetxt_path_csv(path, filename):
+    """save_path_csv's CSV as numpy's savetxt writes it: rows t, w + offset with "%.17g"."""
+    np.savetxt(filename, np.column_stack([path.t_grid, path.values + path.offset]),
+               fmt="%.17g", delimiter=",", header="t,w", comments="")

@@ -176,12 +176,14 @@ def test_solve_on_a_partition_off_the_clock_nodes(tmp_path):
 
 
 def test_solve_reruns_byte_identical(tmp_path):
+    # every file of the run: each state CSV and sidecar, and the report
     cfg = write_config(tmp_path)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert run_command(["solve", "--config", cfg, "--out", str(out)]) == 0
-        outs.append((out / "report.json").read_bytes())
+        outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outs[0]) == 2 * 17 + 1
     assert outs[0] == outs[1]
 
 
@@ -534,6 +536,33 @@ def test_sobolev_index_past_float_range_is_one_json_line(tmp_path, capsys, comma
     diag = json.loads(lines[0])
     assert diag["error"] == "ConfigError" and "Sobolev index" in diag["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads,box,s,clock", [
+    ("1", ["--d", "1", "--N", "2"], "-300", ["--kind", "linear", "--T", "1.0", "--M", "16"]),
+    ("2", ["--d", "2", "--N", "8"], "-120",
+     ["--kind", "fbm", "--H", "0.3", "--seed", "1", "--T", "4.0", "--M", "16"]),
+], ids=["linear-d1", "fbm-d2-pooled"])
+def test_overflowing_increment_is_one_json_line(tmp_path, capsys, monkeypatch, threads, box,
+                                                s, clock):
+    # the random states grow like <n>^|s|, so the walker's phase products overflow long
+    # before the box weight does; numpy's overflow warning, from the calling thread or
+    # from a pooled walk's worker, once came before the diagnostic
+    monkeypatch.setattr(_runtime, "_workers", _runtime.get_workers())
+    pcsv = str(tmp_path / "clock.csv")
+    assert run_command(["gen-path", *clock, "--out", pcsv]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_command(["xnorm", "--threads", threads, "--path", pcsv, *box, "--k", "1",
+                          "--gamma", "0.55", f"--s={s}", "--trials", "4",
+                          "--out", str(tmp_path / "x.json")])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0], parse_constant=_reject_constant)
+    assert diag["error"] == "NumericsError" and "overflows" in diag["message"]
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("rows,needle", [

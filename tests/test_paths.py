@@ -13,6 +13,7 @@ from modnls.paths import (
     make_modulated_path,
     save_path_csv,
 )
+from tests.conftest import savetxt_path_csv
 
 
 def test_linear_path_is_identity_clock():
@@ -133,6 +134,21 @@ def test_csv_round_trip_preserves_modulation(tmp_path, make):
     np.testing.assert_allclose(np.interp(ts, back.t_grid, back.values) + back.offset,
                                np.interp(ts, path.t_grid, path.values) + path.offset,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_linear_path(1.0, 16),
+    lambda: make_constant_path(-2.5, 0.7, 5),
+    lambda: make_fbm_path(0.3, 2.0, 1 << 13, seed=5),
+], ids=["linear", "constant-offset", "fbm-8192"])
+def test_path_csv_is_the_savetxt_bytes(tmp_path, make):
+    # the blocked writer against numpy's row-by-row savetxt; the fBm clock's 8193
+    # rows span three blocks, the last of one row
+    path = make()
+    got, want = tmp_path / "w.csv", tmp_path / "w_oracle.csv"
+    save_path_csv(path, got)
+    savetxt_path_csv(path, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_load_path_csv_rejects_bad_shape(tmp_path):

@@ -21,7 +21,7 @@ from modnls.solver import (
     uniform_partition,
     young_integral,
 )
-from modnls.spectral import SpectralState, hs_norm, random_state, unit_mode, zero_state
+from modnls.spectral import SpectralState, _sq_norms, hs_norm, random_state, unit_mode, zero_state
 
 
 def make_cfg(**kw):
@@ -173,7 +173,7 @@ def test_picard_on_the_benchmark_shape_integrates_no_phi(monkeypatch):
 def _one_gram_distance(states_a, states_b, times, lam, s):
     """The C^{0,lambda} residual from the whole (M+1)^2 Gram matrix at once."""
     D = np.stack([a.coeffs.ravel() - b.coeffs.ravel() for a, b in zip(states_a, states_b)])
-    w = (1.0 + solver._sq_norms(states_a[0].d, states_a[0].N)).ravel() ** s
+    w = (1.0 + _sq_norms(states_a[0].d, states_a[0].N)).ravel() ** s
     G = (D * w) @ D.conj().T
     diag = np.real(np.diag(G))
     dist2 = np.maximum(diag[:, None] + diag[None, :] - 2.0 * np.real(G), 0.0)

@@ -24,7 +24,7 @@ from modnls.spectral import (
     zero_state,
 )
 from tests.conftest import (conj_state, direct_nonlinearity, padded_phase_products,
-                            resonance_offset)
+                            resonance_offset, savetxt_state_csv)
 
 
 def physical_nonlinearity(factors, k):
@@ -163,6 +163,46 @@ def test_state_csv_round_trip(tmp_path):
     save_state_csv(zero_state(1, 2), zfn)
     zback = load_state_csv(zfn)
     np.testing.assert_array_equal(zback.coeffs, 0.0)
+
+
+def _edge_state(d, N, seed):
+    # a random state with zero modes and the values whose text is easiest to get wrong
+    st_ = random_state(d, N, 0.5, seed=seed)
+    flat = st_.coeffs.reshape(-1)
+    flat[::3] = 0.0
+    edges = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             1.0, -2.0, 0.1]
+    flat[1:3 * len(edges):3] = [complex(e, -e) for e in edges]
+    flat[2] = complex(0.0, -0.0)
+    flat[4] = complex(-0.0, 1.0)
+    return st_
+
+
+@pytest.mark.parametrize("d,N", [(1, 12), (2, 5), (3, 8)])
+def test_state_csv_is_the_savetxt_bytes(tmp_path, d, N):
+    # the blocked writer against numpy's row-by-row savetxt; (3, 8) has 17^3 = 4913
+    # modes, so its rows span two blocks
+    for name, st_ in [("edge", _edge_state(d, N, 11)), ("dense", random_state(d, N, 1.0, 12)),
+                      ("zero", zero_state(d, N))]:
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_oracle.csv"
+        save_state_csv(st_, got)
+        savetxt_state_csv(st_, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.with_suffix(".json").read_text() == f'{{"d": {d}, "N": {N}}}\n'
+    assert (tmp_path / "zero.csv").read_text().count("\n") == 1  # the header alone
+
+
+def test_state_csv_literal_text(tmp_path):
+    # pinned against a literal, so the format cannot drift along with its oracle
+    st_ = SpectralState(1, 2, [0.1, 0.0, complex(-0.0, 3.0), complex(-2.0, -0.0),
+                              complex(1 / 3, 5e-324)])
+    fn = tmp_path / "tiny.csv"
+    save_state_csv(st_, fn)
+    assert fn.read_text() == ("n_1,re,im\n"
+                              "-2,0.10000000000000001,0\n"
+                              "0,-0,3\n"
+                              "1,-2,-0\n"
+                              "2,0.33333333333333331,4.9406564584124654e-324\n")
 
 
 def test_state_csv_missing_sidecar(tmp_path):

@@ -773,15 +773,17 @@ def test_states_validation():
 def test_x_norm_estimate_refuses_what_it_cannot_weigh():
     # an s whose box weight (1 + d N^2)^|s| overflows is refused up front; at
     # s = -200 the weights are finite but an increment's H^s norm overflows,
-    # which raises where it once dropped the trial
+    # which raises where it once dropped the trial; at s = -300 the kernel's
+    # phase products overflow too, which once printed numpy's warning first
     cfg = make_kernel(1, 1, 2, make_linear_path(1.0, 8))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in (1e308, -np.inf, np.nan):
             with pytest.raises(ConfigError, match="Sobolev index"):
                 x_norm_estimate(cfg, gamma=0.5, s=s, trials=2, seed=0)
-        with pytest.raises(NumericsError, match="overflows"):
-            x_norm_estimate(cfg, gamma=0.5, s=-200.0, trials=2, seed=0)
+        for s in (-200.0, -300.0):
+            with pytest.raises(NumericsError, match="overflows"):
+                x_norm_estimate(cfg, gamma=0.5, s=s, trials=4, seed=0)
 
 
 def test_x_norm_estimate_deterministic_extension():
